@@ -10,6 +10,7 @@ under --out-dir.
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -46,7 +47,10 @@ def main(argv=None) -> int:
             "w", suffix=".json", delete=False) as fh:
         json.dump(doc, fh)
         cfg_path = fh.name
-    return cli_main(["train", "--config", cfg_path])
+    try:
+        return cli_main(["train", "--config", cfg_path])
+    finally:
+        os.remove(cfg_path)
 
 
 if __name__ == "__main__":

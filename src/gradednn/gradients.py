@@ -8,11 +8,11 @@ trainable parameters), not the effective ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from .losses import CROSS_ENTROPY_CLAMP, LossKind, loss_value
+from .losses import CROSS_ENTROPY_CLAMP, LossKind, _operands, loss_value
 from .network import (
     ActivationKind,
     MultiplicativeNeuron,
@@ -30,55 +30,67 @@ from .spaces import (
     GradedVector,
     GradingMismatchError,
     GradingVector,
+    homogeneous_parts,
     homogeneous_terms,
-    require_same_grading,
+    stack_values,
 )
 
 
-def loss_grad(kind: LossKind, y: GradedVector, yhat: GradedVector) -> GradedVector:
-    """Gradient of the loss with respect to the prediction yhat."""
-    require_same_grading(y, yhat)
-    q = y.grading.floats
-    d = yhat.values - y.values
+def loss_grad(kind: LossKind, y, yhat, grading=None):
+    """Gradient of loss_value with respect to yhat: a graded vector for one
+    sample, an (N, n) array for a batch, whose row k is the gradient of
+    row k's loss divided by N because loss_value averages along axis 0."""
+    single = grading is None
+    grading, y, yhat = _operands(y, yhat, grading)
+    q = grading.floats
+    d = yhat - y
     if kind.name == "graded_mse":
-        return y.with_values((2.0 / len(q)) * q * d)
-    if kind.name == "graded_norm":
-        return y.with_values(2.0 * q * d)
-    if kind.name == "huber":
+        g = (2.0 / len(q)) * q * d
+    elif kind.name == "graded_norm":
+        g = 2.0 * q * d
+    elif kind.name == "huber":
         # derivative of rho is the residual clipped to [-delta, delta]
-        return y.with_values(q * np.clip(d, -kind.delta, kind.delta))
-    if kind.name == "homogeneous":
-        return y.with_values(_homogeneous_grad(y, yhat, kind))
-    if kind.name == "cross_entropy":
-        if np.any(y.values < 0.0):
+        g = q * np.clip(d, -kind.delta, kind.delta)
+    elif kind.name == "homogeneous":
+        g = _homogeneous_grad(grading, d, kind.scheme)
+    elif kind.name == "cross_entropy":
+        if np.any(y < 0.0):
             raise GradedDomainError("cross entropy targets must be nonnegative")
-        below = yhat.values < CROSS_ENTROPY_CLAMP
-        clamped = np.maximum(yhat.values, CROSS_ENTROPY_CLAMP)
+        clamped = np.maximum(yhat, CROSS_ENTROPY_CLAMP)
         # inside the clamp the loss is locally constant in yhat
-        return y.with_values(np.where(below, 0.0, -q * y.values / clamped))
-    if kind.name == "max_graded":
+        g = np.where(yhat < CROSS_ENTROPY_CLAMP, 0.0, -q * y / clamped)
+    elif kind.name == "max_graded":
         g = np.zeros_like(d)
-        m = int(np.argmax(q * d * d))  # ties resolve to the lowest index
-        g[m] = 2.0 * q[m] * d[m]
-        return y.with_values(g)
-    raise ValueError("unknown loss kind %r" % (kind,))
+        rows = np.arange(len(d))
+        m = np.argmax(q * d * d, axis=1)  # ties resolve to the lowest index
+        g[rows, m] = 2.0 * q[m] * d[rows, m]
+    else:
+        raise ValueError("unknown loss kind %r" % (kind,))
+    if single:
+        return GradedVector(g[0], grading)
+    return g / len(g)
 
 
-def _homogeneous_grad(y: GradedVector, yhat: GradedVector, kind: LossKind) -> np.ndarray:
-    diff = y.with_values(yhat.values - y.values)
-    terms, big_e = homogeneous_terms(diff, kind.scheme)
-    s = sum(n ** e for _, n, e in terms)
-    out = np.zeros(len(y), dtype=float)
-    if s == 0.0:
-        return out
-    outer = (2.0 / big_e) * s ** (2.0 / big_e - 1.0)
-    grades = y.grading.grades
-    for g, n, e in terms:
-        if n == 0.0:
-            continue
-        mask = np.array([gi == g for gi in grades])
-        out += np.where(mask, outer * e * n ** (e - 2.0) * diff.values, 0.0)
+def _homogeneous_grad(grading: GradingVector, d: np.ndarray, scheme) -> np.ndarray:
+    """Row-wise gradient of (sum_j n_j**e_j)**(2/E) in the residual rows d."""
+    norms, exps, big_e = homogeneous_parts(d, grading, scheme)
+    s = np.sum(norms ** exps, axis=1)
+    # a row with s = 0 has d = 0; inf**(2/E - 1) keeps its factors finite,
+    # and so does exps >= 2 at a zero group norm
+    outer = (2.0 / big_e) * np.where(s > 0.0, s, np.inf) ** (2.0 / big_e - 1.0)
+    coef = outer[:, np.newaxis] * exps * norms ** (exps - 2.0)
+    out = np.empty_like(d)
+    for j, (_, mask) in enumerate(grading.groups):
+        out[:, mask] = coef[:, j, np.newaxis] * d[:, mask]
     return out
+
+
+def _scaled_norm(values: np.ndarray) -> float:
+    # scaled by the largest magnitude, squares of entries past 1e154 stay finite
+    big = float(np.max(np.abs(values), initial=0.0))
+    if big == 0.0 or not np.isfinite(big):
+        return big
+    return big * float(np.sqrt(np.sum((values / big) ** 2)))
 
 
 @dataclass
@@ -89,52 +101,40 @@ class GradientBundle:
     bias_grads: List[np.ndarray]
     loss: float
 
+    def layer_norms(self) -> List[float]:
+        """Euclidean norm of each layer's weight and bias gradients."""
+        pairs = zip(self.weight_grads, self.bias_grads)
+        return [_scaled_norm(np.append(w, b)) for w, b in pairs]
+
     def grad_norm(self) -> float:
-        total = 0.0
-        for w in self.weight_grads:
-            total += float(np.sum(w * w))
-        for b in self.bias_grads:
-            total += float(np.sum(b * b))
-        return float(np.sqrt(total))
-
-    def scaled(self, factor: float) -> "GradientBundle":
-        return GradientBundle(
-            [w * factor for w in self.weight_grads],
-            [b * factor for b in self.bias_grads],
-            self.loss * factor,
-        )
-
-    def add_(self, other: "GradientBundle") -> None:
-        for mine, theirs in zip(self.weight_grads, other.weight_grads):
-            mine += theirs
-        for mine, theirs in zip(self.bias_grads, other.bias_grads):
-            mine += theirs
-        self.loss += other.loss
+        """Euclidean norm over every entry; finite while the entries are."""
+        return _scaled_norm(np.array(self.layer_norms()))
 
 
-def network_backward(
-    net: Network, x: GradedVector, y: GradedVector, kind: LossKind
-) -> GradientBundle:
-    """Loss and exact parameter gradients for one sample."""
-    if net.layers and x.grading != net.in_grading:
-        raise GradingMismatchError("input grading does not match the network")
-    trace, out = forward_trace(net, x.values)
+def network_backward(net: Network, x, y, kind: LossKind) -> GradientBundle:
+    """Mean loss and its exact parameter gradients, averaged along axis 0, for
+    one sample as graded vectors (the batch N = 1) or for (N, n_in) and
+    (N, n_out) arrays with one sample per row."""
+    if not net.layers:
+        raise ValueError("an empty network has no parameters to differentiate")
+    if isinstance(x, GradedVector):
+        x, y = stack_values([x], net.in_grading), stack_values([y], net.out_grading)
+    trace, out = forward_trace(net, x)
     raise_if_non_finite(trace, out)
-    yhat = GradedVector(out, net.out_grading) if net.layers else x
-    loss = loss_value(kind, y, yhat)
-    g = loss_grad(kind, y, yhat).values
-    weight_grads: List[Optional[np.ndarray]] = [None] * len(net.layers)
-    bias_grads: List[Optional[np.ndarray]] = [None] * len(net.layers)
+    loss = loss_value(kind, y, out, net.out_grading)
+    g = loss_grad(kind, y, out, net.out_grading)
+    weight_grads, bias_grads = [], []
     for l in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[l]
         x_in, z, _ = trace[l]
         dz = g * activation_slope(layer.activation, z, layer.out_grading.floats)
-        dw = np.outer(dz, x_in) * weight_base_slope(layer.weight_base, layer.in_grading)
+        dw = (dz.T @ x_in) * weight_base_slope(layer.weight_base, layer.in_grading)
         if layer.mask is not None:
             dw = np.where(layer.mask, dw, 0.0)
-        weight_grads[l] = dw
-        bias_grads[l] = dz
-        g = layer.effective().T @ dz
+        weight_grads.insert(0, dw)
+        bias_grads.insert(0, dz.sum(axis=0))
+        if l:
+            g = dz @ layer.effective()
     return GradientBundle(weight_grads, bias_grads, loss)
 
 
@@ -148,30 +148,33 @@ def finite_diff_check(
     """Max over parameters of |analytic - central difference| / max(1, |fd|)."""
     if not 1e-7 <= eps <= 1e-4:
         raise ValueError("eps should lie in [1e-7, 1e-4]")
+    xs, ys = stack_values([x], net.in_grading), stack_values([y], net.out_grading)
+    trace, _ = forward_trace(net, xs)
+    tails = [Network(net.layers[l:]) for l in range(len(net.layers))]
 
-    def current_loss() -> float:
-        _, out = forward_trace(net, x.values)
-        return loss_value(kind, y, GradedVector(out, net.out_grading))
+    def current_loss(l: int) -> float:
+        # perturbing layer l leaves the layers before it as traced: start at l
+        tail, out = forward_trace(tails[l], trace[l][0])
+        raise_if_non_finite(trace[:l] + tail, out)
+        return loss_value(kind, ys, out, net.out_grading)
 
-    bundle = network_backward(net, x, y, kind)
+    bundle = network_backward(net, xs, ys, kind)
     worst = 0.0
-    for l, layer in enumerate(net.layers):
-        for name, grads in (("weight_base", bundle.weight_grads[l]),
-                            ("bias", bundle.bias_grads[l])):
-            param = getattr(layer, name)
-            it = np.nditer(param, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                keep = param[idx]
-                param[idx] = keep + eps
-                hi = current_loss()
-                param[idx] = keep - eps
-                lo = current_loss()
-                param[idx] = keep
-                fd = (hi - lo) / (2.0 * eps)
-                err = abs(grads[idx] - fd) / max(1.0, abs(fd))
-                if err > worst:
-                    worst = err
+    analytic = [g for pair in zip(bundle.weight_grads, bundle.bias_grads) for g in pair]
+    for (l, _, param), grads in zip(net.parameters(), analytic):
+        it = np.nditer(param, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            keep = param[idx]
+            param[idx] = keep + eps
+            hi = current_loss(l)
+            param[idx] = keep - eps
+            lo = current_loss(l)
+            param[idx] = keep
+            fd = (hi - lo) / (2.0 * eps)
+            err = abs(grads[idx] - fd) / max(1.0, abs(fd))
+            if err > worst:
+                worst = err
     return worst
 
 

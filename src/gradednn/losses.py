@@ -1,7 +1,8 @@
 """Grade-weighted loss functions.
 
-All losses take (target, prediction) as graded vectors over the same grading
-and return a scalar.  Parametrized kinds are described by a LossKind value,
+All losses take (target, prediction) as graded vectors over the same grading,
+or as (N, n) arrays of samples with their grading, and return the mean loss
+over the samples.  Parametrized kinds are described by a LossKind value,
 which also parses from compact text such as "huber:0.5" or
 "homogeneous:by_distinct_count".
 """
@@ -17,7 +18,8 @@ from .spaces import (
     ExponentScheme,
     GradedDomainError,
     GradedVector,
-    homogeneous_terms,
+    GradingMismatchError,
+    homogeneous_parts,
     parse_scheme,
     require_same_grading,
 )
@@ -79,72 +81,71 @@ def parse_loss(text: str) -> LossKind:
     raise ValueError("unknown loss %r" % text)
 
 
+def _operands(y, yhat, grading=None):
+    """(grading, y, yhat) as (N, n) arrays; two graded vectors are N = 1."""
+    if grading is None:
+        require_same_grading(y, yhat)
+        return y.grading, y.values[np.newaxis], yhat.values[np.newaxis]
+    y, yhat = np.asarray(y, dtype=float), np.asarray(yhat, dtype=float)
+    if y.ndim != 2 or y.shape != yhat.shape or y.shape[1] != len(grading):
+        raise GradingMismatchError("need (N, %d) arrays" % len(grading))
+    return grading, y, yhat
+
+
 def graded_mse(y: GradedVector, yhat: GradedVector) -> float:
     """(1/n) sum_i q_i (yhat_i - y_i)**2."""
-    require_same_grading(y, yhat)
-    d = yhat.values - y.values
-    return float(np.mean(y.grading.floats * d * d))
+    return loss_value(LossKind.graded_mse(), y, yhat)
 
 
 def graded_norm_loss(y: GradedVector, yhat: GradedVector) -> float:
     """sum_i q_i (yhat_i - y_i)**2, the squared graded euclidean norm."""
-    require_same_grading(y, yhat)
-    d = yhat.values - y.values
-    return float(np.sum(y.grading.floats * d * d))
+    return loss_value(LossKind.graded_norm(), y, yhat)
 
 
 def graded_huber(y: GradedVector, yhat: GradedVector, delta: float) -> float:
     """sum_i q_i rho_delta(yhat_i - y_i) with the usual quadratic/linear split."""
-    require_same_grading(y, yhat)
-    if not delta > 0:
-        raise ValueError("huber threshold must be positive")
-    z = np.abs(yhat.values - y.values)
-    rho = np.where(z <= delta, 0.5 * z * z, delta * (z - 0.5 * delta))
-    return float(np.sum(y.grading.floats * rho))
+    return loss_value(LossKind.huber(delta), y, yhat)
 
 
 def homogeneous_loss(y: GradedVector, yhat: GradedVector, scheme: ExponentScheme) -> float:
-    """Square of the homogeneous norm of the residual.
-
-    With per-group euclidean norms n_j and exponents e_j this is
-    (sum_j n_j**e_j)**(2/E); zero residual gives zero by convention.
-    """
-    require_same_grading(y, yhat)
-    diff = y.with_values(yhat.values - y.values)
-    terms, big_e = homogeneous_terms(diff, scheme)
-    s = sum(n ** e for _, n, e in terms)
-    if s == 0.0:
-        return 0.0
-    return float(s ** (2.0 / big_e))
+    """Square of the homogeneous norm of the residual, (sum_j n_j**e_j)**(2/E)
+    over the per-group euclidean norms n_j; zero residual gives zero."""
+    return loss_value(LossKind.homogeneous(scheme), y, yhat)
 
 
 def graded_cross_entropy(y: GradedVector, yhat: GradedVector) -> float:
     """-sum_i q_i y_i log(yhat_i), with yhat clamped below at 1e-12."""
-    require_same_grading(y, yhat)
-    if np.any(y.values < 0.0):
-        raise GradedDomainError("cross entropy targets must be nonnegative")
-    clamped = np.maximum(yhat.values, CROSS_ENTROPY_CLAMP)
-    return float(-np.sum(y.grading.floats * y.values * np.log(clamped)))
+    return loss_value(LossKind.cross_entropy(), y, yhat)
 
 
 def max_graded_loss(y: GradedVector, yhat: GradedVector) -> float:
     """(max_i sqrt(q_i)|yhat_i - y_i|)**2 = max_i q_i (yhat_i - y_i)**2."""
-    require_same_grading(y, yhat)
-    d = yhat.values - y.values
-    return float(np.max(y.grading.floats * d * d))
+    return loss_value(LossKind.max_graded(), y, yhat)
 
 
-def loss_value(kind: LossKind, y: GradedVector, yhat: GradedVector) -> float:
+def loss_value(kind: LossKind, y, yhat, grading=None) -> float:
+    """Mean loss along axis 0.  y and yhat are one sample as graded vectors
+    over one grading, or (N, n) arrays, one sample per row, with `grading`."""
+    grading, y, yhat = _operands(y, yhat, grading)
+    q, d = grading.floats, yhat - y
     if kind.name == "graded_mse":
-        return graded_mse(y, yhat)
-    if kind.name == "graded_norm":
-        return graded_norm_loss(y, yhat)
-    if kind.name == "huber":
-        return graded_huber(y, yhat, kind.delta)
-    if kind.name == "homogeneous":
-        return homogeneous_loss(y, yhat, kind.scheme)
-    if kind.name == "cross_entropy":
-        return graded_cross_entropy(y, yhat)
-    if kind.name == "max_graded":
-        return max_graded_loss(y, yhat)
-    raise ValueError("unknown loss kind %r" % (kind,))
+        rows = np.sum(q * d * d, axis=1) / len(q)
+    elif kind.name == "graded_norm":
+        rows = np.sum(q * d * d, axis=1)
+    elif kind.name == "huber":
+        z, delta = np.abs(d), kind.delta
+        rho = np.where(z <= delta, 0.5 * z * z, delta * (z - 0.5 * delta))
+        rows = np.sum(q * rho, axis=1)
+    elif kind.name == "homogeneous":
+        norms, exps, big_e = homogeneous_parts(d, grading, kind.scheme)
+        rows = np.sum(norms ** exps, axis=1) ** (2.0 / big_e)
+    elif kind.name == "cross_entropy":
+        if np.any(y < 0.0):
+            raise GradedDomainError("cross entropy targets must be nonnegative")
+        rows = -np.sum(q * y * np.log(np.maximum(yhat, CROSS_ENTROPY_CLAMP)), axis=1)
+    elif kind.name == "max_graded":
+        rows = np.max(q * d * d, axis=1)
+    else:
+        raise ValueError("unknown loss kind %r" % (kind,))
+    # rows.sum() / N is np.mean without its per-call overhead
+    return float(rows.sum() / len(rows))

@@ -139,8 +139,7 @@ class AdditiveNeuron:
 def additive_forward(neuron: AdditiveNeuron, x: GradedVector) -> float:
     if x.grading != neuron.grading:
         raise GradingMismatchError("input grading does not match neuron grading")
-    q = neuron.grading.floats
-    eff = np.sign(neuron.weights) * np.abs(neuron.weights) ** q
+    eff = effective_weights(neuron.weights, neuron.grading)
     return float(np.dot(eff, x.values) + neuron.bias)
 
 
@@ -355,12 +354,6 @@ class Layer:
             eff = np.where(self._mask, eff, 0.0)
         return eff
 
-    def forward_raw(self, x: np.ndarray):
-        """Returns (pre-activation, output) without any finiteness checks."""
-        z = self.effective() @ x + self.bias
-        y = activation_value(self.activation, z, self.out_grading.floats)
-        return z, y
-
     def copy(self) -> "Layer":
         return Layer(
             self.weight_base.copy(),
@@ -403,11 +396,13 @@ class Network:
 
 
 def forward_trace(net: Network, x: np.ndarray):
-    """Raw per-layer (input, pre-activation, output) triples."""
+    """Unchecked per-layer (input, pre-activation, output) triples and the
+    output, for one sample x of shape (n,) or a batch (N, n), one per row."""
     trace = []
     cur = np.asarray(x, dtype=float)
     for layer in net.layers:
-        z, y = layer.forward_raw(cur)
+        z = cur @ layer.effective().T + layer.bias
+        y = activation_value(layer.activation, z, layer.out_grading.floats)
         trace.append((cur, z, y))
         cur = y
     return trace, cur
@@ -415,7 +410,7 @@ def forward_trace(net: Network, x: np.ndarray):
 
 def raise_if_non_finite(trace, out: np.ndarray) -> None:
     """Raise NonFiniteForwardError naming the first offending layer."""
-    if np.all(np.isfinite(out)):
+    if np.isfinite(out).all():
         return
     for i, (_, z, y) in enumerate(trace):
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):

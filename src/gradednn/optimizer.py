@@ -16,11 +16,11 @@ import numpy as np
 from .gradients import GradientBundle, network_backward
 from .losses import LossKind
 from .network import Network, NonFiniteForwardError
-from .spaces import GradedError, GradedVector
+from .spaces import GradedError, GradedVector, stack_values
 
 
 class TrainingDivergenceError(GradedError):
-    """Raised when the loss or a forward pass stops being finite."""
+    """Raised when the loss, a gradient or a forward pass stops being finite."""
 
 
 @dataclass(frozen=True)
@@ -78,28 +78,26 @@ def sgd_step(
     return velocity
 
 
-def batch_gradient(
-    net: Network,
-    inputs: Sequence[GradedVector],
-    targets: Sequence[GradedVector],
-    kind: LossKind,
-) -> GradientBundle:
-    """Mean loss and mean gradients over the whole dataset."""
+def _stack(net: Network, inputs, targets):
+    """(N, n_in) and (N, n_out) arrays of the samples; arrays pass through."""
     if len(inputs) != len(targets):
         raise ValueError("inputs and targets differ in length")
-    if not inputs:
+    if len(inputs) == 0:
         raise ValueError("dataset is empty")
-    total: Optional[GradientBundle] = None
-    for x, y in zip(inputs, targets):
-        try:
-            bundle = network_backward(net, x, y, kind)
-        except NonFiniteForwardError as exc:
-            raise TrainingDivergenceError(str(exc)) from exc
-        if total is None:
-            total = bundle
-        else:
-            total.add_(bundle)
-    return total.scaled(1.0 / len(inputs))
+    if isinstance(inputs, np.ndarray):
+        return inputs, targets
+    return stack_values(inputs, net.in_grading), stack_values(targets, net.out_grading)
+
+
+def batch_gradient(net: Network, inputs, targets, kind: LossKind) -> GradientBundle:
+    """Mean loss and mean gradients over the whole dataset, in one
+    network_backward call.  inputs and targets are sequences of graded
+    vectors or (N, n_in) and (N, n_out) arrays with one sample per row."""
+    inputs, targets = _stack(net, inputs, targets)
+    try:
+        return network_backward(net, inputs, targets, kind)
+    except NonFiniteForwardError as exc:
+        raise TrainingDivergenceError(str(exc)) from exc
 
 
 @dataclass
@@ -130,8 +128,10 @@ def train(
     losses[t] is the mean loss at the parameters of iteration t, so the
     history has max_iters + 1 entries unless the plateau rule stops earlier:
     with stop_threshold > 0, training stops once the loss decrease over the
-    last stop_window iterations falls below the threshold.
+    last stop_window iterations falls below the threshold.  The samples are
+    checked and stacked into arrays once, before the first iteration.
     """
+    inputs, targets = _stack(net, inputs, targets)
     result = TrainResult(network=net)
     velocity = None
     for t in range(cfg.max_iters + 1):
@@ -141,8 +141,13 @@ def train(
                 "loss became non-finite at iteration %d; consider log-domain "
                 "evaluation or a smaller learning rate" % t
             )
+        grad_norm = bundle.grad_norm()
+        if not np.isfinite(grad_norm):
+            # argmax picks the first NaN, else the first infinite layer norm
+            raise TrainingDivergenceError("gradient became non-finite at iteration %d "
+                                          "in layer %d" % (t, np.argmax(bundle.layer_norms())))
         result.losses.append(bundle.loss)
-        result.grad_norms.append(bundle.grad_norm())
+        result.grad_norms.append(grad_norm)
         if t == cfg.max_iters:
             result.stop_reason = "max_iters"
             break

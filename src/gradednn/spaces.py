@@ -59,7 +59,7 @@ def _as_fraction(value) -> Fraction:
 class GradingVector:
     """Immutable tuple of positive rational grades, one per coordinate."""
 
-    __slots__ = ("_grades", "_floats", "_hash")
+    __slots__ = ("_grades", "_floats", "_hash", "_groups")
 
     def __init__(self, grades: Iterable):
         gs = tuple(_as_fraction(g) for g in grades)
@@ -73,6 +73,7 @@ class GradingVector:
         floats.flags.writeable = False
         self._floats = floats
         self._hash = hash(gs)
+        self._groups = None
 
     @property
     def grades(self) -> tuple:
@@ -86,7 +87,18 @@ class GradingVector:
     @property
     def distinct(self) -> tuple:
         """Distinct grades in ascending order."""
-        return tuple(sorted(set(self._grades)))
+        return tuple(g for g, _ in self.groups)
+
+    @property
+    def groups(self) -> tuple:
+        """(grade, read-only coordinate mask) per distinct grade, ascending;
+        built on first use and kept, so grades are compared once per grading."""
+        if self._groups is None:
+            keys = sorted(set(self._grades))
+            masks = np.array([[gi == g for gi in self._grades] for g in keys])
+            masks.flags.writeable = False
+            self._groups = tuple(zip(keys, masks))
+        return self._groups
 
     @property
     def max_grade(self) -> Fraction:
@@ -200,6 +212,14 @@ def require_same_grading(x: GradedVector, y: GradedVector) -> None:
         raise GradingMismatchError("operands carry different gradings")
 
 
+def stack_values(vectors: Sequence[GradedVector], grading: GradingVector) -> np.ndarray:
+    """Values of graded vectors carrying `grading`, one per row of an array."""
+    for v in vectors:
+        if v.grading != grading:
+            raise GradingMismatchError("vector grading does not match %s" % grading)
+    return np.array([v.values for v in vectors]).reshape(len(vectors), len(grading))
+
+
 def scalar_action(lam: float, x: GradedVector) -> GradedVector:
     """Graded scalar action: (lam * x)_i = lam**q_i * x_i, lam > 0."""
     lam = float(lam)
@@ -248,63 +268,38 @@ def decompose(x: GradedVector):
     The components have the same length and grading as x and sum to x exactly.
     """
     parts = []
-    for g in x.grading.distinct:
-        mask = np.array([gi == g for gi in x.grading.grades])
+    for g, mask in x.grading.groups:
         parts.append((g, x.with_values(np.where(mask, x.values, 0.0))))
     return parts
+
+
+def homogeneous_parts(values: np.ndarray, grading: GradingVector, scheme: ExponentScheme):
+    """Norms n_j of the grade groups along the last axis of values, shaped
+    (..., G); exponents e_j; outer exponent E of (sum_j n_j**e_j)**(1/E)."""
+    grades = grading.distinct
+    if scheme is ExponentScheme.BY_MAX_GRADE:
+        if not grading.is_integer:
+            raise GradedDomainError("the max-grade exponent scheme requires integer grades")
+        r = int(grading.max_grade)
+        exps = np.array([2.0 * r / float(g) for g in grades])
+    else:
+        r = len(grades)
+        exps = 2.0 * np.arange(r, 0, -1)
+    sq = values * values
+    norms = np.stack([sq[..., mask].sum(axis=-1) for _, mask in grading.groups], axis=-1)
+    return np.sqrt(norms), exps, 2 * r
 
 
 def homogeneous_terms(x: GradedVector, scheme: ExponentScheme):
     """Per-group data (grade, euclidean norm of the group, exponent) plus the
     outer exponent E of the homogeneous norm (sum of terms)**(1/E)."""
-    groups = decompose(x)
-    norms = [float(np.linalg.norm(part.values)) for _, part in groups]
-    if scheme is ExponentScheme.BY_MAX_GRADE:
-        if not x.grading.is_integer:
-            raise GradedDomainError(
-                "the max-grade exponent scheme requires integer grades"
-            )
-        r = int(x.grading.max_grade)
-        exps = [2.0 * r / float(g) for g, _ in groups]
-    else:
-        r = len(groups)
-        exps = [float(2 * r - 2 * j) for j in range(r)]
-    big_e = 2 * r
-    return [(g, n, e) for (g, _), n, e in zip(groups, norms, exps)], big_e
+    norms, exps, big_e = homogeneous_parts(x.values, x.grading, scheme)
+    return [(g, float(n), float(e)) for g, n, e in zip(x.grading.distinct, norms, exps)], big_e
 
 
 def homogeneous_norm(x: GradedVector, scheme: ExponentScheme) -> float:
-    terms, big_e = homogeneous_terms(x, scheme)
-    s = sum(n ** e for _, n, e in terms)
-    if s == 0.0:
-        return 0.0
-    return float(s ** (1.0 / big_e))
-
-
-def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Partial-pivoted Gaussian elimination in extended precision."""
-    n = a.shape[0]
-    m = np.array(a, dtype=np.longdouble)
-    v = np.array(b, dtype=np.longdouble)
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        if m[p, k] == 0:
-            raise IllPosedSystemError("projection system is singular")
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            v[[k, p]] = v[[p, k]]
-        for i in range(k + 1, n):
-            f = m[i, k] / m[k, k]
-            if f != 0:
-                m[i, k + 1:] -= f * m[k, k + 1:]
-                v[i] -= f * v[k]
-            m[i, k] = 0
-    if m[n - 1, n - 1] == 0:
-        raise IllPosedSystemError("projection system is singular")
-    out = np.zeros(n, dtype=np.longdouble)
-    for i in range(n - 1, -1, -1):
-        out[i] = (v[i] - np.dot(m[i, i + 1:], out[i + 1:])) / m[i, i]
-    return out.astype(float)
+    norms, exps, big_e = homogeneous_parts(x.values, x.grading, scheme)
+    return float(np.sum(norms ** exps) ** (1.0 / big_e))
 
 
 def vandermonde_project(x: GradedVector, target_grade, lambdas: Sequence[float]) -> GradedVector:
@@ -343,7 +338,7 @@ def vandermonde_project(x: GradedVector, target_grade, lambdas: Sequence[float])
             stacklevel=2,
         )
     rhs = np.array([1.0 if g == target else 0.0 for g in distinct])
-    coeff = _gauss_solve(mat, rhs)
+    coeff = np.linalg.solve(mat, rhs)
     acc = np.zeros(len(x), dtype=float)
     for c, lam in zip(coeff, lams):
         acc += c * scalar_action(lam, x).values

@@ -187,3 +187,26 @@ def test_deterministic_histories():
         return train(net, xs, ys, LossKind.graded_mse(), cfg).losses
 
     assert run() == run()  # bit-identical
+
+
+def test_grad_norm_does_not_overflow_on_large_entries():
+    # squaring 1e200 overflows; the norm itself is representable
+    bundle = GradientBundle([np.array([[1e200, 0.0]])], [np.array([1e200])], 0.0)
+    assert bundle.grad_norm() == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert bundle.layer_norms() == [bundle.grad_norm()]
+    tiny = GradientBundle([np.array([[3e-200]])], [np.array([4e-200])], 0.0)
+    assert tiny.grad_norm() == pytest.approx(5e-200, rel=1e-15)
+
+
+def test_non_finite_gradient_reported_with_iteration_and_layer():
+    # q = 1/2 at a subnormal base weight: the effective weight and the loss
+    # stay finite, but the base-weight slope times the input overflows
+    g_in, g_out = GradingVector(["1/2"]), GradingVector([1])
+    net = Network([Layer(np.array([[1e-320]]), np.zeros(1),
+                         ActivationKind.IDENTITY, g_in, g_out)])
+    x, y = [GradedVector([1e160], g_in)], [GradedVector([0.0], g_out)]
+    cfg = OptimizerConfig(learning_rate=0.1, max_iters=5)
+    with np.errstate(over="ignore"):
+        with pytest.raises(TrainingDivergenceError) as err:
+            train(net, x, y, LossKind.graded_mse(), cfg)
+    assert "iteration 0" in str(err.value) and "layer 0" in str(err.value)
