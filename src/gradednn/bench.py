@@ -6,23 +6,25 @@ exponents equal to the grading), so its error is limited only by floating
 point; a width-m ReLU net is piecewise linear and has to spend units on
 curvature.  Each cell reports the max absolute error on a held-out grid.
 Classical cells train with heavy-ball momentum (plain GD stalls at larger
-widths) and keep the best of several restarts; each width also considers
-the previous width's best net padded with dead units, which makes the error
-column non-increasing by construction.
+widths) and keep the best of several restarts, trained together as one
+stacked `mlp_train` run (same CSV as one run per restart); each width also
+considers the previous width's best net padded with dead units, which makes
+the error column non-increasing by construction.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .classical import mlp_batch_forward, mlp_init, mlp_train
+from .config import reject_unknown_keys
 from .datasets import monomial_value
 from .ioutil import fmt17
-from .spaces import GradingVector, parse_grading
+from .spaces import GradedDomainError, GradingVector, parse_grading
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,7 @@ class BenchConfig:
 
 
 def bench_config_from_dict(doc: dict) -> BenchConfig:
-    known = {
-        "grading", "hidden_sizes", "train_count", "sample_low", "sample_high",
-        "grid_points", "grid_low", "grid_high", "restarts", "classical_iters",
-        "classical_learning_rate", "classical_momentum", "graded_iters",
-        "graded_learning_rate", "seed",
-    }
-    extra = set(doc) - known
-    if extra:
-        raise ValueError("unknown benchmark settings: %s" % ", ".join(sorted(extra)))
+    reject_unknown_keys(doc, {f.name for f in fields(BenchConfig)}, "")
     kwargs = dict(doc)
     kwargs["grading"] = parse_grading(doc.get("grading", "2,3"))
     if "hidden_sizes" in kwargs:
@@ -93,8 +87,12 @@ def _grid(cfg: BenchConfig) -> np.ndarray:
 
 
 def mult_neuron_predict(w: np.ndarray, b: float, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """prod_i |w_i x_i|**k_i + b on positive inputs, batched over rows."""
-    return np.prod(np.abs(w * x) ** k, axis=1) + b
+    """prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b over rows, with the sign rule
+    of `network.multiplicative_forward` (fractional k needs x > 0)."""
+    if np.any((k != np.round(k)) & np.any(x <= 0.0, axis=0)):
+        raise GradedDomainError("fractional exponents need positive inputs")
+    sign = np.where((x < 0.0) & (np.mod(k, 2.0) == 1.0), -1.0, 1.0)
+    return np.prod(sign * np.abs(w * x) ** k, axis=1) + b
 
 
 def train_multiplicative(
@@ -185,18 +183,20 @@ def _classical_cell(
     rng = _cell_rng(cfg.seed, "classical-%d" % m)
     widths = [2, m, 1]
     acts = ["relu", "identity"]
-    y_col = y_train[:, None]
     candidates = []
     if carry is not None:
         candidates.append(_pad_classical(*carry, m=m))
-    for _ in range(cfg.restarts):
-        weights, biases = mlp_init(widths, rng)
-        weights, biases, _ = mlp_train(
-            widths, weights, biases, x_train, y_col, acts,
-            cfg.classical_learning_rate, cfg.classical_iters,
-            momentum=cfg.classical_momentum)
-        if all(np.all(np.isfinite(w)) for w in weights):
-            candidates.append((weights, biases))
+    # Training draws nothing from rng, so drawing every init first keeps the
+    # draw order of one init-then-train pass per restart.
+    init_w, init_b = zip(*[mlp_init(widths, rng) for _ in range(cfg.restarts)])
+    weights, biases, _ = mlp_train(
+        widths, [np.stack(ws) for ws in zip(*init_w)],
+        [np.stack(bs) for bs in zip(*init_b)], x_train, y_train[:, None], acts,
+        cfg.classical_learning_rate, cfg.classical_iters,
+        momentum=cfg.classical_momentum)
+    for r in range(cfg.restarts):
+        if all(np.all(np.isfinite(w[r])) for w in weights):
+            candidates.append(([w[r] for w in weights], [b[r] for b in biases]))
     if not candidates:
         return BenchRow("classical", m, float("inf"), float("inf"), "diverged"), carry
     best = None

@@ -5,6 +5,11 @@ grades are 1: standard affine layers, elementwise activations, squared-error
 loss summed over outputs and averaged over the batch, full-batch gradient
 descent with optional momentum.  Kept deliberately free of any graded
 imports so the comparison is meaningful.
+
+`mlp_train` and `mlp_batch_forward` also take R nets stacked on a leading
+axis (weights (R, out, in), biases (R, out), shared X and Y); each slice
+computes exactly what a single-net call does.  The approximation benchmark
+trains a width's restarts as one stacked run, with an unchanged CSV.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _act_slope(name: str, z: np.ndarray) -> np.ndarray:
+    # A boolean relu slope multiplies exactly as 1.0/0.0 at an eighth of the memory.
     if name == "relu":
-        return np.where(z > 0.0, 1.0, 0.0)
+        return z > 0.0
     if name == "expm1":
         return np.exp(z)
     if name == "identity":
@@ -35,16 +41,18 @@ def _act_slope(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def check_shapes(widths: Sequence[int], weights, biases) -> None:
+    """(out, in) weights and (out,) biases behind the same leading axes."""
     if len(weights) != len(widths) - 1 or len(biases) != len(widths) - 1:
         raise ValueError("need one weight/bias pair per layer")
+    lead = weights[0].shape[:-2] if weights else ()
     for l, (w, b) in enumerate(zip(weights, biases)):
-        if w.shape != (widths[l + 1], widths[l]):
+        if w.shape != lead + (widths[l + 1], widths[l]):
             raise ValueError(
-                "layer %d weight shape %s does not match widths %s"
-                % (l, w.shape, tuple(widths))
+                "layer %d weight shape %s does not match widths %s with "
+                "leading axes %s" % (l, w.shape, tuple(widths), lead)
             )
-        if b.shape != (widths[l + 1],):
-            raise ValueError("layer %d bias shape mismatch" % l)
+        if b.shape != lead + (widths[l + 1],):
+            raise ValueError("layer %d bias shape %s mismatch" % (l, b.shape))
 
 
 def classical_mlp_forward(
@@ -58,10 +66,7 @@ def classical_mlp_forward(
     check_shapes(widths, weights, biases)
     if len(activations) != len(weights):
         raise ValueError("need one activation per layer")
-    cur = np.asarray(x, dtype=float)
-    for w, b, act in zip(weights, biases, activations):
-        cur = _act(act, w @ cur + b)
-    return cur
+    return mlp_batch_forward(weights, biases, np.atleast_2d(x), activations)[..., 0, :]
 
 
 def mlp_init(widths: Sequence[int], rng: np.random.Generator, scale: float = 1.0):
@@ -74,9 +79,10 @@ def mlp_init(widths: Sequence[int], rng: np.random.Generator, scale: float = 1.0
 
 
 def mlp_batch_forward(weights, biases, X: np.ndarray, activations) -> np.ndarray:
+    """Rows of X through the net(s); (N, out), or (R, N, out) when stacked."""
     cur = np.asarray(X, dtype=float)
     for w, b, act in zip(weights, biases, activations):
-        cur = _act(act, cur @ w.T + b)
+        cur = _act(act, cur @ np.swapaxes(w, -1, -2) + b[..., None, :])
     return cur
 
 
@@ -90,11 +96,12 @@ def mlp_train(
     lr: float,
     iters: int,
     momentum: float = 0.0,
-) -> Tuple[List[np.ndarray], List[np.ndarray], List[float]]:
+) -> Tuple[List[np.ndarray], List[np.ndarray], list]:
     """Full-batch GD on mean-over-samples sum-of-squares error.
 
     Mutates nothing; returns (weights, biases, loss history) where the
-    history holds the loss at each iterate including the final one.
+    history holds the loss at each iterate including the final one: a float
+    per iterate for one net, an (R,) array for R stacked nets.
     """
     check_shapes(widths, weights, biases)
     weights = [w.copy() for w in weights]
@@ -104,26 +111,31 @@ def mlp_train(
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     n = X.shape[0]
-    losses: List[float] = []
+    losses = []
     for t in range(iters + 1):
         zs = []
         outs = [X]
         cur = X
         for w, b, act in zip(weights, biases, activations):
-            z = cur @ w.T + b
+            z = cur @ np.swapaxes(w, -1, -2)
+            z += b[..., None, :]
             cur = _act(act, z)
             zs.append(z)
             outs.append(cur)
         diff = cur - Y
-        losses.append(float(np.mean(np.sum(diff * diff, axis=1))))
+        loss = np.mean(np.sum(diff * diff, axis=-1), axis=-1)
+        losses.append(loss if loss.ndim else float(loss))
         if t == iters:
             break
         g = 2.0 * diff / n
         for l in range(len(weights) - 1, -1, -1):
-            dz = g * _act_slope(activations[l], zs[l])
-            gw = dz.T @ outs[l]
-            gb = dz.sum(axis=0)
-            g = dz @ weights[l]
+            # In place, as z above: allocating a large stacked temporary
+            # costs more than the arithmetic on it.
+            dz = g
+            dz *= _act_slope(activations[l], zs[l])
+            gw = np.swapaxes(dz, -1, -2) @ outs[l]
+            gb = dz.sum(axis=-2)
+            g = dz @ weights[l] if l else None  # no gradient for the input X
             vel_w[l] = momentum * vel_w[l] - lr * gw
             vel_b[l] = momentum * vel_b[l] - lr * gb
             weights[l] += vel_w[l]

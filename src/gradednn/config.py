@@ -41,10 +41,28 @@ class ExperimentConfig:
     seed: int = 0
 
 
+# Keys each dataset source reads, besides "source" itself.
+_DATASET_KEYS = {
+    "csv": {"path"},
+    "monomial": {"exponents", "box", "low", "high", "coefficient", "count", "seed"},
+    "linear_map": {"count", "seed"},
+    "invariant_proxy": {"count", "seed"},
+}
+
+
 def _need(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ConfigError("%s must be a JSON object" % where)
     if key not in doc:
         raise ConfigError("missing %r in %s" % (key, where))
     return doc[key]
+
+
+def reject_unknown_keys(doc: dict, allowed, prefix: str) -> None:
+    """A mistyped optional key would otherwise fall back to its default."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError("unknown key %s" % ", ".join(prefix + k for k in unknown))
 
 
 def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
@@ -52,22 +70,28 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
         grading = parse_grading(_need(doc, "grading", "config"))
     except (ValueError, GradedError) as exc:
         raise ConfigError("bad grading: %s" % exc) from None
+    reject_unknown_keys(
+        doc, {"grading", "model", "loss", "optimizer", "dataset", "out_dir", "seed"}, "")
 
     mdoc = _need(doc, "model", "config")
     kind = _need(mdoc, "type", "model")
     if kind == "feedforward":
+        reject_unknown_keys(mdoc, {"type", "layers"}, "model.")
         layers = []
         for i, ldoc in enumerate(_need(mdoc, "layers", "model")):
+            where = "model.layers[%d]" % i
             try:
-                g = parse_grading(_need(ldoc, "grading", "model.layers[%d]" % i))
-                act = parse_activation(_need(ldoc, "activation", "model.layers[%d]" % i))
+                g = parse_grading(_need(ldoc, "grading", where))
+                act = parse_activation(_need(ldoc, "activation", where))
             except (ValueError, GradedError) as exc:
-                raise ConfigError("model.layers[%d]: %s" % (i, exc)) from None
+                raise ConfigError("%s: %s" % (where, exc)) from None
+            reject_unknown_keys(ldoc, {"grading", "activation"}, where + ".")
             layers.append((g, act))
         if not layers:
             raise ConfigError("feedforward model needs at least one layer")
         model = ModelSpec(kind="feedforward", layers=layers)
     elif kind == "multiplicative":
+        reject_unknown_keys(mdoc, {"type", "exponents"}, "model.")
         model = ModelSpec(
             kind="multiplicative", exponents=str(_need(mdoc, "exponents", "model"))
         )
@@ -91,11 +115,14 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
         )
     except ValueError as exc:
         raise ConfigError("bad optimizer settings: %s" % exc) from None
+    reject_unknown_keys(odoc, {"learning_rate", "momentum", "max_iters", "stop_threshold",
+                               "stop_window", "seed"}, "optimizer.")
 
     ddoc = _need(doc, "dataset", "config")
     source = _need(ddoc, "source", "dataset")
-    if source not in ("csv", "monomial", "linear_map", "invariant_proxy"):
+    if not isinstance(source, str) or source not in _DATASET_KEYS:
         raise ConfigError("unknown dataset source %r" % source)
+    reject_unknown_keys(ddoc, _DATASET_KEYS[source] | {"source"}, "dataset.")
     params = {k: v for k, v in ddoc.items() if k != "source"}
     if source == "csv":
         if "path" not in params:

@@ -1,6 +1,7 @@
 """Dataset generators, CSV and config handling, and the CLI end to end."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,35 @@ def test_config_rejects_bad_documents(mutate):
     doc = _base_train_doc()
     mutate(doc)
     with pytest.raises(ConfigError):
+        experiment_config_from_dict(doc)
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(momentun=0.5), "momentun"),
+    (lambda d: d["optimizer"].update(momentun=0.5), "optimizer.momentun"),
+    (lambda d: d["model"].update(exponents="2,3"), "model.exponents"),
+    (lambda d: d["model"]["layers"][0].update(grade="1"), "model.layers[0].grade"),
+    (lambda d: d["dataset"].update(path="data.csv"), "dataset.path"),
+    (lambda d: d.update(dataset={"source": "csv", "path": "d.csv", "count": 4}),
+     "dataset.count"),
+    (lambda d: d.update(dataset={"source": "linear_map", "low": 0.1}), "dataset.low"),
+    (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,3",
+                               "layers": []}), "model.layers"),
+])
+def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
+    doc = _base_train_doc()
+    mutate(doc)
+    with pytest.raises(ConfigError, match=r"unknown key %s$" % re.escape(path)):
+        experiment_config_from_dict(doc)
+    cfg_path = _write_config(tmp_path / "exp.json", doc)
+    assert main(["train", "--config", cfg_path]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_config_sub_documents_must_be_objects():
+    doc = _base_train_doc()
+    doc["optimizer"] = [0.05, 25]
+    with pytest.raises(ConfigError, match="optimizer must be a JSON object"):
         experiment_config_from_dict(doc)
 
 

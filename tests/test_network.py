@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradednn.bench import mult_neuron_predict
 from gradednn.network import (
     CLAMP,
     ActivationKind,
@@ -136,6 +137,17 @@ def test_multiplicative_integer_signs():
                              grading=g)
     # odd power keeps the sign, even power drops it
     assert multiplicative_forward(n, GradedVector([-2.0, -3.0], g)) == pytest.approx(-18.0)
+
+
+def test_bench_predictor_follows_the_multiplicative_sign_rule():
+    g = GradingVector([1, 1])
+    n = MultiplicativeNeuron(weights=np.ones(2), exponents=(1, 2), bias=0.0,
+                             grading=g)
+    k = np.array([1.0, 2.0])
+    pred = mult_neuron_predict(np.ones(2), 0.0, k, np.array([[-2.0, 1.0]]))
+    assert pred[0] == -2.0 == multiplicative_forward(n, GradedVector([-2.0, 1.0], g))
+    with pytest.raises(GradedDomainError):
+        mult_neuron_predict(np.ones(1), 0.0, np.array([0.5]), np.array([[4.0], [0.0]]))
 
 
 def test_signed_log_sum_cancellation():
