@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .classical import mlp_batch_forward, mlp_init, mlp_train
-from .config import reject_unknown_keys
+from .config import ConfigError, reject_unknown_keys
 from .datasets import monomial_value
 from .ioutil import fmt17
 from .spaces import GradedDomainError, GradingVector, parse_grading
@@ -52,14 +52,40 @@ class BenchConfig:
             raise ValueError("sampling range must sit inside (0, 1]")
         if self.grid_points < 2 or self.restarts < 1:
             raise ValueError("grid_points >= 2 and restarts >= 1 required")
+        if min(self.hidden_sizes, default=1) < 1 or self.train_count < 1:
+            raise ValueError("hidden sizes and train_count must be positive")
+        if min(self.classical_iters, self.graded_iters) < 0:
+            raise ValueError("iteration counts must be nonnegative")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _bench_value(key: str, value, default):
+    """value as the type of the field's default, or a ConfigError naming key."""
+    if isinstance(default, tuple):
+        if isinstance(value, list) and all(_is_int(m) for m in value):
+            return tuple(value)
+        raise ConfigError("%s must be a list of integers" % key)
+    if isinstance(default, int):
+        if _is_int(value):
+            return value
+        raise ConfigError("%s must be an integer" % key)
+    if _is_int(value) or isinstance(value, float):
+        return float(value)
+    raise ConfigError("%s must be a number" % key)
 
 
 def bench_config_from_dict(doc: dict) -> BenchConfig:
     reject_unknown_keys(doc, {f.name for f in fields(BenchConfig)}, "")
-    kwargs = dict(doc)
-    kwargs["grading"] = parse_grading(doc.get("grading", "2,3"))
-    if "hidden_sizes" in kwargs:
-        kwargs["hidden_sizes"] = tuple(int(m) for m in kwargs["hidden_sizes"])
+    grading = doc.get("grading", "2,3")
+    if not isinstance(grading, str):
+        raise ConfigError("grading must be a string such as \"2,3\"")
+    kwargs = {"grading": parse_grading(grading)}
+    for f in fields(BenchConfig):
+        if f.name in doc and f.name != "grading":
+            kwargs[f.name] = _bench_value(f.name, doc[f.name], f.default)
     return BenchConfig(**kwargs)
 
 

@@ -12,13 +12,14 @@ from typing import List
 
 import numpy as np
 
-from .losses import CROSS_ENTROPY_CLAMP, LossKind, _operands, loss_value
+from .losses import CROSS_ENTROPY_CLAMP, LossKind, _operands, loss_rows, loss_value
 from .network import (
     ActivationKind,
     MultiplicativeNeuron,
     Network,
     _mult_sign,
     activation_slope,
+    activation_value,
     forward_trace,
     raise_if_non_finite,
     random_network,
@@ -34,6 +35,13 @@ from .spaces import (
     homogeneous_terms,
     stack_values,
 )
+
+# default central-difference step, and the relative error grad-check accepts
+DEFAULT_EPS = 1e-5
+GRAD_CHECK_TOL = 1e-5
+
+# finite_diff_check stacks at most about this many parameter entries at once
+_STACK_ENTRIES = 1 << 20
 
 
 def loss_grad(kind: LossKind, y, yhat, grading=None):
@@ -143,39 +151,51 @@ def finite_diff_check(
     x: GradedVector,
     y: GradedVector,
     kind: LossKind,
-    eps: float = 1e-5,
+    eps: float = DEFAULT_EPS,
 ) -> float:
-    """Max over parameters of |analytic - central difference| / max(1, |fd|)."""
+    """Max over parameters of |analytic - central difference| / max(1, |fd|);
+    NaN when any of them is NaN.
+
+    The perturbed passes of one layer run as one stack: every copy of the
+    layer with one parameter at keep + eps or keep - eps evaluates from the
+    layer's traced input, and the layers after it run on the (2P, 1, n)
+    stack of activations, which gives the same floats as one pass each.
+    """
     if not 1e-7 <= eps <= 1e-4:
         raise ValueError("eps should lie in [1e-7, 1e-4]")
     xs, ys = stack_values([x], net.in_grading), stack_values([y], net.out_grading)
-    trace, _ = forward_trace(net, xs)
-    tails = [Network(net.layers[l:]) for l in range(len(net.layers))]
-
-    def current_loss(l: int) -> float:
-        # perturbing layer l leaves the layers before it as traced: start at l
-        tail, out = forward_trace(tails[l], trace[l][0])
-        raise_if_non_finite(trace[:l] + tail, out)
-        return loss_value(kind, ys, out, net.out_grading)
-
     bundle = network_backward(net, xs, ys, kind)
-    worst = 0.0
-    analytic = [g for pair in zip(bundle.weight_grads, bundle.bias_grads) for g in pair]
-    for (l, _, param), grads in zip(net.parameters(), analytic):
-        it = np.nditer(param, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            keep = param[idx]
-            param[idx] = keep + eps
-            hi = current_loss(l)
-            param[idx] = keep - eps
-            lo = current_loss(l)
-            param[idx] = keep
-            fd = (hi - lo) / (2.0 * eps)
-            err = abs(grads[idx] - fd) / max(1.0, abs(fd))
-            if err > worst:
-                worst = err
-    return worst
+    trace, _ = forward_trace(net, xs)
+    errs = []
+    for l in range(len(net.layers)):
+        analytic = np.append(bundle.weight_grads[l], bundle.bias_grads[l])
+        step = max(1, _STACK_ENTRIES // (2 * len(analytic)))
+        for lo in range(0, len(analytic), step):
+            idx = np.arange(lo, min(lo + step, len(analytic)))
+            plus, minus = _perturbed_losses(net, trace, l, idx, ys, kind, eps)
+            fd = (plus - minus) / (2.0 * eps)
+            errs.append(np.abs(analytic[idx] - fd) / np.maximum(1.0, np.abs(fd)))
+    return float(np.max(np.concatenate(errs)))
+
+
+def _perturbed_losses(net, trace, l, idx, ys, kind, eps):
+    """Losses with parameter idx[k] of layer l (its weights in C order, then
+    its bias) at keep + eps and at keep - eps, as two (len(idx),) arrays."""
+    layer = net.layers[l]
+    k, n_w = len(idx), layer.weight_base.size
+    stack = np.tile(np.append(layer.weight_base, layer.bias), (2 * k, 1))
+    copies = np.arange(k)
+    stack[copies, idx] += eps
+    stack[copies + k, idx] -= eps
+    eff = layer.effective(stack[:, :n_w].reshape(2 * k, layer.n_out, layer.n_in))
+    x_in = trace[l][0]
+    z = x_in @ np.swapaxes(eff, -1, -2) + stack[:, np.newaxis, n_w:]
+    y = activation_value(layer.activation, z, layer.out_grading.floats)
+    tail, out = forward_trace(Network(net.layers[l + 1:]), y)
+    raise_if_non_finite(trace[:l] + [(x_in, z, y)] + tail, out)
+    out = out.reshape(2 * k, -1)
+    losses = loss_rows(kind, np.broadcast_to(ys, out.shape), out, net.out_grading)
+    return losses[:k], losses[k:]
 
 
 def multiplicative_backward(neuron: MultiplicativeNeuron, x: GradedVector):
@@ -210,7 +230,13 @@ def multiplicative_backward(neuron: MultiplicativeNeuron, x: GradedVector):
 
 # randomized end-to-end check: small nets, every activation and loss, with
 # sampling kept clear of kinks (relu clamp band, huber corners, max ties,
-# the cross-entropy floor) so the central difference is trustworthy
+# the cross-entropy floor) and of large losses, so the central difference is
+# trustworthy
+
+# rounding limits a central difference to about |L| u / eps (u the float64
+# epsilon); cases keep that under a tenth of the tolerance at the default
+# step, whatever step is checked, so a seed draws the same cases at every eps
+_MAX_CHECK_LOSS = 0.1 * GRAD_CHECK_TOL * DEFAULT_EPS / np.finfo(float).eps
 
 _CHECK_KINDS = (
     LossKind.graded_mse(),
@@ -281,18 +307,24 @@ def _random_check_case(rng: np.random.Generator, kind: LossKind):
         yhat = GradedVector(out, net.out_grading)
         for _ in range(50):
             y = GradedVector(rng.uniform(0.1, 1.0, widths[-1]), gradings[-1])
-            if _margins_ok(kind, y, yhat):
-                return net, x, y
-        # targets kept colliding with a kink; rebuild the net instead
+            if not _margins_ok(kind, y, yhat):
+                continue
+            if abs(loss_value(kind, y, yhat)) > _MAX_CHECK_LOSS:
+                break  # the outputs, not a target in (0.1, 1), make it large
+            return net, x, y
+        # targets kept colliding with a kink or the loss was too large;
+        # rebuild the net instead
     raise RuntimeError("could not sample a kink-free gradient-check case")
 
 
-def grad_check_suite(eps: float = 1e-5, count: int = 100, seed: int = 0):
+def grad_check_suite(eps: float = DEFAULT_EPS, count: int = 100, seed: int = 0):
     """Relative analytic-vs-central-difference error for `count` random nets.
 
     Returns a list of (loss name, relative error) pairs, deterministic in
     the seed; losses cycle so every kind appears.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1, got %d" % count)
     rng = np.random.default_rng(seed)
     results = []
     for i in range(count):

@@ -126,6 +126,14 @@ def max_graded_loss(y: GradedVector, yhat: GradedVector) -> float:
 def loss_value(kind: LossKind, y, yhat, grading=None) -> float:
     """Mean loss along axis 0.  y and yhat are one sample as graded vectors
     over one grading, or (N, n) arrays, one sample per row, with `grading`."""
+    rows = loss_rows(kind, y, yhat, grading)
+    # rows.sum() / N is np.mean without its per-call overhead
+    return float(rows.sum() / len(rows))
+
+
+def loss_rows(kind: LossKind, y, yhat, grading=None) -> np.ndarray:
+    """The (N,) per-sample losses that loss_value averages; operands as
+    there, one graded-vector sample giving N = 1."""
     grading, y, yhat = _operands(y, yhat, grading)
     q, d = grading.floats, yhat - y
     if kind.name == "graded_mse":
@@ -147,5 +155,4 @@ def loss_value(kind: LossKind, y, yhat, grading=None) -> float:
         rows = np.max(q * d * d, axis=1)
     else:
         raise ValueError("unknown loss kind %r" % (kind,))
-    # rows.sum() / N is np.mean without its per-call overhead
-    return float(rows.sum() / len(rows))
+    return rows

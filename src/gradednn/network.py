@@ -348,8 +348,11 @@ class Layer:
     def n_out(self) -> int:
         return len(self.out_grading)
 
-    def effective(self) -> np.ndarray:
-        eff = effective_weights(self.weight_base, self.in_grading)
+    def effective(self, weight_base: Optional[np.ndarray] = None) -> np.ndarray:
+        """Masked effective weights of the layer's base weights, or of a
+        stack (..., n_out, n_in) of other base weights for this layer."""
+        w = self.weight_base if weight_base is None else weight_base
+        eff = effective_weights(w, self.in_grading)
         if self._mask is not None:
             eff = np.where(self._mask, eff, 0.0)
         return eff
@@ -397,7 +400,8 @@ class Network:
 
 def forward_trace(net: Network, x: np.ndarray):
     """Unchecked per-layer (input, pre-activation, output) triples and the
-    output, for one sample x of shape (n,) or a batch (N, n), one per row."""
+    output, for one sample x of shape (n,), a batch (N, n) with one sample
+    per row, or a stack (..., N, n) of batches."""
     trace = []
     cur = np.asarray(x, dtype=float)
     for layer in net.layers:

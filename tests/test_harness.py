@@ -209,6 +209,12 @@ def test_cli_grad_check_rejects_eps(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_grad_check_rejects_count_below_one(capsys, count):
+    assert main(["grad-check", "--count", count]) == 2
+    assert "error: count must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_train_zero_iters_single_metrics_line(tmp_path, capsys):
     doc = _base_train_doc(out_dir="run0", max_iters=0)
     cfg_path = _write_config(tmp_path / "exp.json", doc)
@@ -344,3 +350,29 @@ def test_cli_approx_bench_rejects_unknown_keys(tmp_path, capsys):
     assert main(["approx-bench", "--config", cfg_path, "--out", str(out_csv)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"restarts": "5"}, "restarts"),
+    ({"hidden_sizes": 3}, "hidden_sizes"),
+    ({"hidden_sizes": [1, 2.5]}, "hidden_sizes"),
+    ({"classical_learning_rate": "0.1"}, "classical_learning_rate"),
+    ({"seed": True}, "seed"),
+    ({"grading": 23}, "grading"),
+])
+def test_cli_approx_bench_rejects_wrong_value_types(tmp_path, capsys, doc, key):
+    cfg_path = _write_config(tmp_path / "bench.json", doc)
+    out_csv = tmp_path / "bench.csv"
+    assert main(["approx-bench", "--config", cfg_path, "--out", str(out_csv)]) == 2
+    assert "error: %s must be" % key in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"hidden_sizes": [0]}, {"train_count": 0}, {"classical_iters": -1},
+])
+def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
+    cfg_path = _write_config(tmp_path / "bench.json", doc)
+    out_csv = tmp_path / "bench.csv"
+    assert main(["approx-bench", "--config", cfg_path, "--out", str(out_csv)]) == 2
+    assert "error:" in capsys.readouterr().err
