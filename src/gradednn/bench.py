@@ -5,11 +5,12 @@ The target is exactly representable by the graded neuron (weights 1,
 exponents equal to the grading), so its error is limited only by floating
 point; a width-m ReLU net is piecewise linear and has to spend units on
 curvature.  Each cell reports the max absolute error on a held-out grid.
-Classical cells train with heavy-ball momentum (plain GD stalls at larger
-widths) and keep the best of several restarts, trained together as one
-stacked `mlp_train` run (same CSV as one run per restart); each width also
-considers the previous width's best net padded with dead units, which makes
-the error column non-increasing by construction.
+Every cell keeps the best of several restarts, trained together as one
+stacked run (`train_multiplicative` for the graded neuron, `mlp_train` for
+a classical width), with the same CSV as one run per restart.  Classical
+cells train with heavy-ball momentum (plain GD stalls at larger widths);
+each width also considers the previous width's best net padded with dead
+units, which makes the error column non-increasing by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .classical import mlp_batch_forward, mlp_init, mlp_train
-from .config import ConfigError, reject_unknown_keys
+from .config import ConfigError, int_value, is_int, number_value, reject_unknown_keys
 from .datasets import monomial_value
 from .ioutil import fmt17
 from .spaces import GradedDomainError, GradingVector, parse_grading
@@ -58,23 +59,15 @@ class BenchConfig:
             raise ValueError("iteration counts must be nonnegative")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _bench_value(key: str, value, default):
     """value as the type of the field's default, or a ConfigError naming key."""
     if isinstance(default, tuple):
-        if isinstance(value, list) and all(_is_int(m) for m in value):
+        if isinstance(value, list) and all(is_int(m) for m in value):
             return tuple(value)
         raise ConfigError("%s must be a list of integers" % key)
     if isinstance(default, int):
-        if _is_int(value):
-            return value
-        raise ConfigError("%s must be an integer" % key)
-    if _is_int(value) or isinstance(value, float):
-        return float(value)
-    raise ConfigError("%s must be a number" % key)
+        return int_value(value, key)
+    return number_value(value, key)
 
 
 def bench_config_from_dict(doc: dict) -> BenchConfig:
@@ -112,13 +105,31 @@ def _grid(cfg: BenchConfig) -> np.ndarray:
     return np.column_stack([a.ravel(), b.ravel()])
 
 
-def mult_neuron_predict(w: np.ndarray, b: float, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b over rows, with the sign rule
-    of `network.multiplicative_forward` (fractional k needs x > 0)."""
+def _sign_factor(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sgn(x_i)**k_i for each entry of x, once fractional k has been checked
+    against non-positive inputs."""
     if np.any((k != np.round(k)) & np.any(x <= 0.0, axis=0)):
         raise GradedDomainError("fractional exponents need positive inputs")
-    sign = np.where((x < 0.0) & (np.mod(k, 2.0) == 1.0), -1.0, 1.0)
-    return np.prod(sign * np.abs(w * x) ** k, axis=1) + b
+    return np.where((x < 0.0) & (np.mod(k, 2.0) == 1.0), -1.0, 1.0)
+
+
+def _predict(w: np.ndarray, b: np.ndarray, k: np.ndarray, x: np.ndarray,
+             sign: np.ndarray) -> np.ndarray:
+    terms = w[..., None, :] * x
+    np.abs(terms, out=terms)
+    terms **= k
+    terms *= sign
+    return np.prod(terms, axis=-1) + b[..., None]
+
+
+def mult_neuron_predict(w: np.ndarray, b, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b over rows, with the sign rule
+    of `network.multiplicative_forward` (fractional k needs x > 0).
+
+    w (n,) and a scalar b give (N,); R neurons, w (R, n) and b (R,), give
+    (R, N)."""
+    return _predict(np.asarray(w, dtype=float), np.asarray(b, dtype=float), k, x,
+                    _sign_factor(k, x))
 
 
 def train_multiplicative(
@@ -127,43 +138,52 @@ def train_multiplicative(
     k: np.ndarray,
     q: np.ndarray,
     w0: np.ndarray,
-    b0: float,
+    b0,
     lr: float,
     iters: int,
 ):
     """Full-batch GD on mean squared error with grade-scaled rates.
 
-    Returns (w, b, losses, grad_norms), or None if the run left the finite
-    range.  Rates follow the usual convention: lr/q_i for the weight tied to
-    coordinate i, lr for the bias (scalar output, grade 1).
+    w0 (n,) and a scalar b0 train one neuron; w0 (R, n) and b0 (R,) train R
+    neurons as one stack, each slice computing exactly what a run of its own
+    does.  Returns (w, b, losses, grad_norms, finite): the histories hold a
+    float per iterate for one neuron and an (R,) array for R, and `finite`
+    (a bool, or (R,)) marks the runs that stayed in the finite range; the
+    values of the other runs mean nothing.  Rates follow the usual
+    convention: lr/q_i for the weight tied to coordinate i, lr for the bias
+    (scalar output, grade 1).
     """
     w = np.array(w0, dtype=float)
-    b = float(b0)
+    b = np.array(b0, dtype=float)
     n = len(y)
     rate_w = lr / q
-    losses: List[float] = []
-    grad_norms: List[float] = []
-    for _ in range(iters + 1):
-        pred = mult_neuron_predict(w, b, k, x)
+    sign = _sign_factor(k, x)
+    finite = np.ones(b.shape, dtype=bool)
+    losses: list = []
+    grad_norms: list = []
+    for t in range(iters + 1):
+        pred = _predict(w, b, k, x, sign)
         diff = pred - y
-        loss = float(np.mean(diff * diff))
-        if not np.isfinite(loss):
-            return None
-        core = pred - b
+        loss = np.mean(diff * diff, axis=-1)
+        finite &= np.isfinite(loss)
+        if not finite.any():
+            break
+        core = pred - b[..., None]
         g = 2.0 * diff / n
         # d(core)/dw_i = k_i core sgn(w_i)/|w_i| away from w_i = 0
         safe = np.where(np.abs(w) < 1e-12, np.inf, np.abs(w))
-        dw = (g[:, None] * core[:, None] * (k * np.sign(w) / safe)).sum(axis=0)
-        db = float(g.sum())
-        losses.append(loss)
-        grad_norms.append(float(np.sqrt(np.sum(dw * dw) + db * db)))
-        if len(losses) == iters + 1:
+        dw = (g[..., None] * core[..., None]
+              * (k * np.sign(w) / safe)[..., None, :]).sum(axis=-2)
+        db = g.sum(axis=-1)
+        grad_norm = np.sqrt(np.sum(dw * dw, axis=-1) + db * db)
+        losses.append(loss if loss.ndim else float(loss))
+        grad_norms.append(grad_norm if grad_norm.ndim else float(grad_norm))
+        if t == iters:
             break
-        w = w - rate_w * dw
-        b = b - lr * db
-    if not np.all(np.isfinite(w)):
-        return None
-    return w, b, losses, grad_norms
+        w -= rate_w * dw
+        b -= lr * db
+    finite &= np.all(np.isfinite(w), axis=-1)
+    return w, b, losses, grad_norms, finite
 
 
 def _pad_classical(weights, biases, m: int):
@@ -184,22 +204,21 @@ def _graded_cell(cfg: BenchConfig, x_train, y_train, grid, y_grid) -> BenchRow:
     q = cfg.grading.floats
     k = q.copy()  # the target's own exponents: exact representation exists
     rng = _cell_rng(cfg.seed, "graded-1")
-    candidates = [(np.ones(2), 0.0)]  # analytic solution w=1, b=0
-    for _ in range(cfg.restarts):
-        w0 = rng.uniform(0.2, 0.9, size=2)
-        fit = train_multiplicative(
-            x_train, y_train, k, q, w0, 0.0,
-            cfg.graded_learning_rate, cfg.graded_iters)
-        if fit is not None:
-            candidates.append((fit[0], fit[1]))
+    # Training draws nothing from rng, so drawing every init first keeps the
+    # draw order of one init-then-train pass per restart.
+    w0 = rng.uniform(0.2, 0.9, size=(cfg.restarts, 2))
+    w, b, _, _, finite = train_multiplicative(
+        x_train, y_train, k, q, w0, np.zeros(cfg.restarts),
+        cfg.graded_learning_rate, cfg.graded_iters)
+    # the analytic solution w=1, b=0 first, then the finite restarts
+    ws = np.concatenate([np.ones((1, 2)), w[finite]])
+    bs = np.concatenate([[0.0], b[finite]])
+    errs = np.max(np.abs(mult_neuron_predict(ws, bs, k, grid) - y_grid), axis=-1)
+    mses = np.mean((mult_neuron_predict(ws, bs, k, x_train) - y_train) ** 2, axis=-1)
     best: Optional[Tuple[float, float]] = None
-    for w, b in candidates:
-        pred_grid = mult_neuron_predict(w, b, k, grid)
-        err = float(np.max(np.abs(pred_grid - y_grid)))
-        pred_train = mult_neuron_predict(w, b, k, x_train)
-        mse = float(np.mean((pred_train - y_train) ** 2))
+    for err, mse in zip(errs, mses):
         if best is None or err < best[0]:
-            best = (err, mse)
+            best = (float(err), float(mse))
     return BenchRow("graded", 1, best[0], best[1])
 
 

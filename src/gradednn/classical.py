@@ -10,6 +10,11 @@ imports so the comparison is meaningful.
 axis (weights (R, out, in), biases (R, out), shared X and Y); each slice
 computes exactly what a single-net call does.  The approximation benchmark
 trains a width's restarts as one stacked run, with an unchanged CSV.
+
+Both work in place where that leaves every float unchanged: relu overwrites
+its pre-activation, identity returns it, and the training step updates
+velocities and weights in place, skips the identity slope of 1, and forms
+the K = 1 product `dz @ w` of a one-output layer as the broadcast `dz * w`.
 """
 
 from __future__ import annotations
@@ -20,23 +25,25 @@ import numpy as np
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of z.  relu overwrites z, which leaves the mask `z > 0`
+    unchanged; identity returns z itself."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "expm1":
         return np.expm1(z)
     if name == "identity":
-        return z + 0.0
+        return z
     raise ValueError("unknown classical activation %r" % name)
 
 
 def _act_slope(name: str, z: np.ndarray) -> np.ndarray:
+    """Slope at the pre-activation z (for relu, z after `_act`); identity has
+    slope 1, which its callers skip, since dz * 1.0 == dz."""
     # A boolean relu slope multiplies exactly as 1.0/0.0 at an eighth of the memory.
     if name == "relu":
         return z > 0.0
     if name == "expm1":
         return np.exp(z)
-    if name == "identity":
-        return np.ones_like(z)
     raise ValueError("unknown classical activation %r" % name)
 
 
@@ -82,7 +89,10 @@ def mlp_batch_forward(weights, biases, X: np.ndarray, activations) -> np.ndarray
     """Rows of X through the net(s); (N, out), or (R, N, out) when stacked."""
     cur = np.asarray(X, dtype=float)
     for w, b, act in zip(weights, biases, activations):
-        cur = _act(act, cur @ np.swapaxes(w, -1, -2) + b[..., None, :])
+        # In place: one (N, out) array per layer, however large the grid.
+        z = cur @ np.swapaxes(w, -1, -2)
+        z += b[..., None, :]
+        cur = _act(act, z)
     return cur
 
 
@@ -106,6 +116,9 @@ def mlp_train(
     check_shapes(widths, weights, biases)
     weights = [w.copy() for w in weights]
     biases = [b.copy() for b in biases]
+    # Views, so they follow the in-place updates below.
+    weights_t = [np.swapaxes(w, -1, -2) for w in weights]
+    bias_rows = [b[..., None, :] for b in biases]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     X = np.asarray(X, dtype=float)
@@ -115,29 +128,40 @@ def mlp_train(
     for t in range(iters + 1):
         zs = []
         outs = [X]
-        cur = X
-        for w, b, act in zip(weights, biases, activations):
-            z = cur @ np.swapaxes(w, -1, -2)
-            z += b[..., None, :]
-            cur = _act(act, z)
+        for w_t, b_row, act in zip(weights_t, bias_rows, activations):
+            z = outs[-1] @ w_t
+            z += b_row
             zs.append(z)
-            outs.append(cur)
-        diff = cur - Y
-        loss = np.mean(np.sum(diff * diff, axis=-1), axis=-1)
+            outs.append(_act(act, z))
+        diff = outs[-1] - Y
+        # np.mean's own arithmetic without its wrapper
+        loss = np.add.reduce(np.add.reduce(diff * diff, axis=-1), axis=-1) / n
         losses.append(loss if loss.ndim else float(loss))
         if t == iters:
             break
-        g = 2.0 * diff / n
+        # In place from here on: allocating a large stacked temporary costs
+        # more than the arithmetic on it.
+        g = diff
+        g *= 2.0
+        g /= n
         for l in range(len(weights) - 1, -1, -1):
-            # In place, as z above: allocating a large stacked temporary
-            # costs more than the arithmetic on it.
             dz = g
-            dz *= _act_slope(activations[l], zs[l])
-            gw = np.swapaxes(dz, -1, -2) @ outs[l]
+            if activations[l] != "identity":
+                dz *= _act_slope(activations[l], zs[l])
+            gw = dz.swapaxes(-1, -2) @ outs[l]
             gb = dz.sum(axis=-2)
-            g = dz @ weights[l] if l else None  # no gradient for the input X
-            vel_w[l] = momentum * vel_w[l] - lr * gw
-            vel_b[l] = momentum * vel_b[l] - lr * gb
+            if l == 0:
+                g = None  # no gradient for the input X
+            elif widths[l + 1] == 1:
+                g = dz * weights[l]  # the products of the K = 1 matmul dz @ w
+            else:
+                g = dz @ weights[l]
+            gw *= lr
+            gb *= lr
+            vel_w[l] *= momentum
+            vel_w[l] -= gw
+            vel_b[l] *= momentum
+            vel_b[l] -= gb
             weights[l] += vel_w[l]
             biases[l] += vel_b[l]
     return weights, biases, losses

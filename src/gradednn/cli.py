@@ -80,21 +80,21 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     if src == "csv":
         ds = read_dataset_csv(p["path"], cfg.grading, out_g)
         return ds
-    seed = int(p.get("seed", cfg.seed))
-    count = int(p.get("count", 256))
+    seed = p.get("seed", cfg.seed)
+    count = p.get("count", 256)
     if src == "monomial":
         if "exponents" not in p:
             raise ConfigError("monomial dataset needs exponents")
         exponents = [Fraction(str(k)) for k in p["exponents"]]
         if "box" in p:
-            box = [(float(lo), float(hi)) for lo, hi in p["box"]]
+            box = [(lo, hi) for lo, hi in p["box"]]
         else:
-            lo, hi = float(p.get("low", 0.1)), float(p.get("high", 2.0))
+            lo, hi = p.get("low", 0.1), p.get("high", 2.0)
             box = [(lo, hi)] * len(cfg.grading)
         if len(out_g) != 1:
             raise ConfigError("monomial targets are scalar; model output must be 1-dim")
         return gen_monomial_dataset(
-            cfg.grading, exponents, float(p.get("coefficient", 1.0)),
+            cfg.grading, exponents, p.get("coefficient", 1.0),
             box, count, seed)
     if src == "linear_map":
         if any(g != 1 for g in cfg.grading.grades):
@@ -140,14 +140,13 @@ def _train_multiplicative(cfg: ExperimentConfig, ds: Dataset):
     k = np.array([float(v) for v in exponents])
     rng = np.random.default_rng(cfg.optimizer.seed)
     w0 = rng.uniform(0.2, 0.9, size=len(cfg.grading))
-    fit = train_multiplicative(
+    w, b, losses, grad_norms, finite = train_multiplicative(
         ds.inputs, ds.targets[:, 0], k, cfg.grading.floats, w0, 0.0,
         cfg.optimizer.learning_rate, cfg.optimizer.max_iters)
-    if fit is None:
+    if not finite:
         raise TrainingDivergenceError(
             "multiplicative run left the finite range; lower the learning "
             "rate or evaluate in the log domain")
-    w, b, losses, grad_norms = fit
 
     def save_model(path: Path) -> None:
         doc = {

@@ -58,6 +58,32 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def is_int(value) -> bool:
+    """A JSON integer; Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def int_value(value, path: str) -> int:
+    """value if it is a JSON integer, else a ConfigError naming path."""
+    if is_int(value):
+        return value
+    raise ConfigError("%s must be an integer" % path)
+
+
+def number_value(value, path: str) -> float:
+    """value as a float if it is a JSON number, else a ConfigError naming path."""
+    if is_int(value) or isinstance(value, float):
+        return float(value)
+    raise ConfigError("%s must be a number" % path)
+
+
+def str_value(value, path: str) -> str:
+    """value if it is a JSON string, else a ConfigError naming path."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError("%s must be a string" % path)
+
+
 def reject_unknown_keys(doc: dict, allowed, prefix: str) -> None:
     """A mistyped optional key would otherwise fall back to its default."""
     unknown = sorted(set(doc) - set(allowed))
@@ -98,25 +124,36 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
     else:
         raise ConfigError("unknown model type %r" % kind)
 
+    loss_name = str_value(_need(doc, "loss", "config"), "loss")
     try:
-        loss = parse_loss(_need(doc, "loss", "config"))
+        loss = parse_loss(loss_name)
     except ValueError as exc:
         raise ConfigError("bad loss: %s" % exc) from None
 
+    seed = int_value(doc.get("seed", 0), "seed")
     odoc = _need(doc, "optimizer", "config")
+    settings = dict(
+        learning_rate=number_value(_need(odoc, "learning_rate", "optimizer"),
+                                   "optimizer.learning_rate"),
+        momentum=number_value(odoc.get("momentum", 0.0), "optimizer.momentum"),
+        max_iters=int_value(_need(odoc, "max_iters", "optimizer"), "optimizer.max_iters"),
+        stop_threshold=number_value(odoc.get("stop_threshold", 0.0),
+                                    "optimizer.stop_threshold"),
+        stop_window=int_value(odoc.get("stop_window", 10), "optimizer.stop_window"),
+        seed=int_value(odoc.get("seed", seed), "optimizer.seed"),
+    )
     try:
-        optimizer = OptimizerConfig(
-            learning_rate=float(_need(odoc, "learning_rate", "optimizer")),
-            momentum=float(odoc.get("momentum", 0.0)),
-            max_iters=int(_need(odoc, "max_iters", "optimizer")),
-            stop_threshold=float(odoc.get("stop_threshold", 0.0)),
-            stop_window=int(odoc.get("stop_window", 10)),
-            seed=int(odoc.get("seed", doc.get("seed", 0))),
-        )
+        optimizer = OptimizerConfig(**settings)
     except ValueError as exc:
         raise ConfigError("bad optimizer settings: %s" % exc) from None
     reject_unknown_keys(odoc, {"learning_rate", "momentum", "max_iters", "stop_threshold",
                                "stop_window", "seed"}, "optimizer.")
+    if model.kind == "multiplicative":
+        # The multiplicative neuron trains by plain descent for max_iters steps.
+        if optimizer.momentum != 0.0:
+            raise ConfigError("optimizer.momentum must be 0 for a multiplicative model")
+        if optimizer.stop_threshold > 0.0:
+            raise ConfigError("optimizer.stop_threshold must be 0 for a multiplicative model")
 
     ddoc = _need(doc, "dataset", "config")
     source = _need(ddoc, "source", "dataset")
@@ -124,12 +161,25 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
         raise ConfigError("unknown dataset source %r" % source)
     reject_unknown_keys(ddoc, _DATASET_KEYS[source] | {"source"}, "dataset.")
     params = {k: v for k, v in ddoc.items() if k != "source"}
+    for key in ("count", "seed"):
+        if key in params:
+            params[key] = int_value(params[key], "dataset." + key)
+    for key in ("low", "high", "coefficient"):
+        if key in params:
+            params[key] = number_value(params[key], "dataset." + key)
+    if "box" in params:
+        box = params["box"]
+        if not (isinstance(box, list)
+                and all(isinstance(pair, list) and len(pair) == 2 for pair in box)):
+            raise ConfigError("dataset.box must be a list of [low, high] pairs")
+        params["box"] = [[number_value(v, "dataset.box[%d]" % i) for v in pair]
+                         for i, pair in enumerate(box)]
     if source == "csv":
         if "path" not in params:
             raise ConfigError("csv dataset needs a path")
-        params["path"] = str((base_dir / params["path"]))
+        params["path"] = str(base_dir / str_value(params["path"], "dataset.path"))
 
-    out_dir = Path(doc.get("out_dir", "."))
+    out_dir = Path(str_value(doc.get("out_dir", "."), "out_dir"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
 
@@ -140,7 +190,7 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
         optimizer=optimizer,
         dataset=DatasetSpec(source=source, params=params),
         out_dir=out_dir,
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
     )
 
 

@@ -174,6 +174,47 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["optimizer"].update(max_iters=10.7), "optimizer.max_iters must be an integer"),
+    (lambda d: d["optimizer"].update(max_iters=True), "optimizer.max_iters must be an integer"),
+    (lambda d: d["optimizer"].update(max_iters="12"), "optimizer.max_iters must be an integer"),
+    (lambda d: d["optimizer"].update(stop_window=2.0), "optimizer.stop_window must be an integer"),
+    (lambda d: d["optimizer"].update(seed=False), "optimizer.seed must be an integer"),
+    (lambda d: d.update(seed="3"), "seed must be an integer"),
+    (lambda d: d["optimizer"].update(learning_rate="0.05"),
+     "optimizer.learning_rate must be a number"),
+    (lambda d: d["optimizer"].update(momentum=True), "optimizer.momentum must be a number"),
+    (lambda d: d["dataset"].update(count=16.9), "dataset.count must be an integer"),
+    (lambda d: d["dataset"].update(seed=True), "dataset.seed must be an integer"),
+    (lambda d: d["dataset"].update(low="0.1"), "dataset.low must be a number"),
+    (lambda d: d["dataset"].update(box=[[0.1, True], [0.1, 1.0]]),
+     "dataset.box[0] must be a number"),
+    (lambda d: d["dataset"].update(box=[[0.1], [0.1, 1.0]]),
+     "dataset.box must be a list of [low, high] pairs"),
+    (lambda d: d.update(dataset={"source": "csv", "path": 7}), "dataset.path must be a string"),
+    (lambda d: d.update(out_dir=5), "out_dir must be a string"),
+    (lambda d: d.update(loss=5), "loss must be a string"),
+])
+def test_config_rejects_wrong_value_types(tmp_path, capsys, mutate, message):
+    doc = _base_train_doc()
+    mutate(doc)
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        experiment_config_from_dict(doc)
+    cfg_path = _write_config(tmp_path / "exp.json", doc)
+    assert main(["train", "--config", cfg_path]) == 2
+    assert "error: %s\n" % message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_numbers_accept_integers():
+    doc = _base_train_doc()
+    doc["optimizer"].update(learning_rate=1, momentum=0, stop_threshold=0)
+    doc["dataset"].update(low=1, high=2, coefficient=3, box=[[1, 2], [1, 2.5]])
+    cfg = experiment_config_from_dict(doc)
+    assert cfg.optimizer.learning_rate == 1.0 and cfg.dataset.params["low"] == 1.0
+    assert cfg.dataset.params["box"] == [[1.0, 2.0], [1.0, 2.5]]
+
+
 def test_config_sub_documents_must_be_objects():
     doc = _base_train_doc()
     doc["optimizer"] = [0.05, 25]
@@ -289,6 +330,20 @@ def test_cli_train_multiplicative(tmp_path):
     model = json.loads((tmp_path / "mult" / "model.json").read_text())
     assert model["kind"] == "multiplicative"
     assert model["exponents"] == "2,3" and len(model["weights"]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("momentum", 0.9), ("stop_threshold", 0.5)])
+def test_cli_train_multiplicative_rejects_settings_it_cannot_honour(
+        tmp_path, capsys, key, value):
+    doc = _base_train_doc(out_dir="mult3")
+    doc["model"] = {"type": "multiplicative", "exponents": "2,3"}
+    doc["optimizer"].update(momentum=0.0, stop_threshold=0.0)
+    experiment_config_from_dict(doc)  # the defaults load
+    doc["optimizer"][key] = value
+    cfg_path = _write_config(tmp_path / "exp.json", doc)
+    assert main(["train", "--config", cfg_path]) == 2
+    assert "error: optimizer.%s must be 0" % key in capsys.readouterr().err
+    assert not (tmp_path / "mult3").exists()
 
 
 def test_cli_train_multiplicative_rejects_other_losses(tmp_path, capsys):
