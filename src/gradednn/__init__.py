@@ -38,7 +38,10 @@ from .network import (
     graded_relu,
     load_network,
     log_domain_forward,
+    multiplicative_core,
     multiplicative_forward,
+    multiplicative_sign,
+    multiplicative_slope,
     network_forward,
     network_from_dict,
     network_to_dict,
@@ -52,7 +55,6 @@ from .gradients import (
     finite_diff_check,
     grad_check_suite,
     loss_grad,
-    multiplicative_backward,
     network_backward,
 )
 from .optimizer import (

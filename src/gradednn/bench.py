@@ -6,11 +6,12 @@ exponents equal to the grading), so its error is limited only by floating
 point; a width-m ReLU net is piecewise linear and has to spend units on
 curvature.  Each cell reports the max absolute error on a held-out grid.
 Every cell keeps the best of several restarts, trained together as one
-stacked run (`train_multiplicative` for the graded neuron, `mlp_train` for
-a classical width), with the same CSV as one run per restart.  Classical
-cells train with heavy-ball momentum (plain GD stalls at larger widths);
-each width also considers the previous width's best net padded with dead
-units, which makes the error column non-increasing by construction.
+stacked run (`train_multiplicative` on the multiplicative kernel of
+`network` for the graded neuron, `mlp_train` for a classical width), with
+the same CSV as one run per restart.  Classical cells train with heavy-ball
+momentum (plain GD stalls at larger widths); each width also considers the
+previous width's best net padded with dead units, which makes the error
+column non-increasing by construction.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import numpy as np
 from .classical import mlp_batch_forward, mlp_init, mlp_train
 from .config import ConfigError, int_value, is_int, number_value, reject_unknown_keys
 from .datasets import monomial_value
+from .gradients import _scaled_norm
 from .ioutil import fmt17
-from .spaces import GradedDomainError, GradingVector, parse_grading
+from .network import multiplicative_core, multiplicative_sign, multiplicative_slope
+from .spaces import GradingVector, parse_grading
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,7 @@ def _bench_value(key: str, value, default):
 
 def bench_config_from_dict(doc: dict) -> BenchConfig:
     reject_unknown_keys(doc, {f.name for f in fields(BenchConfig)}, "")
-    grading = doc.get("grading", "2,3")
-    if not isinstance(grading, str):
-        raise ConfigError("grading must be a string such as \"2,3\"")
-    kwargs = {"grading": parse_grading(grading)}
+    kwargs = {"grading": parse_grading(doc.get("grading", "2,3"))}
     for f in fields(BenchConfig):
         if f.name in doc and f.name != "grading":
             kwargs[f.name] = _bench_value(f.name, doc[f.name], f.default)
@@ -105,33 +105,6 @@ def _grid(cfg: BenchConfig) -> np.ndarray:
     return np.column_stack([a.ravel(), b.ravel()])
 
 
-def _sign_factor(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sgn(x_i)**k_i for each entry of x, once fractional k has been checked
-    against non-positive inputs."""
-    if np.any((k != np.round(k)) & np.any(x <= 0.0, axis=0)):
-        raise GradedDomainError("fractional exponents need positive inputs")
-    return np.where((x < 0.0) & (np.mod(k, 2.0) == 1.0), -1.0, 1.0)
-
-
-def _predict(w: np.ndarray, b: np.ndarray, k: np.ndarray, x: np.ndarray,
-             sign: np.ndarray) -> np.ndarray:
-    terms = w[..., None, :] * x
-    np.abs(terms, out=terms)
-    terms **= k
-    terms *= sign
-    return np.prod(terms, axis=-1) + b[..., None]
-
-
-def mult_neuron_predict(w: np.ndarray, b, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b over rows, with the sign rule
-    of `network.multiplicative_forward` (fractional k needs x > 0).
-
-    w (n,) and a scalar b give (N,); R neurons, w (R, n) and b (R,), give
-    (R, N)."""
-    return _predict(np.asarray(w, dtype=float), np.asarray(b, dtype=float), k, x,
-                    _sign_factor(k, x))
-
-
 def train_multiplicative(
     x: np.ndarray,
     y: np.ndarray,
@@ -149,7 +122,8 @@ def train_multiplicative(
     does.  Returns (w, b, losses, grad_norms, finite): the histories hold a
     float per iterate for one neuron and an (R,) array for R, and `finite`
     (a bool, or (R,)) marks the runs that stayed in the finite range; the
-    values of the other runs mean nothing.  Rates follow the usual
+    values of the other runs mean nothing.  The weight gradient is
+    `multiplicative_slope`'s (0 where |w_i| < 1e-12).  Rates follow the usual
     convention: lr/q_i for the weight tied to coordinate i, lr for the bias
     (scalar output, grade 1).
     """
@@ -157,32 +131,29 @@ def train_multiplicative(
     b = np.array(b0, dtype=float)
     n = len(y)
     rate_w = lr / q
-    sign = _sign_factor(k, x)
+    sign = multiplicative_sign(k, x)
     finite = np.ones(b.shape, dtype=bool)
     losses: list = []
-    grad_norms: list = []
+    grads: list = []  # (dw, db) per iterate; their norms are taken in one call
     for t in range(iters + 1):
-        pred = _predict(w, b, k, x, sign)
-        diff = pred - y
+        core = multiplicative_core(w, k, x, sign)
+        diff = core + b[..., None] - y
         loss = np.mean(diff * diff, axis=-1)
         finite &= np.isfinite(loss)
         if not finite.any():
             break
-        core = pred - b[..., None]
         g = 2.0 * diff / n
-        # d(core)/dw_i = k_i core sgn(w_i)/|w_i| away from w_i = 0
-        safe = np.where(np.abs(w) < 1e-12, np.inf, np.abs(w))
-        dw = (g[..., None] * core[..., None]
-              * (k * np.sign(w) / safe)[..., None, :]).sum(axis=-2)
+        dw = (g[..., None] * multiplicative_slope(w, k, core)).sum(axis=-2)
         db = g.sum(axis=-1)
-        grad_norm = np.sqrt(np.sum(dw * dw, axis=-1) + db * db)
         losses.append(loss if loss.ndim else float(loss))
-        grad_norms.append(grad_norm if grad_norm.ndim else float(grad_norm))
+        grads.append(np.concatenate([dw, db[..., None]], axis=-1))
         if t == iters:
             break
         w -= rate_w * dw
         b -= lr * db
     finite &= np.all(np.isfinite(w), axis=-1)
+    norms = _scaled_norm(np.array(grads), axis=-1) if grads else []
+    grad_norms = [v if v.ndim else float(v) for v in norms]
     return w, b, losses, grad_norms, finite
 
 
@@ -213,13 +184,12 @@ def _graded_cell(cfg: BenchConfig, x_train, y_train, grid, y_grid) -> BenchRow:
     # the analytic solution w=1, b=0 first, then the finite restarts
     ws = np.concatenate([np.ones((1, 2)), w[finite]])
     bs = np.concatenate([[0.0], b[finite]])
-    errs = np.max(np.abs(mult_neuron_predict(ws, bs, k, grid) - y_grid), axis=-1)
-    mses = np.mean((mult_neuron_predict(ws, bs, k, x_train) - y_train) ** 2, axis=-1)
-    best: Optional[Tuple[float, float]] = None
-    for err, mse in zip(errs, mses):
-        if best is None or err < best[0]:
-            best = (float(err), float(mse))
-    return BenchRow("graded", 1, best[0], best[1])
+    pred_grid = multiplicative_core(ws, k, grid, multiplicative_sign(k, grid))
+    pred_train = multiplicative_core(ws, k, x_train, multiplicative_sign(k, x_train))
+    errs = np.max(np.abs(pred_grid + bs[:, None] - y_grid), axis=-1)
+    mses = np.mean((pred_train + bs[:, None] - y_train) ** 2, axis=-1)
+    best = int(np.nanargmin(errs))  # the first smallest error
+    return BenchRow("graded", 1, float(errs[best]), float(mses[best]))
 
 
 def _classical_cell(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -108,7 +109,18 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     raise ConfigError("unknown dataset source %r" % src)
 
 
+def _check_finite(losses, grad_norms) -> None:
+    """A divergence naming the first non-finite loss or gradient norm."""
+    for i, pair in enumerate(zip(losses, grad_norms)):
+        for name, v in zip(("loss", "gradient norm"), pair):
+            if not math.isfinite(v):
+                raise TrainingDivergenceError(
+                    "%s became non-finite at iteration %d" % (name, i))
+
+
 def _write_metrics(path: Path, losses, grad_norms) -> None:
+    _check_finite(losses, grad_norms)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for i, (loss, gn) in enumerate(zip(losses, grad_norms)):
             fh.write(
@@ -134,25 +146,23 @@ def _train_multiplicative(cfg: ExperimentConfig, ds: Dataset):
     if cfg.loss.name not in ("graded_mse", "graded_norm"):
         raise ConfigError(
             "multiplicative training supports graded_mse/graded_norm losses")
-    exponents = [Fraction(tok.strip()) for tok in cfg.model.exponents.split(",")]
-    if len(exponents) != len(cfg.grading) or any(k < 0 for k in exponents):
-        raise ConfigError("exponents must be nonnegative, one per coordinate")
-    k = np.array([float(v) for v in exponents])
+    k = np.array([float(v) for v in cfg.model.exponents])
     rng = np.random.default_rng(cfg.optimizer.seed)
     w0 = rng.uniform(0.2, 0.9, size=len(cfg.grading))
     w, b, losses, grad_norms, finite = train_multiplicative(
         ds.inputs, ds.targets[:, 0], k, cfg.grading.floats, w0, 0.0,
         cfg.optimizer.learning_rate, cfg.optimizer.max_iters)
+    _check_finite(losses, grad_norms)
     if not finite:
         raise TrainingDivergenceError(
-            "multiplicative run left the finite range; lower the learning "
-            "rate or evaluate in the log domain")
+            "multiplicative run left the finite range at iteration %d; lower the "
+            "learning rate or evaluate in the log domain" % len(losses))
 
     def save_model(path: Path) -> None:
         doc = {
             "kind": "multiplicative",
             "grading": cfg.grading.as_text(),
-            "exponents": ",".join(str(v) for v in exponents),
+            "exponents": ",".join(str(v) for v in cfg.model.exponents),
             "weights": [float(v) for v in w],
             "bias": float(b),
         }
@@ -173,6 +183,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
             losses, grad_norms, stop, save_model = _train_feedforward(cfg, ds)
         else:
             losses, grad_norms, stop, save_model = _train_multiplicative(cfg, ds)
+        metrics_path = cfg.out_dir / "metrics.jsonl"
+        model_path = cfg.out_dir / "model.json"
+        _write_metrics(metrics_path, losses, grad_norms)
+        save_model(model_path)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -182,12 +196,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except (OSError, ValueError, GradedError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = cfg.out_dir / "metrics.jsonl"
-    model_path = cfg.out_dir / "model.json"
-    _write_metrics(metrics_path, losses, grad_norms)
-    save_model(model_path)
     print(
         "train: %d iterations recorded, initial_loss=%s final_loss=%s "
         "stop=%s metrics=%s model=%s"

@@ -4,24 +4,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
+from .ioutil import ConfigError, reject_unknown_keys
 from .losses import LossKind, parse_loss
 from .network import ActivationKind, parse_activation
 from .optimizer import OptimizerConfig
 from .spaces import GradedError, GradingVector, parse_grading
 
 
-class ConfigError(ValueError):
-    """A configuration file is missing something or contradicts itself."""
-
-
 @dataclass
 class ModelSpec:
     kind: str  # "feedforward" | "multiplicative"
     layers: List[Tuple[GradingVector, ActivationKind]] = field(default_factory=list)
-    exponents: Optional[str] = None  # multiplicative only, rational literals
+    exponents: Tuple[Fraction, ...] = ()  # multiplicative only, one per coordinate
 
 
 @dataclass
@@ -84,11 +82,17 @@ def str_value(value, path: str) -> str:
     raise ConfigError("%s must be a string" % path)
 
 
-def reject_unknown_keys(doc: dict, allowed, prefix: str) -> None:
-    """A mistyped optional key would otherwise fall back to its default."""
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError("unknown key %s" % ", ".join(prefix + k for k in unknown))
+def _exponents(value, n: int) -> Tuple[Fraction, ...]:
+    """model.exponents: n nonnegative rationals in a string such as "2,1/2"."""
+    text = str_value(value, "model.exponents")
+    try:
+        ks = tuple(Fraction(tok) for tok in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        ks = ()
+    if len(ks) != n or min(ks) < 0:
+        raise ConfigError("model.exponents must be %d nonnegative rationals such "
+                          "as \"%s\"" % (n, ",".join(["2"] * n)))
+    return ks
 
 
 def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
@@ -118,9 +122,8 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
         model = ModelSpec(kind="feedforward", layers=layers)
     elif kind == "multiplicative":
         reject_unknown_keys(mdoc, {"type", "exponents"}, "model.")
-        model = ModelSpec(
-            kind="multiplicative", exponents=str(_need(mdoc, "exponents", "model"))
-        )
+        model = ModelSpec(kind="multiplicative",
+                          exponents=_exponents(_need(mdoc, "exponents", "model"), len(grading)))
     else:
         raise ConfigError("unknown model type %r" % kind)
 

@@ -15,9 +15,7 @@ import numpy as np
 from .losses import CROSS_ENTROPY_CLAMP, LossKind, _operands, loss_rows, loss_value
 from .network import (
     ActivationKind,
-    MultiplicativeNeuron,
     Network,
-    _mult_sign,
     activation_slope,
     activation_value,
     forward_trace,
@@ -29,7 +27,6 @@ from .spaces import (
     ExponentScheme,
     GradedDomainError,
     GradedVector,
-    GradingMismatchError,
     GradingVector,
     homogeneous_parts,
     homogeneous_terms,
@@ -93,12 +90,18 @@ def _homogeneous_grad(grading: GradingVector, d: np.ndarray, scheme) -> np.ndarr
     return out
 
 
-def _scaled_norm(values: np.ndarray) -> float:
-    # scaled by the largest magnitude, squares of entries past 1e154 stay finite
-    big = float(np.max(np.abs(values), initial=0.0))
-    if big == 0.0 or not np.isfinite(big):
-        return big
-    return big * float(np.sqrt(np.sum((values / big) ** 2)))
+# a zero vector scales by the smallest subnormal, one holding inf by the largest float
+_SCALE_RANGE = (np.finfo(float).smallest_subnormal, np.finfo(float).max)
+
+
+def _scaled_norm(values: np.ndarray, axis=None):
+    """Euclidean norm of every entry (a float) or along axis, inf or NaN where
+    an entry is; scaled by the largest magnitude so that no square overflows."""
+    keep = axis is not None
+    big = np.max(np.abs(values), axis=axis, initial=0.0, keepdims=keep)
+    scale = np.minimum(np.maximum(big, _SCALE_RANGE[0]), _SCALE_RANGE[1])
+    norm = scale * np.sqrt(np.sum((values / scale) ** 2, axis=axis, keepdims=keep))
+    return norm.squeeze(axis) if keep else float(norm)
 
 
 @dataclass
@@ -196,36 +199,6 @@ def _perturbed_losses(net, trace, l, idx, ys, kind, eps):
     out = out.reshape(2 * k, -1)
     losses = loss_rows(kind, np.broadcast_to(ys, out.shape), out, net.out_grading)
     return losses[:k], losses[k:]
-
-
-def multiplicative_backward(neuron: MultiplicativeNeuron, x: GradedVector):
-    """Value of the neuron plus d(value)/d(weights) and d(value)/d(bias)."""
-    if x.grading != neuron.grading:
-        raise GradingMismatchError("input grading does not match neuron grading")
-    factors = []
-    active = []
-    for i, (w, k, xi) in enumerate(zip(neuron.weights, neuron.exponents, x.values)):
-        if k == 0:
-            continue
-        s = _mult_sign(xi, k)
-        factors.append(np.abs(w * xi) ** float(k) * s)
-        active.append(i)
-    core = float(np.prod(factors)) if factors else 1.0
-    dw = np.zeros_like(neuron.weights)
-    for pos, i in enumerate(active):
-        w = neuron.weights[i]
-        k = float(neuron.exponents[i])
-        xi = x.values[i]
-        rest = float(np.prod([f for p, f in enumerate(factors) if p != pos]))
-        s = _mult_sign(xi, neuron.exponents[i])
-        if w == 0.0:
-            # |w xi|**k has slope 0 at w=0 for k>1, and |xi| * sgn jump at k=1;
-            # take the one-sided value used by the forward (0) for k != 1
-            dfdw = np.abs(xi) * s if k == 1.0 else 0.0
-        else:
-            dfdw = k * np.abs(w * xi) ** (k - 1.0) * np.abs(xi) * np.sign(w) * s
-        dw[i] = dfdw * rest
-    return core + neuron.bias, dw, 1.0
 
 
 # randomized end-to-end check: small nets, every activation and loss, with

@@ -10,6 +10,17 @@ import json
 import math
 
 
+class ConfigError(ValueError):
+    """A configuration file is missing something or contradicts itself."""
+
+
+def reject_unknown_keys(doc: dict, allowed, prefix: str) -> None:
+    """A mistyped optional key would otherwise fall back to its default."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError("unknown key %s" % ", ".join(prefix + k for k in unknown))
+
+
 def fmt17(v: float) -> str:
     v = float(v)
     if not math.isfinite(v):

@@ -3,8 +3,9 @@
 An additive neuron computes sum_i sgn(w_i)|w_i|**q_i * x_i + b, so the weight
 exponent follows the grade of the *input* coordinate.  Activations take the
 grade of the coordinate they produce.  A multiplicative neuron computes
-prod_{k_i>0} |w_i x_i|**k_i * s_i + b and is graded-homogeneous of degree
-sum_i q_i k_i.
+prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b, graded-homogeneous of degree
+sum_i q_i k_i; every caller takes its value and weight gradient from the
+batched multiplicative_sign/_core/_slope kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ioutil import dumps17
+from .ioutil import ConfigError, dumps17, reject_unknown_keys
 from .spaces import (
     GradedDomainError,
     GradedError,
@@ -145,10 +146,10 @@ def additive_forward(neuron: AdditiveNeuron, x: GradedVector) -> float:
 
 @dataclass
 class MultiplicativeNeuron:
-    """prod over k_i > 0 of |w_i x_i|**k_i * s_i, plus a bias.
+    """prod_i sgn(x_i)**k_i |w_i x_i|**k_i plus a bias.
 
-    s_i is sgn(x_i)**k_i for integer k_i; for fractional k_i the factor is
-    only defined on x_i > 0 and s_i = 1.
+    The sign factor keeps the sign of x_i for odd integer k_i; fractional
+    k_i are only defined on x_i > 0 (see multiplicative_sign).
     """
 
     weights: np.ndarray
@@ -175,29 +176,48 @@ class MultiplicativeNeuron:
             Fraction(0),
         )
 
+    @property
+    def exponent_floats(self) -> np.ndarray:
+        return np.array([float(k) for k in self.exponents])
 
-def _mult_sign(x_i: float, k: Fraction) -> float:
-    if k.denominator == 1:
-        if x_i < 0.0 and int(k) % 2 == 1:
-            return -1.0
-        return 1.0
-    if x_i <= 0.0:
-        raise GradedDomainError(
-            "fractional exponent %s needs a positive input, got %r" % (k, x_i)
-        )
-    return 1.0
+
+def multiplicative_sign(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sgn(x_i)**k_i for each entry of the inputs x (N, n): -1 where an odd
+    integer k_i meets a negative x_i, else 1.  A fractional k_i needs every
+    x_i > 0 and raises GradedDomainError otherwise; k_i = 0 accepts any x_i."""
+    if np.any((k != np.round(k)) & np.any(x <= 0.0, axis=0)):
+        raise GradedDomainError("fractional exponents need positive inputs")
+    return np.where((x < 0.0) & (np.mod(k, 2.0) == 1.0), -1.0, 1.0)
+
+
+def multiplicative_core(w: np.ndarray, k: np.ndarray, x: np.ndarray,
+                        sign: np.ndarray) -> np.ndarray:
+    """The neuron without its bias, prod_i sign_i |w_i x_i|**k_i, for each
+    row of x (N, n) with sign = multiplicative_sign(k, x): weights (n,) give
+    (N,), a stack of R neurons (R, n) gives (R, N)."""
+    terms = w[..., None, :] * x
+    np.abs(terms, out=terms)
+    terms **= k
+    terms *= sign
+    return np.prod(terms, axis=-1)
+
+
+def multiplicative_slope(w: np.ndarray, k: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """d core / d w_i = k_i core sgn(w_i)/|w_i|, shape core.shape + (n,).
+
+    It is 0 where |w_i| < 1e-12: the true slope at w_i = 0 for k_i > 1 or
+    k_i = 0, and the convention at the kink or cusp that k_i <= 1 has there.
+    """
+    safe = np.where(np.abs(w) < 1e-12, np.inf, np.abs(w))
+    return core[..., None] * (k * np.sign(w) / safe)[..., None, :]
 
 
 def multiplicative_forward(neuron: MultiplicativeNeuron, x: GradedVector) -> float:
     if x.grading != neuron.grading:
         raise GradingMismatchError("input grading does not match neuron grading")
-    out = 1.0
-    for w, k, xi in zip(neuron.weights, neuron.exponents, x.values):
-        if k == 0:
-            continue
-        s = _mult_sign(xi, k)
-        out *= np.abs(w * xi) ** float(k) * s
-    return float(out + neuron.bias)
+    k, xs = neuron.exponent_floats, x.values[np.newaxis]
+    core = multiplicative_core(neuron.weights, k, xs, multiplicative_sign(k, xs))
+    return float(core[0] + neuron.bias)
 
 
 @dataclass(frozen=True)
@@ -250,16 +270,14 @@ def log_domain_forward(neuron, x: GradedVector) -> SignedLog:
         terms.append((np.sign(neuron.bias), _log_abs(neuron.bias)))
         return signed_log_sum(terms)
     if isinstance(neuron, MultiplicativeNeuron):
-        sign = 1.0
-        logmag = 0.0
-        for w, k, xi in zip(neuron.weights, neuron.exponents, x.values):
-            if k == 0:
-                continue
-            sign *= _mult_sign(xi, k)
-            if w == 0.0 or xi == 0.0:
-                sign, logmag = 0.0, -math.inf
-                break
-            logmag += float(k) * (_log_abs(w) + _log_abs(xi))
+        k, w, xs = neuron.exponent_floats, neuron.weights, x.values
+        sign = float(np.prod(multiplicative_sign(k, xs[np.newaxis])))
+        on = k != 0.0
+        if np.any(w[on] == 0.0) or np.any(xs[on] == 0.0):
+            sign, logmag = 0.0, -math.inf
+        else:
+            logs = np.log(np.abs(w[on])) + np.log(np.abs(xs[on]))
+            logmag = float(np.sum(k[on] * logs))
         return signed_log_sum(
             [(sign, logmag), (np.sign(neuron.bias), _log_abs(neuron.bias))]
         )
@@ -482,13 +500,24 @@ def network_to_dict(net: Network) -> dict:
     return {"gradings": gradings, "layers": layers}
 
 
+def _check_keys(doc: dict, required, optional, prefix: str) -> None:
+    reject_unknown_keys(doc, set(required) | set(optional), prefix)
+    missing = [prefix + k for k in required if k not in doc]
+    if missing:
+        raise ConfigError("missing key %s" % ", ".join(missing))
+
+
 def network_from_dict(doc: dict) -> Network:
-    gradings = [parse_grading(t) for t in doc.get("gradings", [])]
-    specs = doc.get("layers", [])
-    if specs and len(gradings) != len(specs) + 1:
-        raise ValueError("need one grading per layer boundary")
+    """The network network_to_dict wrote; a missing or unknown key is an error."""
+    _check_keys(doc, ("gradings", "layers"), (), "")
+    gradings = [parse_grading(t) for t in doc["gradings"]]
+    specs = doc["layers"]
+    if not isinstance(specs, list) or len(gradings) != (len(specs) + 1 if specs else 0):
+        raise ValueError("need a list of layers and one grading per layer boundary")
     layers = []
     for l, spec in enumerate(specs):
+        _check_keys(spec, ("rows", "cols", "weight_base", "bias", "activation"),
+                    ("blocks",), "layers[%d]." % l)
         rows, cols = int(spec["rows"]), int(spec["cols"])
         w = np.array(spec["weight_base"], dtype=float).reshape(rows, cols)
         blocks = None

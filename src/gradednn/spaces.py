@@ -134,7 +134,9 @@ class GradingVector:
 
 def parse_grading(text: str) -> GradingVector:
     """Parse a comma-separated rational literal such as "2,4,6,10" or "1/2,1/3"."""
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise ValueError("grading must be a string such as \"2,3\"")
+    if not text.strip():
         raise ValueError("empty grading literal")
     return GradingVector(tok for tok in text.split(","))
 

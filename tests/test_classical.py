@@ -4,6 +4,7 @@ single-net calls, both must compute exactly what their one-run-per-restart
 reference loops below compute, and the approximation benchmark must report
 what one training run per restart reports."""
 
+import math
 import zlib
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from gradednn import bench
 from gradednn.classical import check_shapes, mlp_batch_forward, mlp_init, mlp_train
+from gradednn.network import multiplicative_core, multiplicative_sign
 from gradednn.spaces import GradedDomainError
 
 WIDTHS = [3, 5, 2]
@@ -88,33 +90,46 @@ def _ref_forward(weights, biases, X, activations):
     return X
 
 
-def _ref_mult_predict(w, b, k, x):
+def _ref_mult_core(w, k, x):
     if np.any((k != np.round(k)) & np.any(x <= 0.0, axis=0)):
         raise GradedDomainError("fractional exponents need positive inputs")
     sign = np.where((x < 0.0) & (np.mod(k, 2.0) == 1.0), -1.0, 1.0)
-    return np.prod(sign * np.abs(w * x) ** k, axis=1) + b
+    return np.prod(sign * np.abs(w * x) ** k, axis=1)
+
+
+def _ref_mult_predict(w, b, k, x):
+    return _ref_mult_core(w, k, x) + b
+
+
+def _ref_norm(v):
+    """Euclidean norm scaled by the largest magnitude."""
+    big = np.max(np.abs(v))
+    if big == 0.0 or not np.isfinite(big):
+        return float(big)
+    return float(big * np.sqrt(np.sum((v / big) ** 2)))
 
 
 def _ref_train_multiplicative(x, y, k, q, w0, b0, lr, iters):
     """One neuron's run, the loop `train_multiplicative` must reproduce
-    exactly; None when the run leaves the finite range."""
+    exactly; None when the run leaves the finite range.  The weight
+    gradient is formed from the product itself, never as prediction minus
+    bias, which would cancel when |core| is far below |b|."""
     w = np.array(w0, dtype=float)
     b = float(b0)
     n = len(y)
     losses, grad_norms = [], []
     for _ in range(iters + 1):
-        pred = _ref_mult_predict(w, b, k, x)
-        diff = pred - y
+        core = _ref_mult_core(w, k, x)
+        diff = core + b - y
         loss = float(np.mean(diff * diff))
         if not np.isfinite(loss):
             return None
-        core = pred - b
         g = 2.0 * diff / n
         safe = np.where(np.abs(w) < 1e-12, np.inf, np.abs(w))
-        dw = (g[:, None] * core[:, None] * (k * np.sign(w) / safe)).sum(axis=0)
+        dw = (g[:, None] * (core[:, None] * (k * np.sign(w) / safe))).sum(axis=0)
         db = float(g.sum())
         losses.append(loss)
-        grad_norms.append(float(np.sqrt(np.sum(dw * dw) + db * db)))
+        grad_norms.append(_ref_norm(np.append(dw, db)))
         if len(losses) == iters + 1:
             break
         w = w - (lr / q) * dw
@@ -291,16 +306,28 @@ def test_single_multiplicative_neuron_is_the_unstacked_case(negative):
             x, y, k, q, np.full(3, 40.0), 0.0, 0.05, 50) is None
 
 
-def test_stacked_predictor_matches_one_neuron_at_a_time():
+def test_stacked_kernel_matches_one_neuron_at_a_time():
     x, _, k, _ = _mult_data(True)
     w = np.array([[0.5, 0.7, 0.4], [1.0, -2.0, 0.3]])
     b = np.array([0.0, 0.25])
-    pred = bench.mult_neuron_predict(w, b, k, x)
+    pred = multiplicative_core(w, k, x, multiplicative_sign(k, x)) + b[:, None]
     assert pred.shape == (2, 30)
     for r in range(2):
         assert _same(pred[r], _ref_mult_predict(w[r], b[r], k, x))
     with pytest.raises(GradedDomainError):
-        bench.mult_neuron_predict(w, b, np.array([0.5, 1.0, 1.0]), x)
+        multiplicative_sign(np.array([0.5, 1.0, 1.0]), x)
+
+
+def test_weight_gradient_survives_a_large_bias():
+    """Both predictions round to the bias 0.25 and the residuals +-0.5
+    cancel in db; the weight gradient, built from the cores 1e-18 and
+    2e-18, is -0.5e-18 per weight, which prediction minus bias reads as 0."""
+    x = np.array([[1e-9, 1e-9], [2e-9, 1e-9]])
+    y = np.array([-0.25, 0.75])
+    k = np.ones(2)
+    grad_norms = bench.train_multiplicative(x, y, k, k, np.ones(2), 0.25, 1.0, 0)[3]
+    assert grad_norms[0] == pytest.approx(math.sqrt(2) * 0.5e-18, rel=1e-12)
+    assert grad_norms == _ref_train_multiplicative(x, y, k, k, np.ones(2), 0.25, 1.0, 0)[3]
 
 
 def _per_restart_rows(cfg):

@@ -13,7 +13,6 @@ from gradednn.gradients import (
     finite_diff_check,
     grad_check_suite,
     loss_grad,
-    multiplicative_backward,
     network_backward,
 )
 from gradednn.losses import LossKind, loss_rows, loss_value
@@ -25,7 +24,10 @@ from gradednn.network import (
     Network,
     NonFiniteForwardError,
     forward_trace,
+    multiplicative_core,
     multiplicative_forward,
+    multiplicative_sign,
+    multiplicative_slope,
     random_network,
 )
 from gradednn.spaces import (
@@ -164,15 +166,20 @@ def test_linear_model_fd_is_tight():
     assert finite_diff_check(net, x, y, LossKind.graded_norm(), 1e-5) < 1e-9
 
 
-def test_multiplicative_backward_matches_fd():
+def _core_and_slope(n: MultiplicativeNeuron, x: GradedVector):
+    k, xs = n.exponent_floats, x.values[np.newaxis]
+    core = multiplicative_core(n.weights, k, xs, multiplicative_sign(k, xs))
+    return core, multiplicative_slope(n.weights, k, core)[0]
+
+
+def test_multiplicative_slope_matches_fd():
     rng = np.random.default_rng(5)
     g = GradingVector([2, 3, 1])
     n = MultiplicativeNeuron(weights=rng.uniform(0.3, 1.2, 3),
                              exponents=(2, 1, "1/2"), bias=0.3, grading=g)
     x = GradedVector(rng.uniform(0.2, 2.0, 3), g)
-    value, dw, db = multiplicative_backward(n, x)
-    assert value == pytest.approx(multiplicative_forward(n, x), abs=1e-12)
-    assert db == 1.0
+    core, dw = _core_and_slope(n, x)
+    assert core[0] + n.bias == multiplicative_forward(n, x)
     eps = 1e-6
     for i in range(3):
         w_hi = n.weights.copy()
@@ -186,13 +193,38 @@ def test_multiplicative_backward_matches_fd():
         assert dw[i] == pytest.approx((hi - lo) / (2 * eps), rel=1e-6, abs=1e-8)
 
 
-def test_multiplicative_backward_at_zero_weight():
+def test_multiplicative_slope_at_zero_weight():
     g = GradingVector([1, 1])
     n = MultiplicativeNeuron(weights=np.array([0.0, 1.0]), exponents=(2, 1),
                              bias=0.0, grading=g)
     x = GradedVector([1.0, 1.0], g)
-    value, dw, _ = multiplicative_backward(n, x)
-    assert value == 0.0 and dw[0] == 0.0  # k=2: flat at w=0
+    core, dw = _core_and_slope(n, x)
+    assert core[0] == 0.0 and dw[0] == 0.0  # k=2: flat at w=0
+    # k=1 has a kink at w=0; the kernel's convention is a zero slope there
+    n = MultiplicativeNeuron(weights=np.array([0.0, 1.0]), exponents=(1, 1),
+                             bias=0.0, grading=g)
+    assert np.array_equal(_core_and_slope(n, x)[1], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("negative", [False, True])
+def test_multiplicative_kernel_stack_equals_single_neuron_calls(negative):
+    rng = np.random.default_rng(8)
+    if negative:
+        x = rng.uniform(-1.5, 1.5, size=(25, 4))
+        k = np.array([3.0, 2.0, 0.0, 1.0])
+    else:
+        x = rng.uniform(0.1, 1.5, size=(25, 4))
+        k = np.array([0.5, 2.0, 0.0, 1.5])
+    w = rng.uniform(-1.2, 1.2, size=(6, 4))
+    w[2, 1] = 0.0  # one slice on the |w| < 1e-12 convention
+    sign = multiplicative_sign(k, x)
+    core = multiplicative_core(w, k, x, sign)
+    slope = multiplicative_slope(w, k, core)
+    assert core.shape == (6, 25) and slope.shape == (6, 25, 4)
+    for r in range(6):
+        one = multiplicative_core(w[r], k, x, sign)
+        assert np.array_equal(core[r], one)
+        assert np.array_equal(slope[r], multiplicative_slope(w[r], k, one))
 
 
 def test_grad_check_suite_deterministic():

@@ -194,6 +194,19 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     (lambda d: d.update(dataset={"source": "csv", "path": 7}), "dataset.path must be a string"),
     (lambda d: d.update(out_dir=5), "out_dir must be a string"),
     (lambda d: d.update(loss=5), "loss must be a string"),
+    (lambda d: d.update(grading=23), 'bad grading: grading must be a string such as "2,3"'),
+    (lambda d: d["model"]["layers"][0].update(grading=1),
+     'model.layers[0]: grading must be a string such as "2,3"'),
+    (lambda d: d.update(model={"type": "multiplicative", "exponents": 2}),
+     "model.exponents must be a string"),
+    (lambda d: d.update(model={"type": "multiplicative", "exponents": [2, 2]}),
+     "model.exponents must be a string"),
+    (lambda d: d.update(model={"type": "multiplicative", "exponents": "2"}),
+     'model.exponents must be 2 nonnegative rationals such as "2,2"'),
+    (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,-1"}),
+     'model.exponents must be 2 nonnegative rationals such as "2,2"'),
+    (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,x"}),
+     'model.exponents must be 2 nonnegative rationals such as "2,2"'),
 ])
 def test_config_rejects_wrong_value_types(tmp_path, capsys, mutate, message):
     doc = _base_train_doc()
@@ -353,6 +366,54 @@ def test_cli_train_multiplicative_rejects_other_losses(tmp_path, capsys):
     cfg_path = _write_config(tmp_path / "exp.json", doc)
     assert main(["train", "--config", cfg_path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_train_multiplicative_model_is_not_a_network(tmp_path, capsys):
+    """The multiplicative model.json has no gradings or layers; the network
+    loader must refuse it instead of loading an empty network."""
+    doc = _base_train_doc(out_dir="mult4", max_iters=3)
+    doc["model"] = {"type": "multiplicative", "exponents": "2,3"}
+    cfg_path = _write_config(tmp_path / "exp.json", doc)
+    assert main(["train", "--config", cfg_path]) == 0
+    with pytest.raises(ConfigError, match="unknown key .*kind"):
+        load_network(tmp_path / "mult4" / "model.json")
+
+
+def _strict_lines(path):
+    def reject(token):
+        raise ValueError("non-finite %s in %s" % (token, path))
+    return [json.loads(l, parse_constant=reject) for l in path.read_text().splitlines()]
+
+
+def test_cli_train_multiplicative_gradient_norm_stays_finite(tmp_path):
+    """Gradient entries near 1e199 overflow a plain sum of squares."""
+    (tmp_path / "big.csv").write_text("x0,x1,y0\n1e25,1e25,1\n1e25,1e25,2\n")
+    doc = _base_train_doc(out_dir="big", max_iters=3)
+    doc.update(grading="1,1", dataset={"source": "csv", "path": "big.csv"})
+    doc["model"] = {"type": "multiplicative", "exponents": "2,2"}
+    doc["optimizer"]["learning_rate"] = 1e-300
+    cfg_path = _write_config(tmp_path / "exp.json", doc)
+    assert main(["train", "--config", cfg_path]) == 0
+    recs = _strict_lines(tmp_path / "big" / "metrics.jsonl")
+    assert len(recs) == 4
+    assert all(r["grad_norm"] > 1e155 for r in recs)  # its square overflows
+
+
+@pytest.mark.parametrize("max_iters", [0, 4])
+def test_cli_train_multiplicative_infinite_gradient_is_a_divergence(
+        tmp_path, capsys, max_iters):
+    """With k = 1, x = 4e154 and y = 0 the loss (4e154 w)**2 is finite for
+    the drawn w = 0.26, but the weight gradient 2 (4e154)**2 w is not."""
+    (tmp_path / "inf.csv").write_text("x0,y0\n4e154,0\n")
+    doc = _base_train_doc(out_dir="inf", max_iters=max_iters)
+    doc.update(grading="1", dataset={"source": "csv", "path": "inf.csv"})
+    doc["model"] = {"type": "multiplicative", "exponents": "1"}
+    cfg_path = _write_config(tmp_path / "exp.json", doc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert "error: gradient norm became non-finite at iteration 0" in err
+    assert not (tmp_path / "inf").exists()
 
 
 def test_cli_train_bad_config_exit_code(tmp_path, capsys):

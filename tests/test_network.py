@@ -1,13 +1,13 @@
 """Neurons, activations, layers, log-domain evaluation, serialization."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradednn.bench import mult_neuron_predict
 from gradednn.network import (
     CLAMP,
     ActivationKind,
@@ -26,7 +26,9 @@ from gradednn.network import (
     graded_relu,
     load_network,
     log_domain_forward,
+    multiplicative_core,
     multiplicative_forward,
+    multiplicative_sign,
     network_forward,
     network_from_dict,
     network_to_dict,
@@ -139,15 +141,16 @@ def test_multiplicative_integer_signs():
     assert multiplicative_forward(n, GradedVector([-2.0, -3.0], g)) == pytest.approx(-18.0)
 
 
-def test_bench_predictor_follows_the_multiplicative_sign_rule():
+def test_multiplicative_kernel_follows_the_sign_rule():
     g = GradingVector([1, 1])
     n = MultiplicativeNeuron(weights=np.ones(2), exponents=(1, 2), bias=0.0,
                              grading=g)
     k = np.array([1.0, 2.0])
-    pred = mult_neuron_predict(np.ones(2), 0.0, k, np.array([[-2.0, 1.0]]))
+    x = np.array([[-2.0, 1.0]])
+    pred = multiplicative_core(np.ones(2), k, x, multiplicative_sign(k, x))
     assert pred[0] == -2.0 == multiplicative_forward(n, GradedVector([-2.0, 1.0], g))
     with pytest.raises(GradedDomainError):
-        mult_neuron_predict(np.ones(1), 0.0, np.array([0.5]), np.array([[4.0], [0.0]]))
+        multiplicative_sign(np.array([0.5]), np.array([[4.0], [0.0]]))
 
 
 def test_signed_log_sum_cancellation():
@@ -300,6 +303,54 @@ def test_serialization_keeps_blocks(tmp_path):
     path = tmp_path / "blocks.json"
     save_network(net, path)
     assert np.array_equal(load_network(path).layers[0].mask, np.eye(2, dtype=bool))
+
+
+def _block_net():
+    gio = GradingVector([2, 3])
+    blocks = [GradeBlock(Fraction(2), (0, 1), (0, 1)),
+              GradeBlock(Fraction(3), (1, 2), (1, 2))]
+    w = np.array([[0.25, 0.0], [0.0, 0.75]])
+    return Network([Layer(w, np.array([0.1, -0.2]), ActivationKind.GRADED_EXP,
+                          gio, gio, blocks)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Network([]),
+    _block_net,
+    lambda: random_network(
+        [GradingVector(["1/2", 3]), GradingVector([1, 2, 2]), GradingVector([1])],
+        [ActivationKind.SIGNED_GRADED_RELU, ActivationKind.CLASSICAL_RELU],
+        np.random.default_rng(3)),
+])
+def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
+    net = make()
+    save_network(net, tmp_path / "a.json")
+    back = load_network(tmp_path / "a.json")
+    assert len(back.layers) == len(net.layers)
+    for mine, theirs in zip(net.layers, back.layers):
+        assert np.array_equal(mine.weight_base, theirs.weight_base)
+        assert np.array_equal(mine.bias, theirs.bias)
+        assert mine.blocks == theirs.blocks
+    save_network(back, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.pop("layers"), "missing key layers"),
+    (lambda d: d.pop("gradings"), "missing key gradings"),
+    (lambda d: d.update(kind="multiplicative"), "unknown key kind"),
+    (lambda d: d["layers"][0].update(weights=[1.0]), "unknown key layers[0].weights"),
+    (lambda d: d["layers"][0].pop("bias"), "missing key layers[0].bias"),
+    (lambda d: d.update(layers={}),
+     "need a list of layers and one grading per layer boundary"),
+    (lambda d: d.update(layers=[]),
+     "need a list of layers and one grading per layer boundary"),
+])
+def test_network_loader_rejects_missing_and_unknown_keys(mutate, message):
+    doc = network_to_dict(_block_net())
+    mutate(doc)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        network_from_dict(doc)
 
 
 def test_weight_base_row_major_layout():
