@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .datasets import (
     read_dataset_csv,
 )
 from .gradients import DEFAULT_EPS, GRAD_CHECK_TOL, grad_check_suite
-from .ioutil import dumps17, fmt17
+from .ioutil import fmt17, write_json
 from .network import random_network, save_network
 from .optimizer import TrainingDivergenceError, train
 from .spaces import GradedError, GradingVector, ones_grading
@@ -84,9 +83,6 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     seed = p.get("seed", cfg.seed)
     count = p.get("count", 256)
     if src == "monomial":
-        if "exponents" not in p:
-            raise ConfigError("monomial dataset needs exponents")
-        exponents = [Fraction(str(k)) for k in p["exponents"]]
         if "box" in p:
             box = [(lo, hi) for lo, hi in p["box"]]
         else:
@@ -95,7 +91,7 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
         if len(out_g) != 1:
             raise ConfigError("monomial targets are scalar; model output must be 1-dim")
         return gen_monomial_dataset(
-            cfg.grading, exponents, p.get("coefficient", 1.0),
+            cfg.grading, p["exponents"], p.get("coefficient", 1.0),
             box, count, seed)
     if src == "linear_map":
         if any(g != 1 for g in cfg.grading.grades):
@@ -120,13 +116,14 @@ def _check_finite(losses, grad_norms) -> None:
 
 def _write_metrics(path: Path, losses, grad_norms) -> None:
     _check_finite(losses, grad_norms)
+    lines = [
+        json.dumps({"iter": i, "loss": float(loss), "grad_norm": float(gn)},
+                   allow_nan=False) + "\n"
+        for i, (loss, gn) in enumerate(zip(losses, grad_norms))
+    ]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        for i, (loss, gn) in enumerate(zip(losses, grad_norms)):
-            fh.write(
-                '{"iter": %d, "loss": %s, "grad_norm": %s}\n'
-                % (i, fmt17(loss), fmt17(gn))
-            )
+        fh.writelines(lines)
 
 
 def _train_feedforward(cfg: ExperimentConfig, ds: Dataset):
@@ -166,9 +163,7 @@ def _train_multiplicative(cfg: ExperimentConfig, ds: Dataset):
             "weights": [float(v) for v in w],
             "bias": float(b),
         }
-        with open(path, "w") as fh:
-            fh.write(dumps17(doc))
-            fh.write("\n")
+        write_json(path, doc)
 
     return losses, grad_norms, "max_iters", save_model
 

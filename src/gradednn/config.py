@@ -95,6 +95,21 @@ def _exponents(value, n: int) -> Tuple[Fraction, ...]:
     return ks
 
 
+def _dataset_exponents(value, n: int) -> Tuple[Fraction, ...]:
+    """dataset.exponents: a list of n rationals, each a JSON number or a
+    string such as "1/2"."""
+    ks = ()
+    if isinstance(value, list) and not any(isinstance(v, bool) for v in value):
+        try:
+            ks = tuple(Fraction(str(v)) for v in value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    if len(ks) != n:
+        raise ConfigError("dataset.exponents must be a list of %d rationals such as %s"
+                          % (n, list(range(2, n + 2))))
+    return ks
+
+
 def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     try:
         grading = parse_grading(_need(doc, "grading", "config"))
@@ -177,6 +192,13 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
             raise ConfigError("dataset.box must be a list of [low, high] pairs")
         params["box"] = [[number_value(v, "dataset.box[%d]" % i) for v in pair]
                          for i, pair in enumerate(box)]
+        if len(box) != len(grading):
+            raise ConfigError("dataset.box must hold %d [low, high] pairs, one per "
+                              "coordinate" % len(grading))
+    if source == "monomial":
+        if "exponents" not in params:
+            raise ConfigError("monomial dataset needs exponents")
+        params["exponents"] = _dataset_exponents(params["exponents"], len(grading))
     if source == "csv":
         if "path" not in params:
             raise ConfigError("csv dataset needs a path")

@@ -1,7 +1,9 @@
 """Serialization helpers shared by the file formats.
 
-Every float written to disk uses 17 significant digits, enough to round-trip
-a double bit-exactly through text.
+JSON artifacts are written by the stdlib: a float's repr is the shortest text
+that reads back as the same double, so saving and reloading is bit-exact,
+-0.0 included, and a non-finite value is refused.  CSV cells and stdout lines
+format floats with fmt17, 17 significant digits, which also round-trips.
 """
 
 from __future__ import annotations
@@ -29,37 +31,9 @@ def fmt17(v: float) -> str:
     return format(v, ".17g")
 
 
-def dumps17(obj, indent: int = 1) -> str:
-    """json.dumps with floats rendered by fmt17 instead of repr."""
-
-    def enc(o, level: int) -> str:
-        pad = " " * (indent * level)
-        pad1 = " " * (indent * (level + 1))
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if o is None:
-            return "null"
-        if isinstance(o, int):
-            return str(o)
-        if isinstance(o, float):
-            if not math.isfinite(o):
-                raise ValueError("cannot serialize non-finite float %r" % o)
-            return fmt17(o)
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            body = ",\n".join(pad1 + enc(v, level + 1) for v in o)
-            return "[\n%s\n%s]" % (body, pad)
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            body = ",\n".join(
-                "%s%s: %s" % (pad1, json.dumps(str(k)), enc(v, level + 1))
-                for k, v in o.items()
-            )
-            return "{\n%s\n%s}" % (body, pad)
-        raise TypeError("cannot serialize %r" % type(o).__name__)
-
-    return enc(obj, 0)
+def write_json(path, doc) -> None:
+    """Write doc as indented JSON.  The text is built before the file is
+    opened, so a non-finite float raises ValueError and leaves it as it was."""
+    text = json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ioutil import ConfigError, dumps17, reject_unknown_keys
+from .ioutil import ConfigError, reject_unknown_keys, write_json
 from .spaces import (
     GradedDomainError,
     GradedError,
@@ -473,8 +473,8 @@ def random_network(
 
 
 # --- serialization ---------------------------------------------------------
-# floats are written with 17 significant digits, which round-trips float64
-# bit-exactly
+# model.json is written by ioutil.write_json, which round-trips every finite
+# float64 bit-exactly, -0.0 included
 
 
 def network_to_dict(net: Network) -> dict:
@@ -500,7 +500,9 @@ def network_to_dict(net: Network) -> dict:
     return {"gradings": gradings, "layers": layers}
 
 
-def _check_keys(doc: dict, required, optional, prefix: str) -> None:
+def _check_keys(doc: dict, required, optional, prefix: str, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError("%s must be a JSON object" % where)
     reject_unknown_keys(doc, set(required) | set(optional), prefix)
     missing = [prefix + k for k in required if k not in doc]
     if missing:
@@ -509,7 +511,7 @@ def _check_keys(doc: dict, required, optional, prefix: str) -> None:
 
 def network_from_dict(doc: dict) -> Network:
     """The network network_to_dict wrote; a missing or unknown key is an error."""
-    _check_keys(doc, ("gradings", "layers"), (), "")
+    _check_keys(doc, ("gradings", "layers"), (), "", "a saved network")
     gradings = [parse_grading(t) for t in doc["gradings"]]
     specs = doc["layers"]
     if not isinstance(specs, list) or len(gradings) != (len(specs) + 1 if specs else 0):
@@ -517,7 +519,7 @@ def network_from_dict(doc: dict) -> Network:
     layers = []
     for l, spec in enumerate(specs):
         _check_keys(spec, ("rows", "cols", "weight_base", "bias", "activation"),
-                    ("blocks",), "layers[%d]." % l)
+                    ("blocks",), "layers[%d]." % l, "layers[%d]" % l)
         rows, cols = int(spec["rows"]), int(spec["cols"])
         w = np.array(spec["weight_base"], dtype=float).reshape(rows, cols)
         blocks = None
@@ -544,9 +546,7 @@ def network_from_dict(doc: dict) -> Network:
 
 
 def save_network(net: Network, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps17(network_to_dict(net)))
-        fh.write("\n")
+    write_json(path, network_to_dict(net))
 
 
 def load_network(path) -> Network:

@@ -207,6 +207,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
      'model.exponents must be 2 nonnegative rationals such as "2,2"'),
     (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,x"}),
      'model.exponents must be 2 nonnegative rationals such as "2,2"'),
+    (lambda d: d["dataset"].update(exponents="2,3"),
+     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
+    (lambda d: d["dataset"].update(exponents=[True, 2.5]),
+     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
+    (lambda d: d["dataset"].update(exponents=[2]),
+     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
+    (lambda d: d["dataset"].update(exponents=7),
+     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
+    (lambda d: d["dataset"].pop("exponents"), "monomial dataset needs exponents"),
+    (lambda d: d["dataset"].update(box=[[0.1, 1.0]]),
+     "dataset.box must hold 2 [low, high] pairs, one per coordinate"),
 ])
 def test_config_rejects_wrong_value_types(tmp_path, capsys, mutate, message):
     doc = _base_train_doc()
@@ -278,6 +289,15 @@ def test_cli_train_zero_iters_single_metrics_line(tmp_path, capsys):
     rec = json.loads(lines[0])
     assert set(rec) == {"iter", "loss", "grad_norm"}
     assert rec["iter"] == 0 and rec["loss"] > 0.0
+
+
+def test_cli_train_metrics_hold_float_values(tmp_path):
+    cfg_path = _write_config(tmp_path / "exp.json", _base_train_doc(max_iters=5))
+    assert main(["train", "--config", cfg_path]) == 0
+    recs = _strict_lines(tmp_path / "run" / "metrics.jsonl")
+    assert [r["iter"] for r in recs] == list(range(6))
+    assert all(isinstance(r["loss"], float) and isinstance(r["grad_norm"], float)
+               for r in recs)
 
 
 def test_cli_train_rerun_is_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 """Neurons, activations, layers, log-domain evaluation, serialization."""
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -351,6 +352,43 @@ def test_network_loader_rejects_missing_and_unknown_keys(mutate, message):
     mutate(doc)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         network_from_dict(doc)
+
+
+def test_network_loader_rejects_non_objects():
+    with pytest.raises(ValueError, match="^a saved network must be a JSON object$"):
+        network_from_dict([1, 2])
+    doc = network_to_dict(_block_net())
+    doc["layers"] = [[1]]
+    with pytest.raises(ValueError, match=r"^layers\[0\] must be a JSON object$"):
+        network_from_dict(doc)
+
+
+def test_save_network_keeps_edge_floats_bit_exact(tmp_path):
+    """-0.0 keeps its sign, and 2.0 is written as a float, not as 2."""
+    w = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                  [0.1, 2.0, -1.7976931348623157e308]])
+    b = np.array([-0.0, 2.0])
+    g3, g2 = GradingVector([1, 2, 3]), GradingVector([1, 1])
+    net = Network([Layer(w, b, ActivationKind.IDENTITY, g3, g2)])
+    path = tmp_path / "model.json"
+    save_network(net, path)
+    back = load_network(path).layers[0]
+    for mine, theirs in ((w, back.weight_base), (b, back.bias)):
+        assert np.array_equal(mine, theirs)
+        assert np.array_equal(np.signbit(mine), np.signbit(theirs))
+    saved = json.loads(path.read_text())["layers"][0]
+    assert all(isinstance(v, float) for v in saved["weight_base"] + saved["bias"])
+
+
+def test_save_network_refuses_inf_and_keeps_the_old_file(tmp_path):
+    g1 = GradingVector([1])
+    path = tmp_path / "model.json"
+    save_network(Network([Layer([[0.5]], [0.0], ActivationKind.IDENTITY, g1, g1)]), path)
+    before = path.read_bytes()
+    bad = Network([Layer([[math.inf]], [0.0], ActivationKind.IDENTITY, g1, g1)])
+    with pytest.raises(ValueError):
+        save_network(bad, path)
+    assert path.read_bytes() == before
 
 
 def test_weight_base_row_major_layout():
