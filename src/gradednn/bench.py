@@ -23,10 +23,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .classical import mlp_batch_forward, mlp_init, mlp_train
-from .config import ConfigError, int_value, is_int, number_value, reject_unknown_keys
 from .datasets import monomial_value
 from .gradients import _scaled_norm
-from .ioutil import fmt17
+from .ioutil import ConfigError, fmt17, int_value, is_int, number_value, reject_unknown_keys
 from .network import multiplicative_core, multiplicative_sign, multiplicative_slope
 from .spaces import GradingVector, parse_grading
 

@@ -8,7 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Tuple
 
-from .ioutil import ConfigError, reject_unknown_keys
+from .ioutil import (
+    ConfigError,
+    int_value,
+    is_int,
+    number_value,
+    reject_unknown_keys,
+    str_value,
+)
 from .losses import LossKind, parse_loss
 from .network import ActivationKind, parse_activation
 from .optimizer import OptimizerConfig
@@ -54,32 +61,6 @@ def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError("missing %r in %s" % (key, where))
     return doc[key]
-
-
-def is_int(value) -> bool:
-    """A JSON integer; Python's bool is an int, JSON's true is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def int_value(value, path: str) -> int:
-    """value if it is a JSON integer, else a ConfigError naming path."""
-    if is_int(value):
-        return value
-    raise ConfigError("%s must be an integer" % path)
-
-
-def number_value(value, path: str) -> float:
-    """value as a float if it is a JSON number, else a ConfigError naming path."""
-    if is_int(value) or isinstance(value, float):
-        return float(value)
-    raise ConfigError("%s must be a number" % path)
-
-
-def str_value(value, path: str) -> str:
-    """value if it is a JSON string, else a ConfigError naming path."""
-    if isinstance(value, str):
-        return value
-    raise ConfigError("%s must be a string" % path)
 
 
 def _exponents(value, n: int) -> Tuple[Fraction, ...]:

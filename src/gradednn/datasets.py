@@ -41,7 +41,7 @@ class Dataset:
             raise GradingMismatchError("input width does not match input grading")
         if self.targets.shape[1] != len(self.out_grading):
             raise GradingMismatchError("target width does not match output grading")
-        if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))):
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
             raise GradedDomainError("dataset entries must be finite")
 
     def __len__(self) -> int:

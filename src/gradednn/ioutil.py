@@ -1,4 +1,4 @@
-"""Serialization helpers shared by the file formats.
+"""Serialization helpers and JSON value checks shared by the file formats.
 
 JSON artifacts are written by the stdlib: a float's repr is the shortest text
 that reads back as the same double, so saving and reloading is bit-exact,
@@ -21,6 +21,32 @@ def reject_unknown_keys(doc: dict, allowed, prefix: str) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError("unknown key %s" % ", ".join(prefix + k for k in unknown))
+
+
+def is_int(value) -> bool:
+    """A JSON integer; Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def int_value(value, path: str) -> int:
+    """value if it is a JSON integer, else a ConfigError naming path."""
+    if is_int(value):
+        return value
+    raise ConfigError("%s must be an integer" % path)
+
+
+def number_value(value, path: str) -> float:
+    """value as a float if it is a JSON number, else a ConfigError naming path."""
+    if is_int(value) or isinstance(value, float):
+        return float(value)
+    raise ConfigError("%s must be a number" % path)
+
+
+def str_value(value, path: str) -> str:
+    """value if it is a JSON string, else a ConfigError naming path."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError("%s must be a string" % path)
 
 
 def fmt17(v: float) -> str:

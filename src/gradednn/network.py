@@ -19,7 +19,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ioutil import ConfigError, reject_unknown_keys, write_json
+from .ioutil import (
+    ConfigError,
+    int_value,
+    is_int,
+    reject_unknown_keys,
+    str_value,
+    write_json,
+)
 from .spaces import (
     GradedDomainError,
     GradedError,
@@ -435,7 +442,7 @@ def raise_if_non_finite(trace, out: np.ndarray) -> None:
     if np.isfinite(out).all():
         return
     for i, (_, z, y) in enumerate(trace):
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(z).all() and np.isfinite(y).all()):
             raise NonFiniteForwardError(
                 "layer %d produced non-finite values; consider log-domain "
                 "evaluation for large magnitudes" % i
@@ -509,39 +516,76 @@ def _check_keys(doc: dict, required, optional, prefix: str, where: str) -> None:
         raise ConfigError("missing key %s" % ", ".join(missing))
 
 
+def _loaded(where: str, parse, value):
+    """parse(value), with a failure raised as a ConfigError naming where."""
+    try:
+        return parse(value)
+    except (ValueError, GradedError) as exc:
+        raise ConfigError("%s: %s" % (where, exc)) from None
+
+
+def _load_numbers(value, n: int, where: str) -> np.ndarray:
+    """A flat JSON list of n finite numbers as a float64 array."""
+    arr = None
+    if isinstance(value, list) and all(is_int(v) or isinstance(v, float) for v in value):
+        try:
+            arr = np.array(value, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if arr is None or arr.shape != (n,) or not np.isfinite(arr).all():
+        raise ConfigError("%s must be a list of %d finite numbers" % (where, n))
+    return arr
+
+
+def _load_range(value, where: str) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError("%s must be a [start, stop] pair of integers" % where)
+    return tuple(int_value(v, where) for v in value)
+
+
 def network_from_dict(doc: dict) -> Network:
-    """The network network_to_dict wrote; a missing or unknown key is an error."""
+    """The network network_to_dict wrote.  A missing or unknown key, or a
+    value of the wrong type or size, is a ConfigError naming its path."""
     _check_keys(doc, ("gradings", "layers"), (), "", "a saved network")
-    gradings = [parse_grading(t) for t in doc["gradings"]]
-    specs = doc["layers"]
+    texts, specs = doc["gradings"], doc["layers"]
+    if not isinstance(texts, list):
+        raise ConfigError("gradings must be a list of grading strings")
+    gradings = [_loaded("gradings[%d]" % i, parse_grading, t) for i, t in enumerate(texts)]
     if not isinstance(specs, list) or len(gradings) != (len(specs) + 1 if specs else 0):
-        raise ValueError("need a list of layers and one grading per layer boundary")
+        raise ConfigError("need a list of layers and one grading per layer boundary")
     layers = []
     for l, spec in enumerate(specs):
+        where = "layers[%d]" % l
         _check_keys(spec, ("rows", "cols", "weight_base", "bias", "activation"),
-                    ("blocks",), "layers[%d]." % l, "layers[%d]" % l)
-        rows, cols = int(spec["rows"]), int(spec["cols"])
-        w = np.array(spec["weight_base"], dtype=float).reshape(rows, cols)
+                    ("blocks",), where + ".", where)
+        rows = int_value(spec["rows"], where + ".rows")
+        cols = int_value(spec["cols"], where + ".cols")
+        for key, n, g in (("rows", rows, l + 1), ("cols", cols, l)):
+            if n != len(gradings[g]):
+                raise ConfigError("%s.%s is %d but gradings[%d] has %d coordinates"
+                                  % (where, key, n, g, len(gradings[g])))
+        w = _load_numbers(spec["weight_base"], rows * cols, where + ".weight_base")
+        bias = _load_numbers(spec["bias"], rows, where + ".bias")
+        activation = _loaded(where + ".activation", parse_activation,
+                             str_value(spec["activation"], where + ".activation"))
         blocks = None
-        if "blocks" in spec and spec["blocks"] is not None:
-            blocks = [
-                GradeBlock(
-                    Fraction(b["grade"]),
-                    (int(b["rows"][0]), int(b["rows"][1])),
-                    (int(b["cols"][0]), int(b["cols"][1])),
-                )
-                for b in spec["blocks"]
-            ]
-        layers.append(
-            Layer(
-                w,
-                np.array(spec["bias"], dtype=float),
-                parse_activation(spec["activation"]),
-                gradings[l],
-                gradings[l + 1],
-                blocks,
-            )
-        )
+        if spec.get("blocks") is not None:
+            if not isinstance(spec["blocks"], list):
+                raise ConfigError("%s.blocks must be a list" % where)
+            blocks = []
+            for k, b in enumerate(spec["blocks"]):
+                at = "%s.blocks[%d]" % (where, k)
+                _check_keys(b, ("grade", "rows", "cols"), (), at + ".", at)
+                blocks.append(GradeBlock(
+                    _loaded(at + ".grade", _as_fraction, str_value(b["grade"], at + ".grade")),
+                    _load_range(b["rows"], at + ".rows"),
+                    _load_range(b["cols"], at + ".cols"),
+                ))
+        try:
+            layers.append(Layer(w.reshape(rows, cols), bias, activation,
+                                gradings[l], gradings[l + 1], blocks))
+        except GradedError as exc:
+            raise ConfigError("%s: %s" % (where, exc)) from None
     return Network(layers)
 
 

@@ -46,7 +46,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Rational):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError("grade %r has a zero denominator" % value) from None
     if isinstance(value, float):
         if value.is_integer():
             return Fraction(int(value))
@@ -156,12 +159,14 @@ class GradedVector:
         arr = np.array(values, dtype=float)
         if arr.ndim != 1:
             raise GradingMismatchError("graded vectors are one-dimensional")
-        if arr.shape[0] != len(grading):
+        # built once per dataset row on the train path, so kept to direct
+        # attribute reads and array methods
+        n = len(grading._grades)
+        if arr.shape[0] != n:
             raise GradingMismatchError(
-                "value length %d does not match grading length %d"
-                % (arr.shape[0], len(grading))
+                "value length %d does not match grading length %d" % (arr.shape[0], n)
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise GradedDomainError("graded vector entries must be finite")
         arr.flags.writeable = False
         self._values = arr
@@ -203,7 +208,7 @@ class GradedMatrix:
                 "matrix shape %s does not match gradings (%d, %d)"
                 % (arr.shape, len(self.row_grading), len(self.col_grading))
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise GradedDomainError("matrix entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
@@ -215,10 +220,17 @@ def require_same_grading(x: GradedVector, y: GradedVector) -> None:
 
 
 def stack_values(vectors: Sequence[GradedVector], grading: GradingVector) -> np.ndarray:
-    """Values of graded vectors carrying `grading`, one per row of an array."""
+    """Values of graded vectors carrying `grading`, one per row of an array.
+
+    Gradings are compared once per run of vectors sharing one grading
+    object: a dataset's rows all carry its grading, which equals `grading`
+    without being the same object."""
+    checked = grading
     for v in vectors:
-        if v.grading != grading:
-            raise GradingMismatchError("vector grading does not match %s" % grading)
+        if v.grading is not checked:
+            if v.grading != grading:
+                raise GradingMismatchError("vector grading does not match %s" % grading)
+            checked = v.grading
     return np.array([v.values for v in vectors]).reshape(len(vectors), len(grading))
 
 

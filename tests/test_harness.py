@@ -195,6 +195,7 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     (lambda d: d.update(out_dir=5), "out_dir must be a string"),
     (lambda d: d.update(loss=5), "loss must be a string"),
     (lambda d: d.update(grading=23), 'bad grading: grading must be a string such as "2,3"'),
+    (lambda d: d.update(grading="1/0,2"), "bad grading: grade '1/0' has a zero denominator"),
     (lambda d: d["model"]["layers"][0].update(grading=1),
      'model.layers[0]: grading must be a string such as "2,3"'),
     (lambda d: d.update(model={"type": "multiplicative", "exponents": 2}),
@@ -311,6 +312,28 @@ def test_cli_train_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "run_a" / "model.json").read_bytes() == (
         tmp_path / "run_b" / "model.json"
     ).read_bytes()
+
+
+def test_repeated_in_process_main_calls_share_no_state(tmp_path, capsys):
+    """main reuses one argument parser per process, so no option of one call
+    may reach the next: a seeded grad-check followed by an unseeded one
+    prints what a lone seed-0 run prints, and a second train on one config
+    rewrites the same bytes."""
+    assert main(["grad-check", "--count", "3"]) == 0
+    alone = capsys.readouterr().out
+    assert main(["grad-check", "--count", "3", "--seed", "7"]) == 0
+    seeded = capsys.readouterr().out
+    assert main(["grad-check", "--count", "3"]) == 0
+    assert capsys.readouterr().out == alone != seeded
+
+    cfg_path = _write_config(tmp_path / "cfg.json", _base_train_doc(max_iters=5))
+    outputs = []
+    for _ in range(2):
+        assert main(["train", "--config", cfg_path]) == 0
+        outputs.append((capsys.readouterr().out,
+                        (tmp_path / "run" / "metrics.jsonl").read_bytes(),
+                        (tmp_path / "run" / "model.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_train_model_reloads(tmp_path, capsys):

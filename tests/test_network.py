@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradednn.ioutil import ConfigError
 from gradednn.network import (
     CLAMP,
     ActivationKind,
@@ -346,11 +347,36 @@ def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
      "need a list of layers and one grading per layer boundary"),
     (lambda d: d.update(layers=[]),
      "need a list of layers and one grading per layer boundary"),
+    (lambda d: d.update(gradings=5), "gradings must be a list of grading strings"),
+    (lambda d: d.update(gradings=[2, "2,3"]),
+     'gradings[0]: grading must be a string such as "2,3"'),
+    (lambda d: d["layers"][0].update(rows="x"), "layers[0].rows must be an integer"),
+    (lambda d: d["layers"][0].update(cols=True), "layers[0].cols must be an integer"),
+    (lambda d: d["layers"][0].update(rows=3),
+     "layers[0].rows is 3 but gradings[1] has 2 coordinates"),
+    (lambda d: d["layers"][0].update(weight_base=[1.0]),
+     "layers[0].weight_base must be a list of 4 finite numbers"),
+    (lambda d: d["layers"][0].update(weight_base=[10 ** 400, 0.0, 0.0, 0.0]),
+     "layers[0].weight_base must be a list of 4 finite numbers"),
+    (lambda d: d["layers"][0].update(bias=[0.0, math.nan]),
+     "layers[0].bias must be a list of 2 finite numbers"),
+    (lambda d: d["layers"][0].update(activation=5), "layers[0].activation must be a string"),
+    (lambda d: d["layers"][0].update(activation="tanh"),
+     "layers[0].activation: unknown activation 'tanh'"),
+    (lambda d: d["layers"][0].update(blocks=3), "layers[0].blocks must be a list"),
+    (lambda d: d["layers"][0]["blocks"][0].pop("grade"),
+     "missing key layers[0].blocks[0].grade"),
+    (lambda d: d["layers"][0]["blocks"][1].update(rows=[1]),
+     "layers[0].blocks[1].rows must be a [start, stop] pair of integers"),
+    (lambda d: d["layers"][0]["blocks"][0].update(grade="2/0"),
+     "layers[0].blocks[0].grade: grade '2/0' has a zero denominator"),
+    (lambda d: d["layers"][0]["blocks"][0].update(grade="3"),
+     "layers[0]: block grade 3 does not match output coordinate 0"),
 ])
 def test_network_loader_rejects_missing_and_unknown_keys(mutate, message):
     doc = network_to_dict(_block_net())
     mutate(doc)
-    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
         network_from_dict(doc)
 
 
@@ -360,6 +386,10 @@ def test_network_loader_rejects_non_objects():
     doc = network_to_dict(_block_net())
     doc["layers"] = [[1]]
     with pytest.raises(ValueError, match=r"^layers\[0\] must be a JSON object$"):
+        network_from_dict(doc)
+    doc = network_to_dict(_block_net())
+    doc["layers"][0]["blocks"] = [[1]]
+    with pytest.raises(ConfigError, match=r"^layers\[0\]\.blocks\[0\] must be a JSON "):
         network_from_dict(doc)
 
 

@@ -29,6 +29,7 @@ from gradednn.spaces import (
     parse_grading,
     parse_scheme,
     scalar_action,
+    stack_values,
     tensor_grading,
     vandermonde_project,
 )
@@ -65,6 +66,8 @@ def test_grading_rejects_nonpositive():
         GradingVector([-2])
     with pytest.raises(ValueError):
         parse_grading("")
+    with pytest.raises(ValueError, match="^grade '1/0' has a zero denominator$"):
+        parse_grading("1/0,2")
 
 
 def test_grading_distinct_sorted():
@@ -270,13 +273,43 @@ def test_parse_scheme():
 
 def test_graded_vector_validation():
     q = GradingVector([1, 2])
-    with pytest.raises(GradingMismatchError):
-        GradedVector([1.0], q)
-    with pytest.raises(GradedDomainError):
-        GradedVector([1.0, float("inf")], q)
-    x = GradedVector([1.0, 2.0], q)
+    for values, error, message in [
+        ([1.0], GradingMismatchError, "value length 1 does not match grading length 2"),
+        ([1.0, 2.0, 3.0], GradingMismatchError,
+         "value length 3 does not match grading length 2"),
+        ([[1.0, 2.0]], GradingMismatchError, "graded vectors are one-dimensional"),
+        (3.0, GradingMismatchError, "graded vectors are one-dimensional"),
+        ([1.0, float("inf")], GradedDomainError, "graded vector entries must be finite"),
+        ([-math.inf, 1.0], GradedDomainError, "graded vector entries must be finite"),
+        ([1.0, math.nan], GradedDomainError, "graded vector entries must be finite"),
+    ]:
+        with pytest.raises(error, match="^%s$" % message):
+            GradedVector(values, q)
+    src = np.array([1.0, 2.0])
+    x = GradedVector(src, q)
+    src[0] = 7.0
+    assert x.values.tolist() == [1.0, 2.0]  # a copy
     with pytest.raises(ValueError):
         x.values[0] = 5.0  # read-only view
+
+
+def test_stack_values_accepts_an_equal_grading_held_by_another_object():
+    q, same = GradingVector([1, 2]), GradingVector([1, 2])
+    assert same == q and same is not q
+    rows = [GradedVector([1.0, 2.0], same), GradedVector([3.0, 4.0], q),
+            GradedVector([5.0, 6.0], same)]
+    assert stack_values(rows, q).tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+@pytest.mark.parametrize("bad_at", [0, 5, 7])
+def test_stack_values_rejects_a_mismatched_grading(bad_at):
+    """Also after a run of vectors sharing one equal grading object, which
+    the check compares once and then remembers."""
+    q, same, other = GradingVector([1, 2]), GradingVector([1, 2]), GradingVector([2, 1])
+    rows = [GradedVector([1.0, 2.0], same) for _ in range(8)]
+    rows[bad_at] = GradedVector([1.0, 2.0], other)
+    with pytest.raises(GradingMismatchError, match=r"^vector grading does not match "):
+        stack_values(rows, q)
 
 
 def test_ones_grading():
