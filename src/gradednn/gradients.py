@@ -1,8 +1,8 @@
 """Analytic gradients and a finite-difference checker.
 
-loss_grad returns dL/d(yhat) for every loss kind; network_backward chains it
-through the layers, differentiating with respect to the base weights (the
-trainable parameters), not the effective ones.
+loss_grad returns dL/d(yhat) from each loss kind's branch in losses.py;
+network_backward chains it through the layers, differentiating with respect
+to the base weights (the trainable parameters), not the effective ones.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import List
 
 import numpy as np
 
-from .losses import CROSS_ENTROPY_CLAMP, LossKind, _operands, loss_rows, loss_value
+from .losses import LossKind, _loss_part, _operands, loss_rows, loss_value
 from .network import (
     ActivationKind,
     Network,
@@ -25,11 +25,8 @@ from .network import (
 )
 from .spaces import (
     ExponentScheme,
-    GradedDomainError,
     GradedVector,
     GradingVector,
-    homogeneous_parts,
-    homogeneous_terms,
     stack_values,
 )
 
@@ -45,49 +42,10 @@ def loss_grad(kind: LossKind, y, yhat, grading=None):
     """Gradient of loss_value with respect to yhat: a graded vector for one
     sample, an (N, n) array for a batch, whose row k is the gradient of
     row k's loss divided by N because loss_value averages along axis 0."""
-    single = grading is None
-    grading, y, yhat = _operands(y, yhat, grading)
-    q = grading.floats
-    d = yhat - y
-    if kind.name == "graded_mse":
-        g = (2.0 / len(q)) * q * d
-    elif kind.name == "graded_norm":
-        g = 2.0 * q * d
-    elif kind.name == "huber":
-        # derivative of rho is the residual clipped to [-delta, delta]
-        g = q * np.clip(d, -kind.delta, kind.delta)
-    elif kind.name == "homogeneous":
-        g = _homogeneous_grad(grading, d, kind.scheme)
-    elif kind.name == "cross_entropy":
-        if np.any(y < 0.0):
-            raise GradedDomainError("cross entropy targets must be nonnegative")
-        clamped = np.maximum(yhat, CROSS_ENTROPY_CLAMP)
-        # inside the clamp the loss is locally constant in yhat
-        g = np.where(yhat < CROSS_ENTROPY_CLAMP, 0.0, -q * y / clamped)
-    elif kind.name == "max_graded":
-        g = np.zeros_like(d)
-        rows = np.arange(len(d))
-        m = np.argmax(q * d * d, axis=1)  # ties resolve to the lowest index
-        g[rows, m] = 2.0 * q[m] * d[rows, m]
-    else:
-        raise ValueError("unknown loss kind %r" % (kind,))
-    if single:
-        return GradedVector(g[0], grading)
+    g = _loss_part(kind, "grad", *_operands(y, yhat, grading))
+    if grading is None:
+        return GradedVector(g[0], y.grading)
     return g / len(g)
-
-
-def _homogeneous_grad(grading: GradingVector, d: np.ndarray, scheme) -> np.ndarray:
-    """Row-wise gradient of (sum_j n_j**e_j)**(2/E) in the residual rows d."""
-    norms, exps, big_e = homogeneous_parts(d, grading, scheme)
-    s = np.sum(norms ** exps, axis=1)
-    # a row with s = 0 has d = 0; inf**(2/E - 1) keeps its factors finite,
-    # and so does exps >= 2 at a zero group norm
-    outer = (2.0 / big_e) * np.where(s > 0.0, s, np.inf) ** (2.0 / big_e - 1.0)
-    coef = outer[:, np.newaxis] * exps * norms ** (exps - 2.0)
-    out = np.empty_like(d)
-    for j, (_, mask) in enumerate(grading.groups):
-        out[:, mask] = coef[:, j, np.newaxis] * d[:, mask]
-    return out
 
 
 # a zero vector scales by the smallest subnormal, one holding inf by the largest float
@@ -202,9 +160,9 @@ def _perturbed_losses(net, trace, l, idx, ys, kind, eps):
 
 
 # randomized end-to-end check: small nets, every activation and loss, with
-# sampling kept clear of kinks (relu clamp band, huber corners, max ties,
-# the cross-entropy floor) and of large losses, so the central difference is
-# trustworthy
+# sampling kept clear of kinks (the relu clamp band here, each loss's own in
+# its branch of losses.py) and of large losses, so the central difference
+# is trustworthy
 
 # rounding limits a central difference to about |L| u / eps (u the float64
 # epsilon); cases keep that under a tenth of the tolerance at the default
@@ -220,25 +178,6 @@ _CHECK_KINDS = (
     LossKind.cross_entropy(),
     LossKind.max_graded(),
 )
-
-
-def _margins_ok(kind: LossKind, y: GradedVector, yhat: GradedVector) -> bool:
-    d = np.abs(yhat.values - y.values)
-    if kind.name == "huber":
-        if np.any(np.abs(d - kind.delta) < 1e-3 * max(1.0, kind.delta)):
-            return False
-    if kind.name == "max_graded" and len(d) > 1:
-        scores = np.sort(y.grading.floats * d * d)[::-1]
-        if scores[0] - scores[1] < 1e-3 * max(scores[0], 1.0):
-            return False
-    if kind.name == "cross_entropy" and np.any(yhat.values < 1e-2):
-        return False
-    if kind.name == "homogeneous":
-        diff = y.with_values(yhat.values - y.values)
-        terms, _ = homogeneous_terms(diff, kind.scheme)
-        if any(n < 1e-2 for _, n, _ in terms):
-            return False
-    return True
 
 
 def _random_check_case(rng: np.random.Generator, kind: LossKind):
@@ -263,28 +202,24 @@ def _random_check_case(rng: np.random.Generator, kind: LossKind):
                 pool = [k for k in pool if k is not ActivationKind.GRADED_EXP]
             act = pool[int(rng.integers(0, len(pool)))]
             activations.append(act)
-            q_out = gradings[l + 1].floats
+            bound = float(np.max(activation_value(act, z_bound, gradings[l + 1].floats)))
             if act in (ActivationKind.GRADED_RELU, ActivationKind.SIGNED_GRADED_RELU):
-                bound = max(float(np.max(z_bound ** (1.0 / q_out))), 1.0)
-            elif act is ActivationKind.GRADED_EXP:
-                bound = float(np.max(np.expm1(z_bound / q_out)))
-            else:
-                bound = z_bound
+                bound = max(bound, 1.0)
         net = random_network(gradings, activations, rng, low=0.2, high=1.5)
-        x = GradedVector(rng.uniform(0.5, 1.5, widths[0]), gradings[0])
-        trace, out = forward_trace(net, x.values)
+        x = rng.uniform(0.5, 1.5, widths[0])
+        trace, out = forward_trace(net, x)
         # positive weights keep every z positive; require it to clear the
         # relu clamp band by more than any finite-difference step
         if min(float(np.min(np.abs(z))) for _, z, _ in trace) < 2e-2:
             continue
-        yhat = GradedVector(out, net.out_grading)
+        yhat = out[np.newaxis]
         for _ in range(50):
-            y = GradedVector(rng.uniform(0.1, 1.0, widths[-1]), gradings[-1])
-            if not _margins_ok(kind, y, yhat):
+            y = rng.uniform(0.1, 1.0, (1, widths[-1]))
+            if _loss_part(kind, "kink", gradings[-1], y, yhat)[0]:
                 continue
-            if abs(loss_value(kind, y, yhat)) > _MAX_CHECK_LOSS:
+            if abs(loss_value(kind, y, yhat, gradings[-1])) > _MAX_CHECK_LOSS:
                 break  # the outputs, not a target in (0.1, 1), make it large
-            return net, x, y
+            return net, GradedVector(x, gradings[0]), GradedVector(y[0], gradings[-1])
         # targets kept colliding with a kink or the loss was too large;
         # rebuild the net instead
     raise RuntimeError("could not sample a kink-free gradient-check case")

@@ -2,9 +2,9 @@
 
 All losses take (target, prediction) as graded vectors over the same grading,
 or as (N, n) arrays of samples with their grading, and return the mean loss
-over the samples.  Parametrized kinds are described by a LossKind value,
-which also parses from compact text such as "huber:0.5" or
-"homogeneous:by_distinct_count".
+over the samples.  A LossKind value names the kind and its parameter, and
+parses from compact text such as "huber:0.5" or "homogeneous:by_max_grade".
+Each kind's value, gradient and kink test sit in one branch of _loss_part.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .spaces import (
     GradedVector,
     GradingMismatchError,
     homogeneous_parts,
+    homogeneous_terms,
     parse_scheme,
     require_same_grading,
 )
@@ -27,12 +28,28 @@ from .spaces import (
 # predictions below this are clamped inside the cross entropy log
 CROSS_ENTROPY_CLAMP = 1e-12
 
+# the loss kinds; huber takes a threshold delta, homogeneous an exponent scheme
+_NAMES = ("graded_mse", "graded_norm", "huber", "homogeneous", "cross_entropy", "max_graded")
+
 
 @dataclass(frozen=True)
 class LossKind:
     name: str
     delta: Optional[float] = None
     scheme: Optional[ExponentScheme] = None
+
+    def __post_init__(self):
+        if self.name not in _NAMES:
+            raise ValueError("unknown loss kind %r" % (self.name,))
+        if self.name == "huber":
+            if self.delta is None or not float(self.delta) > 0:
+                raise ValueError("huber threshold must be positive")
+            object.__setattr__(self, "delta", float(self.delta))
+        if self.name == "homogeneous" and not isinstance(self.scheme, ExponentScheme):
+            raise ValueError("homogeneous loss needs an exponent scheme")
+        for field, owner in (("delta", "huber"), ("scheme", "homogeneous")):
+            if getattr(self, field) is not None and self.name != owner:
+                raise ValueError("loss %s takes no %s" % (self.name, field))
 
     @classmethod
     def graded_mse(cls):
@@ -44,9 +61,7 @@ class LossKind:
 
     @classmethod
     def huber(cls, delta: float):
-        if not delta > 0:
-            raise ValueError("huber threshold must be positive")
-        return cls("huber", delta=float(delta))
+        return cls("huber", delta=delta)
 
     @classmethod
     def homogeneous(cls, scheme: ExponentScheme):
@@ -61,24 +76,25 @@ class LossKind:
         return cls("max_graded")
 
     def as_text(self) -> str:
-        if self.name == "huber":
-            return "huber:%g" % self.delta
-        if self.name == "homogeneous":
-            return "homogeneous:%s" % self.scheme.value
+        """The text that parse_loss reads back as this kind."""
+        if self.delta is not None:
+            return "%s:%r" % (self.name, self.delta)
+        if self.scheme is not None:
+            return "%s:%s" % (self.name, self.scheme.value)
         return self.name
 
 
 def parse_loss(text: str) -> LossKind:
     """Parse "graded_mse" | "graded_norm" | "huber:<delta>" |
     "homogeneous:<scheme>" | "cross_entropy" | "max_graded"."""
-    tok = text.strip().lower()
-    if tok in ("graded_mse", "graded_norm", "cross_entropy", "max_graded"):
-        return LossKind(tok)
-    if tok.startswith("huber:"):
-        return LossKind.huber(float(tok.split(":", 1)[1]))
-    if tok.startswith("homogeneous:"):
-        return LossKind.homogeneous(parse_scheme(tok.split(":", 1)[1]))
-    raise ValueError("unknown loss %r" % text)
+    name, colon, arg = text.strip().lower().partition(":")
+    if colon and name == "huber":
+        return LossKind.huber(float(arg))
+    if colon and name == "homogeneous":
+        return LossKind.homogeneous(parse_scheme(arg))
+    if colon or name not in _NAMES:
+        raise ValueError("unknown loss %r" % text)
+    return LossKind(name)
 
 
 def _operands(y, yhat, grading=None):
@@ -134,25 +150,73 @@ def loss_value(kind: LossKind, y, yhat, grading=None) -> float:
 def loss_rows(kind: LossKind, y, yhat, grading=None) -> np.ndarray:
     """The (N,) per-sample losses that loss_value averages; operands as
     there, one graded-vector sample giving N = 1."""
-    grading, y, yhat = _operands(y, yhat, grading)
+    return _loss_part(kind, "value", *_operands(y, yhat, grading))
+
+
+def _loss_part(kind: LossKind, part: str, grading, y, yhat) -> np.ndarray:
+    """One part of a loss on (N, n) operands, each kind in one branch.
+
+    part "value" gives the (N,) per-sample losses, "grad" their (N, n)
+    gradients in yhat, and "kink" the (N,) mask of samples so near a point
+    where the loss is not differentiable that a central difference there
+    cannot be trusted.
+    """
     q, d = grading.floats, yhat - y
-    if kind.name == "graded_mse":
-        rows = np.sum(q * d * d, axis=1) / len(q)
-    elif kind.name == "graded_norm":
-        rows = np.sum(q * d * d, axis=1)
-    elif kind.name == "huber":
+    if kind.name in ("graded_mse", "graded_norm"):
+        # the mean over the n entries, or their sum
+        n = len(q) if kind.name == "graded_mse" else 1
+        if part == "value":
+            return np.sum(q * d * d, axis=1) / n
+        if part == "grad":
+            return (2.0 / n) * q * d
+        return np.zeros(len(d), dtype=bool)
+    if kind.name == "huber":
         z, delta = np.abs(d), kind.delta
-        rho = np.where(z <= delta, 0.5 * z * z, delta * (z - 0.5 * delta))
-        rows = np.sum(q * rho, axis=1)
-    elif kind.name == "homogeneous":
+        if part == "value":
+            rho = np.where(z <= delta, 0.5 * z * z, delta * (z - 0.5 * delta))
+            return np.sum(q * rho, axis=1)
+        if part == "grad":
+            # derivative of rho is the residual clipped to [-delta, delta]
+            return q * np.clip(d, -delta, delta)
+        return np.any(np.abs(z - delta) < 1e-3 * max(1.0, delta), axis=1)
+    if kind.name == "homogeneous":
+        if part == "kink":
+            # each group norm is a root, not differentiable at zero
+            terms = (homogeneous_terms(GradedVector(r, grading), kind.scheme)[0] for r in d)
+            return np.array([any(n < 1e-2 for _, n, _ in t) for t in terms])
         norms, exps, big_e = homogeneous_parts(d, grading, kind.scheme)
-        rows = np.sum(norms ** exps, axis=1) ** (2.0 / big_e)
-    elif kind.name == "cross_entropy":
+        s = np.sum(norms ** exps, axis=1)
+        if part == "value":
+            return s ** (2.0 / big_e)
+        # a row with s = 0 has d = 0; inf**(2/E - 1) keeps its factors finite,
+        # and so does exps >= 2 at a zero group norm
+        outer = (2.0 / big_e) * np.where(s > 0.0, s, np.inf) ** (2.0 / big_e - 1.0)
+        coef = outer[:, np.newaxis] * exps * norms ** (exps - 2.0)
+        g = np.empty_like(d)
+        for j, (_, mask) in enumerate(grading.groups):
+            g[:, mask] = coef[:, j, np.newaxis] * d[:, mask]
+        return g
+    if kind.name == "cross_entropy":
         if np.any(y < 0.0):
             raise GradedDomainError("cross entropy targets must be nonnegative")
-        rows = -np.sum(q * y * np.log(np.maximum(yhat, CROSS_ENTROPY_CLAMP)), axis=1)
-    elif kind.name == "max_graded":
-        rows = np.max(q * d * d, axis=1)
-    else:
-        raise ValueError("unknown loss kind %r" % (kind,))
-    return rows
+        clamped = np.maximum(yhat, CROSS_ENTROPY_CLAMP)
+        if part == "value":
+            return -np.sum(q * y * np.log(clamped), axis=1)
+        if part == "grad":
+            # inside the clamp the loss is locally constant in yhat
+            return np.where(yhat < CROSS_ENTROPY_CLAMP, 0.0, -q * y / clamped)
+        return np.any(yhat < 1e-2, axis=1)
+    # max_graded, the last name LossKind admits
+    scores = q * d * d
+    if part == "value":
+        return np.max(scores, axis=1)
+    if part == "grad":
+        g = np.zeros_like(d)
+        rows = np.arange(len(d))
+        m = np.argmax(scores, axis=1)  # ties resolve to the lowest index
+        g[rows, m] = 2.0 * q[m] * d[rows, m]
+        return g
+    # a near-tie of the top two scores is where the maximum switches entry
+    top = np.max(scores, axis=1)
+    second = np.sort(scores, axis=1)[:, -2] if len(q) > 1 else -np.inf
+    return top - second < 1e-3 * np.maximum(top, 1.0)

@@ -386,3 +386,107 @@ def test_known_rounding_limited_seed_passes():
 def test_grad_check_suite_rejects_empty_count():
     with pytest.raises(ValueError, match="count"):
         grad_check_suite(count=0)
+
+
+# widths, activation names, x and y of the first 21 cases the sampler draws
+# from seed 0, three per loss kind, then the stream's next draw: all direct
+# draws of the RNG, so a refactor that changes the stream grad-check output
+# depends on fails here whatever the BLAS
+_SEED0_CASES = (
+    ((6, 5, 3, 3), ("classical_relu", "graded_relu", "signed_graded_relu"),
+     (1.4421131105064977, 0.8651101682448286, 0.6054952795702295, 1.1291081515397092,
+      1.4271545530678673, 0.940377154715784),
+     (0.9591314443216635, 0.5499062323188824, 0.48270576236416796)),
+    ((5, 2), ("identity",),
+     (1.0849826802256783, 0.9765884217057704, 0.7561500214278923, 0.572658348648321,
+      0.5178914208969753),
+     (0.6219731625076853, 0.27199924611406734)),
+    ((8, 8, 1), ("classical_relu", "identity"),
+     (1.177798778095959, 0.8688215166959502, 1.0757220912190522, 1.0634124736739898,
+      1.436566083474294, 0.8876742119556893, 0.6647826520660035, 1.3769328933290108),
+     (0.9052556471981815,)),
+    ((1, 1, 6), ("graded_relu", "graded_exp"),
+     (1.2732645980412682,),
+     (0.8391039454701301, 0.4585019959884119, 0.364668724151456, 0.349408800493262,
+      0.4248742832455158, 0.6192168788046358)),
+    ((6, 5), ("classical_relu",),
+     (0.6833562431051275, 0.7959268470094133, 1.0744107688028173, 0.6430020842642805,
+      0.5137378586164786, 0.9338912243499314),
+     (0.7859774546732977, 0.6527415463685992, 0.3917317382266384, 0.745516845365944,
+      0.536063169798886)),
+    ((8, 8), ("identity",),
+     (1.1874150023133265, 1.086264211018483, 0.6152789530785144, 1.1692037223800513,
+      0.5065985237807048, 0.6828428789547006, 0.9208784051953482, 0.8783693804086546),
+     (0.20706864617306586, 0.48426184363589864, 0.6612555192610081, 0.43971708837919066,
+      0.7376495349580382, 0.30782988584044935, 0.2294427450438311, 0.7740098600396378)),
+    ((6, 5), ("signed_graded_relu",),
+     (0.7927529728195352, 0.9007447677615643, 1.4704494067485072, 0.5714085970534828,
+      1.2813052652283012, 0.9754249535877287),
+     (0.2168861722958212, 0.42947227780359276, 0.44281126637281965, 0.31921525027193126,
+      0.36492738177149187)),
+    ((8, 4, 3), ("signed_graded_relu", "classical_relu"),
+     (0.8851523242262724, 0.6738281766236274, 1.2621716630603876, 1.354497703645547,
+      0.6328046270642882, 1.0168349367640346, 0.895012929997587, 1.2900153179807998),
+     (0.5184930701579296, 0.7577281442333555, 0.6094934889214662)),
+    ((8, 5), ("identity",),
+     (0.7395089554722614, 0.7706385504450568, 0.8756423257052541, 1.440738715728442,
+      0.851819329148038, 0.9311328562045973, 0.7985072725024484, 1.4762450350517937),
+     (0.42837150238052535, 0.1751836788906686, 0.692184154815169, 0.7449444286439287,
+      0.4350169217755171)),
+    ((5, 2, 6), ("signed_graded_relu", "identity"),
+     (0.625431328653153, 1.4090719628493051, 0.9033915375960583, 1.3203077943609558,
+      1.3953620927597767),
+     (0.3036997430148558, 0.1293151148331499, 0.2623024778911145, 0.7956808350949955,
+      0.1138718585090458, 0.6077188540160742)),
+    ((2, 8), ("graded_relu",),
+     (1.126160386805535, 0.9969348206161799),
+     (0.2685526194781287, 0.8975574369210709, 0.8941479957886237, 0.5946115645265359,
+      0.7354864247833531, 0.5062480615481825, 0.8212990279337812, 0.850470621652922)),
+    ((7, 7, 2), ("identity", "classical_relu"),
+     (0.8568377529611344, 1.0683712904835097, 1.0035028057334143, 1.1266625713376246,
+      0.5769467112279523, 1.2697902263664145, 0.6234023281631537),
+     (0.7132370156506317, 0.46192788923563965)),
+    ((4, 1, 6, 8), ("identity", "graded_relu", "graded_relu"),
+     (0.6353092440043893, 0.6132198858312805, 1.0222459329102984, 1.0687435895691126),
+     (0.5668169884714713, 0.6518122101587929, 0.8898791167786961, 0.5537843604500985,
+      0.4412329108298817, 0.33091543232238496, 0.3761619782094323, 0.6047263480231309)),
+    ((4, 7, 2, 4), ("graded_relu", "graded_relu", "signed_graded_relu"),
+     (0.6070445200447387, 1.0666782860196686, 0.5959945339433834, 0.6416023378231235),
+     (0.8208751556719684, 0.3195192576183502, 0.15512833998233183, 0.641642392211749)),
+    ((2, 2, 1, 1), ("classical_relu", "signed_graded_relu", "graded_relu"),
+     (0.8874522444574018, 1.2549003383649948),
+     (0.7200458121575566,)),
+    ((6, 8, 7), ("graded_relu", "identity"),
+     (1.0314625331171092, 0.9167841381885743, 0.8520259749571497, 0.5406222465209048,
+      1.482967070578849, 0.5751972884863652),
+     (0.122919480844487, 0.29377262620545047, 0.22256762200069916, 0.8149895534100039,
+      0.23646669801458908, 0.4059550602742822, 0.1119235428851625)),
+    ((6, 8, 3, 3), ("signed_graded_relu", "signed_graded_relu", "identity"),
+     (0.5277380933588705, 0.7072584362114321, 0.947896798538948, 1.023812301502496,
+      0.6253083894963875, 0.9590366978928448),
+     (0.8024351513789386, 0.7352086739790673, 0.43217167977380266)),
+    ((2, 4), ("classical_relu",),
+     (1.3128116582970133, 0.8367981217058457),
+     (0.6999307423854567, 0.910504266450553, 0.3264562942119986, 0.9940853976234123)),
+    ((7, 1, 1, 1), ("graded_relu", "signed_graded_relu", "classical_relu"),
+     (1.207244036943805, 1.4031598588825651, 1.3944909043468074, 1.372758590506412,
+      0.7787471566816276, 0.9063009048306149, 1.0080966961754236),
+     (0.9727055313237645,)),
+    ((2, 3, 2), ("graded_relu", "classical_relu"),
+     (1.222219989326994, 0.8395567095887363),
+     (0.9269872446109308, 0.7411517872957502)),
+    ((3, 3, 8, 2), ("graded_relu", "identity", "identity"),
+     (1.0514409062392724, 1.1184311379949738, 1.3112386298776488),
+     (0.6234271860870869, 0.28120941680643347)),
+)
+_SEED0_NEXT = 8946010837052829508
+
+
+def test_check_case_sampler_keeps_its_rng_stream():
+    rng = np.random.default_rng(0)
+    for i, (widths, acts, x, y) in enumerate(_SEED0_CASES):
+        net, xv, yv = _random_check_case(rng, _CHECK_KINDS[i % len(_CHECK_KINDS)])
+        assert (net.layers[0].n_in,) + tuple(l.n_out for l in net.layers) == widths
+        assert tuple(l.activation.value for l in net.layers) == acts
+        assert tuple(xv.values.tolist()) == x and tuple(yv.values.tolist()) == y
+    assert rng.integers(0, 2 ** 63) == _SEED0_NEXT

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradednn.gradients import _CHECK_KINDS
 from gradednn.losses import (
     CROSS_ENTROPY_CLAMP,
     LossKind,
@@ -15,6 +16,7 @@ from gradednn.losses import (
     graded_mse,
     graded_norm_loss,
     homogeneous_loss,
+    _loss_part,
     loss_value,
     max_graded_loss,
     parse_loss,
@@ -66,12 +68,63 @@ def test_parse_loss_grammar():
 
 
 def test_loss_name_round_trip():
-    kinds = [LossKind.graded_mse(), LossKind.graded_norm(), LossKind.huber(0.7),
-             LossKind.homogeneous(ExponentScheme.BY_MAX_GRADE),
-             LossKind.homogeneous(ExponentScheme.BY_DISTINCT_COUNT),
-             LossKind.cross_entropy(), LossKind.max_graded()]
+    kinds = _CHECK_KINDS + (LossKind.huber(0.05), LossKind.huber(0.123456789),
+                            LossKind.huber(1e-7))
     for k in kinds:
         assert parse_loss(k.as_text()) == k
+    # the label grad-check prints
+    assert LossKind.huber(0.7).as_text() == "huber:0.7"
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("bogus", {}, "unknown loss kind 'bogus'"),
+    ("huber", {}, "huber threshold must be positive"),
+    ("huber", {"delta": 0.0}, "huber threshold must be positive"),
+    ("huber", {"delta": float("nan")}, "huber threshold must be positive"),
+    ("homogeneous", {}, "homogeneous loss needs an exponent scheme"),
+    ("homogeneous", {"scheme": "by_max_grade"}, "homogeneous loss needs an exponent scheme"),
+    ("graded_mse", {"delta": 3.0}, "loss graded_mse takes no delta"),
+    ("max_graded", {"scheme": ExponentScheme.BY_MAX_GRADE}, "loss max_graded takes no scheme"),
+    ("huber", {"delta": 0.5, "scheme": ExponentScheme.BY_MAX_GRADE},
+     "loss huber takes no scheme"),
+])
+def test_loss_kind_rejects_malformed_kinds(name, params, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        LossKind(name, **params)
+
+
+# (kind, grading, y, yhat on a kink, yhat clear of it)
+_KINKS = [
+    # a residual within 1e-3 of delta
+    (LossKind.huber(0.7), [1, 2], [0.0, 0.0], [0.7005, -0.2], [0.75, -0.2]),
+    # a near-tie of the top two q d**2
+    (LossKind.max_graded(), [1, 4], [0.0, 0.0], [2.0, 1.00002], [2.0, 1.2]),
+    # a prediction below 1e-2
+    (LossKind.cross_entropy(), [1, 2], [0.5, 0.5], [0.005, 0.5], [0.5, 0.5]),
+    # a group norm below 1e-2
+    (LossKind.homogeneous(ExponentScheme.BY_MAX_GRADE), [1, 2, 2],
+     [0.3, 0.3, 0.3], [0.8, 0.305, 0.3], [0.8, 0.5, 0.3]),
+    (LossKind.homogeneous(ExponentScheme.BY_DISTINCT_COUNT), [1, 2, 2],
+     [0.3, 0.3, 0.3], [0.305, 0.8, 0.1], [0.5, 0.8, 0.1]),
+]
+
+
+@pytest.mark.parametrize("kind, grading, y, on, clear", _KINKS,
+                         ids=[k[0].as_text() for k in _KINKS])
+def test_kink_column_flags_only_samples_on_a_kink(kind, grading, y, on, clear):
+    g = GradingVector(grading)
+    flags = _loss_part(kind, "kink", g, np.array([y, y]), np.array([on, clear]))
+    assert flags.tolist() == [True, False]
+    for smooth in (LossKind.graded_mse(), LossKind.graded_norm()):
+        flags = _loss_part(smooth, "kink", g, np.array([y, y, y]), np.array([on, clear, y]))
+        assert flags.tolist() == [False, False, False]
+
+
+def test_max_graded_has_no_kink_on_one_entry():
+    g = GradingVector([3])
+    flags = _loss_part(LossKind.max_graded(), "kink", g, np.zeros((2, 1)),
+                       np.array([[0.0], [1.0]]))
+    assert flags.tolist() == [False, False]
 
 
 def test_loss_value_dispatch():
