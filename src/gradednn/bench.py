@@ -110,21 +110,21 @@ def train_multiplicative(
     k: np.ndarray,
     q: np.ndarray,
     w0: np.ndarray,
-    b0,
+    b0: np.ndarray,
     lr: float,
     iters: int,
 ):
-    """Full-batch GD on mean squared error with grade-scaled rates.
+    """Full-batch GD on mean squared error with grade-scaled rates, for R
+    neurons as one stack from weights w0 (R, n) and biases b0 (R,); each
+    slice computes exactly what a run of its own does.
 
-    w0 (n,) and a scalar b0 train one neuron; w0 (R, n) and b0 (R,) train R
-    neurons as one stack, each slice computing exactly what a run of its own
-    does.  Returns (w, b, losses, grad_norms, finite): the histories hold a
-    float per iterate for one neuron and an (R,) array for R, and `finite`
-    (a bool, or (R,)) marks the runs that stayed in the finite range; the
-    values of the other runs mean nothing.  The weight gradient is
-    `multiplicative_slope`'s (0 where |w_i| < 1e-12).  Rates follow the usual
-    convention: lr/q_i for the weight tied to coordinate i, lr for the bias
-    (scalar output, grade 1).
+    Returns (w, b, losses, grad_norms, finite): the histories hold an (R,)
+    array per iterate, and `finite` (R,) marks the runs that stayed in the
+    finite range; the values of the other runs mean nothing.  The weight
+    gradient is `multiplicative_slope`'s (0 where |w_i| < 1e-12).  Rates
+    follow the usual convention: lr/q_i for the weight tied to coordinate i,
+    lr for the bias (scalar output, grade 1).  `graded-nn train` trains the
+    same neuron as a multiplicative first layer of the shared engine.
     """
     w = np.array(w0, dtype=float)
     b = np.array(b0, dtype=float)
@@ -144,15 +144,14 @@ def train_multiplicative(
         g = 2.0 * diff / n
         dw = (g[..., None] * multiplicative_slope(w, k, core)).sum(axis=-2)
         db = g.sum(axis=-1)
-        losses.append(loss if loss.ndim else float(loss))
+        losses.append(loss)
         grads.append(np.concatenate([dw, db[..., None]], axis=-1))
         if t == iters:
             break
         w -= rate_w * dw
         b -= lr * db
     finite &= np.all(np.isfinite(w), axis=-1)
-    norms = _scaled_norm(np.array(grads), axis=-1) if grads else []
-    grad_norms = [v if v.ndim else float(v) for v in norms]
+    grad_norms = list(_scaled_norm(np.array(grads), axis=-1)) if grads else []
     return w, b, losses, grad_norms, finite
 
 

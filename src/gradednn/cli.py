@@ -13,18 +13,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .bench import (
-    approx_bench,
-    bench_config_from_dict,
-    train_multiplicative,
-    write_bench_csv,
-)
+from .bench import approx_bench, bench_config_from_dict, write_bench_csv
 from .config import ConfigError, ExperimentConfig, load_experiment_config
 from .datasets import (
     Dataset,
@@ -34,10 +28,10 @@ from .datasets import (
     read_dataset_csv,
 )
 from .gradients import DEFAULT_EPS, GRAD_CHECK_TOL, grad_check_suite
-from .ioutil import fmt17, write_json
+from .ioutil import fmt17
 from .network import random_network, save_network
 from .optimizer import TrainingDivergenceError, train
-from .spaces import GradedError, GradingVector, ones_grading
+from .spaces import GradedError
 from .verify import format_report, verify_examples
 
 
@@ -68,19 +62,12 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _model_out_grading(cfg: ExperimentConfig) -> GradingVector:
-    if cfg.model.kind == "feedforward":
-        return cfg.model.layers[-1][0]
-    return ones_grading(1)
-
-
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     src = cfg.dataset.source
     p = cfg.dataset.params
-    out_g = _model_out_grading(cfg)
+    out_g = cfg.model.layers[-1][0]
     if src == "csv":
-        ds = read_dataset_csv(p["path"], cfg.grading, out_g)
-        return ds
+        return read_dataset_csv(p["path"], cfg.grading, out_g)
     seed = p.get("seed", cfg.seed)
     count = p.get("count", 256)
     if src == "monomial":
@@ -97,8 +84,7 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     if src == "linear_map":
         if any(g != 1 for g in cfg.grading.grades):
             raise ConfigError("linear_map datasets use the all-ones input grading")
-        ds, _, _ = gen_linear_map_dataset(len(cfg.grading), out_g, count, seed)
-        return ds
+        return gen_linear_map_dataset(len(cfg.grading), out_g, count, seed)[0]
     if src == "invariant_proxy":
         if len(out_g) != 1:
             raise ConfigError("invariant_proxy targets are scalar")
@@ -106,17 +92,7 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     raise ConfigError("unknown dataset source %r" % src)
 
 
-def _check_finite(losses, grad_norms) -> None:
-    """A divergence naming the first non-finite loss or gradient norm."""
-    for i, pair in enumerate(zip(losses, grad_norms)):
-        for name, v in zip(("loss", "gradient norm"), pair):
-            if not math.isfinite(v):
-                raise TrainingDivergenceError(
-                    "%s became non-finite at iteration %d" % (name, i))
-
-
 def _write_metrics(path: Path, losses, grad_norms) -> None:
-    _check_finite(losses, grad_norms)
     lines = [
         json.dumps({"iter": i, "loss": float(loss), "grad_norm": float(gn)},
                    allow_nan=False) + "\n"
@@ -127,76 +103,33 @@ def _write_metrics(path: Path, losses, grad_norms) -> None:
         fh.writelines(lines)
 
 
-def _train_feedforward(cfg: ExperimentConfig, ds: Dataset):
-    gradings = [cfg.grading] + [g for g, _ in cfg.model.layers]
-    activations = [a for _, a in cfg.model.layers]
-    rng = np.random.default_rng(cfg.optimizer.seed)
-    net = random_network(gradings, activations, rng)
-    result = train(net, ds.graded_inputs(), ds.graded_targets(), cfg.loss, cfg.optimizer)
-
-    def save_model(path: Path) -> None:
-        save_network(result.network, path)
-
-    return result.losses, result.grad_norms, result.stop_reason, save_model
-
-
-def _train_multiplicative(cfg: ExperimentConfig, ds: Dataset):
-    if cfg.loss.name not in ("graded_mse", "graded_norm"):
-        raise ConfigError(
-            "multiplicative training supports graded_mse/graded_norm losses")
-    k = np.array([float(v) for v in cfg.model.exponents])
-    rng = np.random.default_rng(cfg.optimizer.seed)
-    w0 = rng.uniform(0.2, 0.9, size=len(cfg.grading))
-    w, b, losses, grad_norms, finite = train_multiplicative(
-        ds.inputs, ds.targets[:, 0], k, cfg.grading.floats, w0, 0.0,
-        cfg.optimizer.learning_rate, cfg.optimizer.max_iters)
-    _check_finite(losses, grad_norms)
-    if not finite:
-        raise TrainingDivergenceError(
-            "multiplicative run left the finite range at iteration %d; lower the "
-            "learning rate or evaluate in the log domain" % len(losses))
-
-    def save_model(path: Path) -> None:
-        doc = {
-            "kind": "multiplicative",
-            "grading": cfg.grading.as_text(),
-            "exponents": ",".join(str(v) for v in cfg.model.exponents),
-            "weights": [float(v) for v in w],
-            "bias": float(b),
-        }
-        write_json(path, doc)
-
-    return losses, grad_norms, "max_iters", save_model
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     try:
         cfg = load_experiment_config(args.config)
         ds = _build_dataset(cfg)
         if ds.in_grading != cfg.grading:
             raise ConfigError("dataset grading does not match the config grading")
-        if cfg.model.kind == "feedforward":
-            losses, grad_norms, stop, save_model = _train_feedforward(cfg, ds)
-        else:
-            losses, grad_norms, stop, save_model = _train_multiplicative(cfg, ds)
+        net = random_network([cfg.grading] + [g for g, _ in cfg.model.layers],
+                             [a for _, a in cfg.model.layers],
+                             np.random.default_rng(cfg.optimizer.seed),
+                             exponents=cfg.model.exponents)
+        result = train(net, ds.graded_inputs(), ds.graded_targets(), cfg.loss,
+                       cfg.optimizer)
         metrics_path = cfg.out_dir / "metrics.jsonl"
         model_path = cfg.out_dir / "model.json"
-        _write_metrics(metrics_path, losses, grad_norms)
-        save_model(model_path)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        _write_metrics(metrics_path, result.losses, result.grad_norms)
+        save_network(result.network, model_path)
     except TrainingDivergenceError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (OSError, ValueError, GradedError) as exc:
+    except (OSError, ValueError, GradedError) as exc:  # ConfigError included
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(
         "train: %d iterations recorded, initial_loss=%s final_loss=%s "
         "stop=%s metrics=%s model=%s"
-        % (len(losses) - 1, fmt17(losses[0]), fmt17(losses[-1]), stop,
-           metrics_path, model_path)
+        % (len(result.losses) - 1, fmt17(result.initial_loss),
+           fmt17(result.final_loss), result.stop_reason, metrics_path, model_path)
     )
     return 0
 

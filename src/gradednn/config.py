@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .ioutil import (
     ConfigError,
@@ -17,16 +17,16 @@ from .ioutil import (
     str_value,
 )
 from .losses import LossKind, parse_loss
-from .network import ActivationKind, parse_activation
+from .network import ActivationKind, parse_activation, parse_exponents
 from .optimizer import OptimizerConfig
-from .spaces import GradedError, GradingVector, parse_grading
+from .spaces import GradedError, GradingVector, ones_grading, parse_grading
 
 
 @dataclass
 class ModelSpec:
     kind: str  # "feedforward" | "multiplicative"
     layers: List[Tuple[GradingVector, ActivationKind]] = field(default_factory=list)
-    exponents: Tuple[Fraction, ...] = ()  # multiplicative only, one per coordinate
+    exponents: Optional[Tuple[Fraction, ...]] = None  # a multiplicative first layer's
 
 
 @dataclass
@@ -61,19 +61,6 @@ def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError("missing %r in %s" % (key, where))
     return doc[key]
-
-
-def _exponents(value, n: int) -> Tuple[Fraction, ...]:
-    """model.exponents: n nonnegative rationals in a string such as "2,1/2"."""
-    text = str_value(value, "model.exponents")
-    try:
-        ks = tuple(Fraction(tok) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        ks = ()
-    if len(ks) != n or min(ks) < 0:
-        raise ConfigError("model.exponents must be %d nonnegative rationals such "
-                          "as \"%s\"" % (n, ",".join(["2"] * n)))
-    return ks
 
 
 def _dataset_exponents(value, n: int) -> Tuple[Fraction, ...]:
@@ -117,9 +104,13 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
             raise ConfigError("feedforward model needs at least one layer")
         model = ModelSpec(kind="feedforward", layers=layers)
     elif kind == "multiplicative":
+        # one product neuron: a multiplicative identity layer to grade 1
         reject_unknown_keys(mdoc, {"type", "exponents"}, "model.")
+        exponents = parse_exponents(_need(mdoc, "exponents", "model"), len(grading),
+                                    "model.exponents")
         model = ModelSpec(kind="multiplicative",
-                          exponents=_exponents(_need(mdoc, "exponents", "model"), len(grading)))
+                          layers=[(ones_grading(1), ActivationKind.IDENTITY)],
+                          exponents=exponents)
     else:
         raise ConfigError("unknown model type %r" % kind)
 
@@ -147,12 +138,6 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
         raise ConfigError("bad optimizer settings: %s" % exc) from None
     reject_unknown_keys(odoc, {"learning_rate", "momentum", "max_iters", "stop_threshold",
                                "stop_window", "seed"}, "optimizer.")
-    if model.kind == "multiplicative":
-        # The multiplicative neuron trains by plain descent for max_iters steps.
-        if optimizer.momentum != 0.0:
-            raise ConfigError("optimizer.momentum must be 0 for a multiplicative model")
-        if optimizer.stop_threshold > 0.0:
-            raise ConfigError("optimizer.stop_threshold must be 0 for a multiplicative model")
 
     ddoc = _need(doc, "dataset", "config")
     source = _need(ddoc, "source", "dataset")

@@ -19,6 +19,7 @@ from .network import (
     activation_slope,
     activation_value,
     forward_trace,
+    multiplicative_slope,
     raise_if_non_finite,
     random_network,
     weight_base_slope,
@@ -97,7 +98,14 @@ def network_backward(net: Network, x, y, kind: LossKind) -> GradientBundle:
         layer = net.layers[l]
         x_in, z, _ = trace[l]
         dz = g * activation_slope(layer.activation, z, layer.out_grading.floats)
-        dw = (dz.T @ x_in) * weight_base_slope(layer.weight_base, layer.in_grading)
+        if layer.exponents is None:
+            dw = (dz.T @ x_in) * weight_base_slope(layer.weight_base, layer.in_grading)
+        else:
+            # from the recomputed core, not z - bias, which cancels to 0
+            # when |core| << |bias|
+            core = layer.pre_activation(x_in).T
+            slope = multiplicative_slope(layer.weight_base, layer.exponent_floats, core)
+            dw = (dz.T[..., np.newaxis] * slope).sum(axis=-2)
         if layer.mask is not None:
             dw = np.where(layer.mask, dw, 0.0)
         weight_grads.insert(0, dw)
@@ -148,9 +156,9 @@ def _perturbed_losses(net, trace, l, idx, ys, kind, eps):
     copies = np.arange(k)
     stack[copies, idx] += eps
     stack[copies + k, idx] -= eps
-    eff = layer.effective(stack[:, :n_w].reshape(2 * k, layer.n_out, layer.n_in))
     x_in = trace[l][0]
-    z = x_in @ np.swapaxes(eff, -1, -2) + stack[:, np.newaxis, n_w:]
+    w = stack[:, :n_w].reshape(2 * k, layer.n_out, layer.n_in)
+    z = layer.pre_activation(x_in, w) + stack[:, np.newaxis, n_w:]
     y = activation_value(layer.activation, z, layer.out_grading.floats)
     tail, out = forward_trace(Network(net.layers[l + 1:]), y)
     raise_if_non_finite(trace[:l] + [(x_in, z, y)] + tail, out)
@@ -203,8 +211,6 @@ def _random_check_case(rng: np.random.Generator, kind: LossKind):
             act = pool[int(rng.integers(0, len(pool)))]
             activations.append(act)
             bound = float(np.max(activation_value(act, z_bound, gradings[l + 1].floats)))
-            if act in (ActivationKind.GRADED_RELU, ActivationKind.SIGNED_GRADED_RELU):
-                bound = max(bound, 1.0)
         net = random_network(gradings, activations, rng, low=0.2, high=1.5)
         x = rng.uniform(0.5, 1.5, widths[0])
         trace, out = forward_trace(net, x)

@@ -36,9 +36,14 @@ def int_value(value, path: str) -> int:
 
 
 def number_value(value, path: str) -> float:
-    """value as a float if it is a JSON number, else a ConfigError naming path."""
-    if is_int(value) or isinstance(value, float):
-        return float(value)
+    """value as a float if it is a finite JSON number, else a ConfigError
+    naming path.  Python's json also reads NaN, Infinity and integers beyond
+    the float range, which are refused."""
+    try:
+        if (is_int(value) or isinstance(value, float)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
     raise ConfigError("%s must be a number" % path)
 
 

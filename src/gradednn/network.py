@@ -5,7 +5,8 @@ exponent follows the grade of the *input* coordinate.  Activations take the
 grade of the coordinate they produce.  A multiplicative neuron computes
 prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b, graded-homogeneous of degree
 sum_i q_i k_i; every caller takes its value and weight gradient from the
-batched multiplicative_sign/_core/_slope kernel.
+batched multiplicative_sign/_core/_slope kernel.  A Layer with exponents is
+a layer of such neurons, allowed only as a network's first layer.
 """
 
 from __future__ import annotations
@@ -167,13 +168,10 @@ class MultiplicativeNeuron:
     def __post_init__(self):
         self.weights = np.array(self.weights, dtype=float)
         self.bias = float(self.bias)
-        self.exponents = tuple(_as_fraction(k) for k in self.exponents)
         n = len(self.grading)
-        if self.weights.shape != (n,) or len(self.exponents) != n:
-            raise GradingMismatchError("weights/exponents length does not match grading")
-        for k in self.exponents:
-            if k < 0:
-                raise GradedDomainError("multiplicative exponents must be >= 0")
+        if self.weights.shape != (n,):
+            raise GradingMismatchError("weight length does not match grading")
+        self.exponents = _checked_exponents(self.exponents, n)
 
     @property
     def degree(self) -> Fraction:
@@ -186,6 +184,30 @@ class MultiplicativeNeuron:
     @property
     def exponent_floats(self) -> np.ndarray:
         return np.array([float(k) for k in self.exponents])
+
+
+def _checked_exponents(exponents, n: int) -> tuple:
+    """n exponents k_i >= 0 as Fractions."""
+    ks = tuple(_as_fraction(k) for k in exponents)
+    if len(ks) != n:
+        raise GradingMismatchError("exponents length does not match grading")
+    if any(k < 0 for k in ks):
+        raise GradedDomainError("multiplicative exponents must be >= 0")
+    return ks
+
+
+def parse_exponents(value, n: int, where: str) -> tuple:
+    """n nonnegative rationals from a string such as "2,1/2", or a
+    ConfigError naming where."""
+    text = str_value(value, where)
+    try:
+        ks = tuple(Fraction(tok) for tok in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        ks = ()
+    if len(ks) != n or min(ks) < 0:
+        raise ConfigError("%s must be %d nonnegative rationals such as \"%s\""
+                          % (where, n, ",".join(["2"] * n)))
+    return ks
 
 
 def multiplicative_sign(k: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -307,6 +329,10 @@ class Layer:
     grading.  An optional block structure restricts the nonzero pattern to
     same-grade row/column ranges; training and evaluation then only touch
     in-block entries.
+
+    With exponents k (one per input, no blocks) the layer is multiplicative,
+    y_j = g_j(prod_i sgn(x_i)**k_i |w_ji x_i|**k_i + b_j), and only a first
+    layer: d core/dx_i = k_i core/x_i has no value at x_i = 0.
     """
 
     def __init__(
@@ -317,6 +343,7 @@ class Layer:
         in_grading: GradingVector,
         out_grading: GradingVector,
         blocks: Optional[Sequence[GradeBlock]] = None,
+        exponents: Optional[Sequence] = None,
     ):
         self.weight_base = np.array(weight_base, dtype=float)
         self.bias = np.array(bias, dtype=float)
@@ -333,6 +360,12 @@ class Layer:
             raise GradingMismatchError("bias length does not match output grading")
         self.blocks = tuple(blocks) if blocks is not None else None
         self._mask = self._validate_blocks() if self.blocks is not None else None
+        self.exponents = self.exponent_floats = None
+        if exponents is not None:
+            if self.blocks is not None:
+                raise GradingMismatchError("a multiplicative layer takes no blocks")
+            self.exponents = _checked_exponents(exponents, n_in)
+            self.exponent_floats = np.array([float(k) for k in self.exponents])
 
     def _validate_blocks(self) -> np.ndarray:
         mask = np.zeros(self.weight_base.shape, dtype=bool)
@@ -382,6 +415,21 @@ class Layer:
             eff = np.where(self._mask, eff, 0.0)
         return eff
 
+    def pre_activation(self, x: np.ndarray,
+                       weight_base: Optional[np.ndarray] = None) -> np.ndarray:
+        """The pre-activation without the bias: x @ effective(w).T, or the
+        multiplicative core.  One sample (n_in,) gives (n_out,), rows
+        (..., N, n_in) give (..., N, n_out); a stack (..., n_out, n_in) of
+        other base weights for this layer adds its leading axes in front."""
+        if self.exponents is None:
+            return x @ np.swapaxes(self.effective(weight_base), -1, -2)
+        w = self.weight_base if weight_base is None else weight_base
+        k = self.exponent_floats
+        rows = np.atleast_2d(x)[..., np.newaxis, :, :]
+        z = np.swapaxes(
+            multiplicative_core(w, k, rows, multiplicative_sign(k, rows)), -1, -2)
+        return z if x.ndim > 1 else z[..., 0, :]
+
     def copy(self) -> "Layer":
         return Layer(
             self.weight_base.copy(),
@@ -390,20 +438,25 @@ class Layer:
             self.in_grading,
             self.out_grading,
             self.blocks,
+            self.exponents,
         )
 
 
 class Network:
-    """A chain of graded layers; adjacent gradings must match exactly."""
+    """A chain of graded layers; adjacent gradings must match exactly, and
+    only the first layer may be multiplicative (see Layer)."""
 
     def __init__(self, layers: Sequence[Layer]):
         self.layers = tuple(layers)
-        for prev, nxt in zip(self.layers, self.layers[1:]):
+        for l, (prev, nxt) in enumerate(zip(self.layers, self.layers[1:]), 1):
             if prev.out_grading != nxt.in_grading:
                 raise GradingMismatchError(
                     "output grading of one layer must equal the input grading "
                     "of the next"
                 )
+            if nxt.exponents is not None:
+                raise GradedDomainError(
+                    "layer %d is multiplicative; only the first layer may be" % l)
 
     @property
     def in_grading(self) -> Optional[GradingVector]:
@@ -430,7 +483,7 @@ def forward_trace(net: Network, x: np.ndarray):
     trace = []
     cur = np.asarray(x, dtype=float)
     for layer in net.layers:
-        z = cur @ layer.effective().T + layer.bias
+        z = layer.pre_activation(cur) + layer.bias
         y = activation_value(layer.activation, z, layer.out_grading.floats)
         trace.append((cur, z, y))
         cur = y
@@ -467,15 +520,18 @@ def random_network(
     rng: np.random.Generator,
     low: float = 0.2,
     high: float = 0.9,
+    exponents: Optional[Sequence] = None,
 ) -> Network:
-    """Fresh network with weights uniform in [low, high) and zero biases."""
+    """Fresh network with weights uniform in [low, high) and zero biases;
+    exponents make the first layer multiplicative."""
     if len(activations) != len(gradings) - 1:
         raise ValueError("need one activation per layer")
     layers = []
     for l, act in enumerate(activations):
         n_in, n_out = len(gradings[l]), len(gradings[l + 1])
         w = rng.uniform(low, high, size=(n_out, n_in))
-        layers.append(Layer(w, np.zeros(n_out), act, gradings[l], gradings[l + 1]))
+        layers.append(Layer(w, np.zeros(n_out), act, gradings[l], gradings[l + 1],
+                            exponents=None if l else exponents))
     return Network(layers)
 
 
@@ -503,6 +559,8 @@ def network_to_dict(net: Network) -> dict:
                 {"grade": str(b.grade), "rows": list(b.rows), "cols": list(b.cols)}
                 for b in layer.blocks
             ]
+        if layer.exponents is not None:
+            doc["exponents"] = ",".join(str(k) for k in layer.exponents)
         layers.append(doc)
     return {"gradings": gradings, "layers": layers}
 
@@ -557,7 +615,7 @@ def network_from_dict(doc: dict) -> Network:
     for l, spec in enumerate(specs):
         where = "layers[%d]" % l
         _check_keys(spec, ("rows", "cols", "weight_base", "bias", "activation"),
-                    ("blocks",), where + ".", where)
+                    ("blocks", "exponents"), where + ".", where)
         rows = int_value(spec["rows"], where + ".rows")
         cols = int_value(spec["cols"], where + ".cols")
         for key, n, g in (("rows", rows, l + 1), ("cols", cols, l)):
@@ -581,9 +639,15 @@ def network_from_dict(doc: dict) -> Network:
                     _load_range(b["rows"], at + ".rows"),
                     _load_range(b["cols"], at + ".cols"),
                 ))
+        exponents = None
+        if "exponents" in spec:
+            exponents = parse_exponents(spec["exponents"], cols, where + ".exponents")
+            if l:
+                raise ConfigError("%s.exponents: only the first layer may be "
+                                  "multiplicative" % where)
         try:
             layers.append(Layer(w.reshape(rows, cols), bias, activation,
-                                gradings[l], gradings[l + 1], blocks))
+                                gradings[l], gradings[l + 1], blocks, exponents))
         except GradedError as exc:
             raise ConfigError("%s: %s" % (where, exc)) from None
     return Network(layers)

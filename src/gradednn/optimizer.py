@@ -135,7 +135,10 @@ def train(
     result = TrainResult(network=net)
     velocity = None
     for t in range(cfg.max_iters + 1):
-        bundle = batch_gradient(net, inputs, targets, kind)
+        try:
+            bundle = batch_gradient(net, inputs, targets, kind)
+        except TrainingDivergenceError as exc:
+            raise TrainingDivergenceError("%s, at iteration %d" % (exc, t)) from exc
         if not np.isfinite(bundle.loss):
             raise TrainingDivergenceError(
                 "loss became non-finite at iteration %d; consider log-domain "

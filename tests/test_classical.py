@@ -12,8 +12,16 @@ import pytest
 
 from gradednn import bench
 from gradednn.classical import check_shapes, mlp_batch_forward, mlp_init, mlp_train
-from gradednn.network import multiplicative_core, multiplicative_sign
-from gradednn.spaces import GradedDomainError
+from gradednn.gradients import network_backward
+from gradednn.losses import LossKind
+from gradednn.network import (
+    ActivationKind,
+    Layer,
+    Network,
+    multiplicative_core,
+    multiplicative_sign,
+)
+from gradednn.spaces import GradedDomainError, GradingVector, ones_grading
 
 WIDTHS = [3, 5, 2]
 RTOL = 1e-12
@@ -288,24 +296,6 @@ def test_diverging_multiplicative_slice_leaves_the_others_untouched(negative):
     assert diverged == [1]
 
 
-@pytest.mark.parametrize("negative", [False, True])
-def test_single_multiplicative_neuron_is_the_unstacked_case(negative):
-    x, y, k, q = _mult_data(negative)
-    w0 = np.array([0.5, 0.7, 0.4])
-    w, b, losses, grad_norms, finite = bench.train_multiplicative(
-        x, y, k, q, w0, 0.0, 0.05, 50)
-    ref = _ref_train_multiplicative(x, y, k, q, w0, 0.0, 0.05, 50)
-    assert finite.shape == () and finite
-    assert w.shape == (3,) and _same(w, ref[0]) and b == ref[1]
-    assert all(isinstance(v, float) for v in losses + grad_norms)
-    assert losses == ref[2] and grad_norms == ref[3]
-    with np.errstate(all="ignore"):
-        assert not bench.train_multiplicative(
-            x, y, k, q, np.full(3, 40.0), 0.0, 0.05, 50)[-1]
-        assert _ref_train_multiplicative(
-            x, y, k, q, np.full(3, 40.0), 0.0, 0.05, 50) is None
-
-
 def test_stacked_kernel_matches_one_neuron_at_a_time():
     x, _, k, _ = _mult_data(True)
     w = np.array([[0.5, 0.7, 0.4], [1.0, -2.0, 0.3]])
@@ -318,16 +308,31 @@ def test_stacked_kernel_matches_one_neuron_at_a_time():
         multiplicative_sign(np.array([0.5, 1.0, 1.0]), x)
 
 
+# Both predictions round to the bias 0.25 and the residuals +-0.5 cancel in
+# db; the weight gradient, built from the cores 1e-18 and 2e-18, is -0.5e-18
+# per weight, which prediction minus bias reads as 0.
+_TINY_X = np.array([[1e-9, 1e-9], [2e-9, 1e-9]])
+_TINY_Y = np.array([-0.25, 0.75])
+
+
 def test_weight_gradient_survives_a_large_bias():
-    """Both predictions round to the bias 0.25 and the residuals +-0.5
-    cancel in db; the weight gradient, built from the cores 1e-18 and
-    2e-18, is -0.5e-18 per weight, which prediction minus bias reads as 0."""
-    x = np.array([[1e-9, 1e-9], [2e-9, 1e-9]])
-    y = np.array([-0.25, 0.75])
     k = np.ones(2)
-    grad_norms = bench.train_multiplicative(x, y, k, k, np.ones(2), 0.25, 1.0, 0)[3]
-    assert grad_norms[0] == pytest.approx(math.sqrt(2) * 0.5e-18, rel=1e-12)
-    assert grad_norms == _ref_train_multiplicative(x, y, k, k, np.ones(2), 0.25, 1.0, 0)[3]
+    grad_norms = bench.train_multiplicative(
+        _TINY_X, _TINY_Y, k, k, np.ones((1, 2)), np.array([0.25]), 1.0, 0)[3]
+    assert grad_norms[0][0] == pytest.approx(math.sqrt(2) * 0.5e-18, rel=1e-12)
+    assert [g[0] for g in grad_norms] == _ref_train_multiplicative(
+        _TINY_X, _TINY_Y, k, k, np.ones(2), 0.25, 1.0, 0)[3]
+
+
+def test_engine_weight_gradient_survives_a_large_bias():
+    """The same case through network_backward on a multiplicative layer,
+    the gradient `graded-nn train` uses."""
+    layer = Layer(np.ones((1, 2)), np.array([0.25]), ActivationKind.IDENTITY,
+                  GradingVector([1, 1]), ones_grading(1), exponents=(1, 1))
+    bundle = network_backward(Network([layer]), _TINY_X, _TINY_Y[:, None],
+                              LossKind.graded_mse())
+    assert np.array_equal(bundle.weight_grads[0], np.full((1, 2), -0.5e-18))
+    assert bundle.grad_norm() == pytest.approx(math.sqrt(2) * 0.5e-18, rel=1e-12)
 
 
 def _per_restart_rows(cfg):

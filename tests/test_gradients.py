@@ -262,6 +262,22 @@ def _reference_fd_check(net, x, y, kind, eps=1e-5):
     return worst
 
 
+@pytest.mark.parametrize("kind", _CHECK_KINDS, ids=lambda k: k.as_text())
+def test_fd_check_passes_on_a_multiplicative_first_layer(kind):
+    """Weights in (0.2, 1.5) and positive inputs keep every core positive
+    and away from the fractional exponent's cusp at 0."""
+    rng = np.random.default_rng(_CHECK_KINDS.index(kind))
+    g0, g1, g2 = GradingVector([1, 2, "1/2"]), GradingVector([1, 3]), GradingVector([2])
+    net = random_network([g0, g1, g2], [ActivationKind.GRADED_EXP, ActivationKind.IDENTITY],
+                         rng, low=0.2, high=1.5, exponents=(2, 1, "1/2"))
+    net.layers[0].bias[:] = [0.1, -0.2]
+    x = GradedVector(rng.uniform(0.5, 1.5, 3), g0)
+    y = GradedVector(rng.uniform(0.1, 1.0, 1), g2)
+    err = finite_diff_check(net, x, y, kind)
+    assert err < GRAD_CHECK_TOL
+    assert err == _reference_fd_check(net, x, y, kind)
+
+
 def _random_case(rng, activations):
     gradings = [GradingVector(rng.integers(1, 4, int(rng.integers(1, 5))))
                 for _ in range(len(activations) + 1)]

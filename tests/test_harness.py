@@ -1,19 +1,22 @@
 """Dataset generators, CSV and config handling, and the CLI end to end."""
 
 import json
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gradednn.cli import main
+from gradednn import bench
+from gradednn.cli import _build_dataset, main
 from gradednn.config import (
     ConfigError,
     experiment_config_from_dict,
     load_experiment_config,
 )
 from gradednn.datasets import (
+    Dataset,
     gen_invariant_proxy_dataset,
     gen_linear_map_dataset,
     gen_monomial_dataset,
@@ -21,7 +24,7 @@ from gradednn.datasets import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from gradednn.network import load_network, network_forward
+from gradednn.network import load_network, network_forward, save_network
 from gradednn.spaces import GradedVector, GradingVector, ones_grading
 
 Q23 = GradingVector([2, 3])
@@ -219,6 +222,14 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     (lambda d: d["dataset"].pop("exponents"), "monomial dataset needs exponents"),
     (lambda d: d["dataset"].update(box=[[0.1, 1.0]]),
      "dataset.box must hold 2 [low, high] pairs, one per coordinate"),
+    # Python's json reads these, but they are not JSON numbers
+    (lambda d: d["optimizer"].update(stop_threshold=math.nan),
+     "optimizer.stop_threshold must be a number"),
+    (lambda d: d["optimizer"].update(learning_rate=math.inf),
+     "optimizer.learning_rate must be a number"),
+    (lambda d: d["dataset"].update(low=-math.inf), "dataset.low must be a number"),
+    (lambda d: d["optimizer"].update(learning_rate=10 ** 400),
+     "optimizer.learning_rate must be a number"),
 ])
 def test_config_rejects_wrong_value_types(tmp_path, capsys, mutate, message):
     doc = _base_train_doc()
@@ -376,50 +387,100 @@ def test_cli_train_linear_map_descends(tmp_path):
     assert recs[-1]["loss"] < 0.05 * recs[0]["loss"]
 
 
-def test_cli_train_multiplicative(tmp_path):
-    doc = _base_train_doc(out_dir="mult", max_iters=200)
+def _mult_doc(out_dir, max_iters=25, **optimizer):
+    doc = _base_train_doc(out_dir=out_dir, max_iters=max_iters)
     doc["model"] = {"type": "multiplicative", "exponents": "2,3"}
-    doc["optimizer"]["learning_rate"] = 0.05
+    doc["optimizer"].update(optimizer)
     doc["dataset"]["box"] = [[0.1, 1.0], [0.1, 1.0]]
+    return doc
+
+
+def _metrics(path):
+    return [json.loads(l) for l in path.read_text().splitlines()]
+
+
+def test_cli_train_multiplicative(tmp_path):
+    doc = _mult_doc("mult", max_iters=200)
     cfg_path = _write_config(tmp_path / "exp.json", doc)
     assert main(["train", "--config", cfg_path]) == 0
-    model = json.loads((tmp_path / "mult" / "model.json").read_text())
-    assert model["kind"] == "multiplicative"
-    assert model["exponents"] == "2,3" and len(model["weights"]) == 2
+    net = load_network(tmp_path / "mult" / "model.json")
+    (layer,) = net.layers
+    assert layer.exponents == (2, 3) and layer.weight_base.shape == (1, 2)
+    assert net.out_grading == ones_grading(1)
 
 
-@pytest.mark.parametrize("key, value", [("momentum", 0.9), ("stop_threshold", 0.5)])
-def test_cli_train_multiplicative_rejects_settings_it_cannot_honour(
-        tmp_path, capsys, key, value):
-    doc = _base_train_doc(out_dir="mult3")
-    doc["model"] = {"type": "multiplicative", "exponents": "2,3"}
-    doc["optimizer"].update(momentum=0.0, stop_threshold=0.0)
-    experiment_config_from_dict(doc)  # the defaults load
-    doc["optimizer"][key] = value
-    cfg_path = _write_config(tmp_path / "exp.json", doc)
-    assert main(["train", "--config", cfg_path]) == 2
-    assert "error: optimizer.%s must be 0" % key in capsys.readouterr().err
-    assert not (tmp_path / "mult3").exists()
+def test_cli_train_multiplicative_honours_momentum_and_the_plateau_stop(tmp_path, capsys):
+    runs = {}
+    for name, optimizer in [("plain", {}), ("momentum", {"momentum": 0.9}),
+                            ("plateau", {"stop_threshold": 0.5, "stop_window": 3})]:
+        cfg_path = _write_config(tmp_path / (name + ".json"), _mult_doc(name, **optimizer))
+        assert main(["train", "--config", cfg_path]) == 0
+        runs[name] = (_metrics(tmp_path / name / "metrics.jsonl"), capsys.readouterr().out)
+    plain, momentum, plateau = (runs[n][0] for n in ("plain", "momentum", "plateau"))
+    assert len(momentum) == len(plain) == 26
+    assert momentum[0] == plain[0] and momentum[2]["loss"] != plain[2]["loss"]
+    assert len(plateau) == 4 and plateau == plain[:4]
+    assert "stop=plateau" in runs["plateau"][1]
 
 
-def test_cli_train_multiplicative_rejects_other_losses(tmp_path, capsys):
-    doc = _base_train_doc(out_dir="mult2")
-    doc["model"] = {"type": "multiplicative", "exponents": "2,3"}
+def test_cli_train_multiplicative_trains_on_any_loss(tmp_path):
+    doc = _mult_doc("mult2")
     doc["loss"] = "huber:1.0"
     cfg_path = _write_config(tmp_path / "exp.json", doc)
-    assert main(["train", "--config", cfg_path]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(["train", "--config", cfg_path]) == 0
+    assert len(_metrics(tmp_path / "mult2" / "metrics.jsonl")) == 26
 
 
-def test_cli_train_multiplicative_model_is_not_a_network(tmp_path, capsys):
-    """The multiplicative model.json has no gradings or layers; the network
-    loader must refuse it instead of loading an empty network."""
-    doc = _base_train_doc(out_dir="mult4", max_iters=3)
-    doc["model"] = {"type": "multiplicative", "exponents": "2,3"}
+def _odd_exponent_csv(path):
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, size=(24, 2))
+    y = 0.7 * x[:, 0] ** 3 * x[:, 1] + 0.1
+    write_dataset_csv(Dataset(x, y[:, None], GradingVector([1, 2]), ones_grading(1)), path)
+    return path.name
+
+
+@pytest.mark.parametrize("case", ["positive", "odd_negative", "fractional"])
+def test_cli_train_multiplicative_matches_the_reference_trainer(tmp_path, case):
+    """The engine's run of a multiplicative model writes exactly the loss and
+    gradient-norm history, and ends at exactly the weights and bias, of
+    bench.train_multiplicative from the same initial weights."""
+    doc = _mult_doc(case, max_iters=60)
+    if case == "odd_negative":
+        doc.update(grading="1,2", seed=5,
+                   dataset={"source": "csv", "path": _odd_exponent_csv(tmp_path / "neg.csv")})
+        doc["model"]["exponents"] = "3,1"
+        doc["optimizer"]["learning_rate"] = 0.1
+    if case == "fractional":
+        doc.update(grading="1/2,3/2", loss="graded_norm", seed=7)
+        doc["model"]["exponents"] = "1/2,3/2"
+        doc["optimizer"]["learning_rate"] = 0.02
+        doc["dataset"].update(exponents=["1/2", "3/2"], count=32, box=[[0.2, 1.5]] * 2)
     cfg_path = _write_config(tmp_path / "exp.json", doc)
     assert main(["train", "--config", cfg_path]) == 0
-    with pytest.raises(ConfigError, match="unknown key .*kind"):
-        load_network(tmp_path / "mult4" / "model.json")
+    recs = _metrics(tmp_path / case / "metrics.jsonl")
+    (layer,) = load_network(tmp_path / case / "model.json").layers
+
+    cfg = load_experiment_config(cfg_path)
+    ds = _build_dataset(cfg)
+    k = np.array([float(v) for v in cfg.model.exponents])
+    w0 = np.random.default_rng(cfg.optimizer.seed).uniform(0.2, 0.9, size=(1, 2))
+    w, b, losses, grad_norms, finite = bench.train_multiplicative(
+        ds.inputs, ds.targets[:, 0], k, cfg.grading.floats, w0, np.zeros(1),
+        cfg.optimizer.learning_rate, cfg.optimizer.max_iters)
+    assert finite[0] and len(recs) == 61
+    assert [r["loss"] for r in recs] == [float(l[0]) for l in losses]
+    assert [r["grad_norm"] for r in recs] == [float(g[0]) for g in grad_norms]
+    assert np.array_equal(layer.weight_base, w) and np.array_equal(layer.bias, b)
+
+
+def test_cli_train_multiplicative_model_round_trips(tmp_path):
+    """The multiplicative model.json is a network: loading and saving it
+    again writes the same bytes."""
+    cfg_path = _write_config(tmp_path / "exp.json", _mult_doc("mult4", max_iters=3))
+    assert main(["train", "--config", cfg_path]) == 0
+    path = tmp_path / "mult4" / "model.json"
+    save_network(load_network(path), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def _strict_lines(path):
@@ -455,7 +516,7 @@ def test_cli_train_multiplicative_infinite_gradient_is_a_divergence(
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["train", "--config", cfg_path]) == 3
     err = capsys.readouterr().err
-    assert "error: gradient norm became non-finite at iteration 0" in err
+    assert "error: gradient became non-finite at iteration 0 in layer 0" in err
     assert not (tmp_path / "inf").exists()
 
 
@@ -518,6 +579,9 @@ def test_cli_approx_bench_rejects_unknown_keys(tmp_path, capsys):
     ({"classical_learning_rate": "0.1"}, "classical_learning_rate"),
     ({"seed": True}, "seed"),
     ({"grading": 23}, "grading"),
+    ({"grid_low": math.nan}, "grid_low"),
+    ({"classical_learning_rate": math.inf}, "classical_learning_rate"),
+    ({"sample_high": 10 ** 400}, "sample_high"),
 ])
 def test_cli_approx_bench_rejects_wrong_value_types(tmp_path, capsys, doc, key):
     cfg_path = _write_config(tmp_path / "bench.json", doc)

@@ -247,6 +247,72 @@ def test_non_finite_forward_names_layer():
     assert "log-domain" in str(err.value)
 
 
+def _mult_net():
+    """A multiplicative first layer into an additive one."""
+    net = random_network(
+        [GradingVector(["1/2", 3]), GradingVector([1, 2]), GradingVector([1])],
+        [ActivationKind.IDENTITY, ActivationKind.GRADED_EXP],
+        np.random.default_rng(5), exponents=("1/2", 3))
+    net.layers[0].bias[:] = [0.1, -0.2]
+    return net
+
+
+def test_multiplicative_layer_computes_one_neuron_per_output():
+    net = _mult_net()
+    layer = net.layers[0]
+    x = np.array([[0.5, 2.0], [1.5, -0.25]])
+    trace, _ = forward_trace(net, x)
+    for j in range(2):
+        neuron = MultiplicativeNeuron(layer.weight_base[j], layer.exponents,
+                                      layer.bias[j], layer.in_grading)
+        for s in range(2):
+            assert trace[0][1][s, j] == multiplicative_forward(
+                neuron, GradedVector(x[s], layer.in_grading))
+    one, _ = forward_trace(net, x[1])
+    assert one[0][1].shape == (2,) and np.array_equal(one[0][1], trace[0][1][1])
+    with pytest.raises(GradedDomainError):
+        forward_trace(net, -x)  # the exponent 1/2 needs positive inputs
+
+
+def test_multiplicative_layer_is_checked():
+    g = GradingVector([1, 2])
+    w, b, act = np.ones((2, 2)), np.zeros(2), ActivationKind.IDENTITY
+    with pytest.raises(GradingMismatchError, match="exponents length"):
+        Layer(w, b, act, g, g, exponents=(2,))
+    with pytest.raises(GradedDomainError, match=">= 0"):
+        Layer(w, b, act, g, g, exponents=(2, -1))
+    blocks = [GradeBlock(Fraction(1), (0, 1), (0, 1)), GradeBlock(Fraction(2), (1, 2), (1, 2))]
+    with pytest.raises(GradingMismatchError, match="takes no blocks"):
+        Layer(np.eye(2), b, act, g, g, blocks, exponents=(2, 1))
+
+
+def test_only_the_first_layer_may_be_multiplicative():
+    g = GradingVector([1, 2])
+    mult = Layer(np.ones((2, 2)), np.zeros(2), ActivationKind.IDENTITY, g, g,
+                 exponents=(2, 1))
+    add = Layer(np.ones((2, 2)), np.zeros(2), ActivationKind.IDENTITY, g, g)
+    doc = network_to_dict(Network([mult, add]))
+    with pytest.raises(GradedDomainError, match="^layer 1 is multiplicative"):
+        Network([add, mult])
+    doc["layers"][1]["exponents"] = "2,1"
+    with pytest.raises(ConfigError, match=r"^layers\[1\]\.exponents: only the first "
+                                          r"layer may be multiplicative$"):
+        network_from_dict(doc)
+
+
+@pytest.mark.parametrize("exponents, message", [
+    (5, "layers[0].exponents must be a string"),
+    ("3", 'layers[0].exponents must be 2 nonnegative rationals such as "2,2"'),
+    ("1/2,-3", 'layers[0].exponents must be 2 nonnegative rationals such as "2,2"'),
+])
+def test_network_loader_checks_exponents(exponents, message):
+    doc = network_to_dict(_mult_net())
+    assert doc["layers"][0]["exponents"] == "1/2,3"
+    doc["layers"][0]["exponents"] = exponents
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        network_from_dict(doc)
+
+
 def test_blocks_validated_and_masked():
     gio = GradingVector([2, 3])
     blocks = [GradeBlock(Fraction(2), (0, 1), (0, 1)),
@@ -323,6 +389,7 @@ def _block_net():
         [GradingVector(["1/2", 3]), GradingVector([1, 2, 2]), GradingVector([1])],
         [ActivationKind.SIGNED_GRADED_RELU, ActivationKind.CLASSICAL_RELU],
         np.random.default_rng(3)),
+    _mult_net,
 ])
 def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
     net = make()
@@ -333,6 +400,7 @@ def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
         assert np.array_equal(mine.weight_base, theirs.weight_base)
         assert np.array_equal(mine.bias, theirs.bias)
         assert mine.blocks == theirs.blocks
+        assert mine.exponents == theirs.exponents
     save_network(back, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

@@ -138,6 +138,21 @@ def test_divergence_reported_with_layer():
         with pytest.raises(TrainingDivergenceError) as err:
             train(net, x, y, LossKind.graded_norm(), cfg)
     assert "layer 0" in str(err.value)
+    assert str(err.value).endswith(", at iteration 0")
+
+
+def test_forward_divergence_names_its_iteration():
+    # expm1(5w) is finite at w = 1, but the first step toward the target
+    # 1e6 moves w by about 1.5e9, and the forward pass of iteration 1 overflows
+    g = GradingVector([1])
+    net = Network([Layer(np.array([[1.0]]), np.zeros(1),
+                         ActivationKind.GRADED_EXP, g, g)])
+    cfg = OptimizerConfig(learning_rate=1.0, max_iters=10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergenceError) as err:
+            train(net, np.array([[5.0]]), np.array([[1e6]]), LossKind.graded_mse(), cfg)
+    assert str(err.value).startswith("layer 0 produced non-finite values")
+    assert str(err.value).endswith(", at iteration 1")
 
 
 def test_worked_convergence_setup():
