@@ -12,13 +12,22 @@ the same CSV as one run per restart.  Classical cells train with heavy-ball
 momentum (plain GD stalls at larger widths); each width also considers the
 previous width's best net padded with dead units, which makes the error
 column non-increasing by construction.
+
+The widths train independently; the carry only joins the scoring.  With
+two or more usable CPUs, one thread and two or more distinct widths, a
+forked child trains and scores every other width from the largest down
+while this process runs the graded cell and the other widths; the CSV is
+the same either way.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 import zlib
 from dataclasses import dataclass, fields
-from typing import List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -190,38 +199,89 @@ def _graded_cell(cfg: BenchConfig, x_train, y_train, grid, y_grid) -> BenchRow:
     return BenchRow("graded", 1, float(errs[best]), float(mses[best]))
 
 
-def _classical_cell(
-    cfg: BenchConfig, m: int, x_train, y_train, grid, y_grid, carry
-) -> Tuple[BenchRow, Optional[tuple]]:
-    rng = _cell_rng(cfg.seed, "classical-%d" % m)
-    widths = [2, m, 1]
-    acts = ["relu", "identity"]
-    candidates = []
-    if carry is not None:
-        candidates.append(_pad_classical(*carry, m=m))
-    # Training draws nothing from rng, so drawing every init first keeps the
-    # draw order of one init-then-train pass per restart.
-    init_w, init_b = zip(*[mlp_init(widths, rng) for _ in range(cfg.restarts)])
-    weights, biases, _ = mlp_train(
-        widths, [np.stack(ws) for ws in zip(*init_w)],
-        [np.stack(bs) for bs in zip(*init_b)], x_train, y_train[:, None], acts,
-        cfg.classical_learning_rate, cfg.classical_iters,
-        momentum=cfg.classical_momentum)
-    for r in range(cfg.restarts):
-        if all(np.all(np.isfinite(w[r])) for w in weights):
-            candidates.append(([w[r] for w in weights], [b[r] for b in biases]))
-    if not candidates:
-        return BenchRow("classical", m, float("inf"), float("inf"), "diverged"), carry
-    best = None
-    for weights, biases in candidates:
-        pred_grid = mlp_batch_forward(weights, biases, grid, acts)[:, 0]
-        err = float(np.max(np.abs(pred_grid - y_grid)))
-        pred_train = mlp_batch_forward(weights, biases, x_train, acts)[:, 0]
-        mse = float(np.mean((pred_train - y_train) ** 2))
-        if best is None or err < best[0]:
-            best = (err, mse, (weights, biases))
-    row = BenchRow("classical", m, best[0], best[1])
-    return row, best[2]
+_ACTS = ("relu", "identity")
+
+
+def _score_classical(net, x_train, y_train, grid, y_grid) -> Tuple[float, float]:
+    """(max abs error on the grid, training mse) of one classical net."""
+    weights, biases = net
+    pred_grid = mlp_batch_forward(weights, biases, grid, _ACTS)[:, 0]
+    pred_train = mlp_batch_forward(weights, biases, x_train, _ACTS)[:, 0]
+    return (float(np.max(np.abs(pred_grid - y_grid))),
+            float(np.mean((pred_train - y_train) ** 2)))
+
+
+def _fit_widths(cfg: BenchConfig, widths, data) -> dict:
+    """Per width m: its finite restarts, trained as one stacked run, each
+    scored as (error, mse, (weights, biases)) in restart order."""
+    x_train, y_train = data[:2]
+    fits = {}
+    for m in widths:
+        rng = _cell_rng(cfg.seed, "classical-%d" % m)
+        # Training draws nothing from rng, so drawing every init first keeps
+        # the draw order of one init-then-train pass per restart.
+        init_w, init_b = zip(*[mlp_init([2, m, 1], rng) for _ in range(cfg.restarts)])
+        weights, biases, _ = mlp_train(
+            [2, m, 1], [np.stack(ws) for ws in zip(*init_w)],
+            [np.stack(bs) for bs in zip(*init_b)], x_train, y_train[:, None], _ACTS,
+            cfg.classical_learning_rate, cfg.classical_iters,
+            momentum=cfg.classical_momentum)
+        fits[m] = []
+        for r in range(cfg.restarts):
+            if all(np.all(np.isfinite(w[r])) for w in weights):
+                net = ([w[r] for w in weights], [b[r] for b in biases])
+                fits[m].append(_score_classical(net, *data) + (net,))
+    return fits
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _can_split(n_widths: int) -> bool:
+    """A forked child can train half of the widths alongside this process."""
+    return (n_widths >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1)
+
+
+def _split_run(child_part: Callable, parent_part: Callable):
+    """(child_part(), parent_part()), the first run in a forked child while
+    this process runs the second; an exception in the child is raised here.
+
+    The child sends its result, or its exception, over a pipe as a pickle
+    and always leaves through os._exit.  The parent reads the whole pipe
+    before it waits, since the reply can exceed the pipe buffer, and closes
+    it on failure, so that a child blocked on a write ends too; either way
+    it waits, so no child outlives the call.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        replied = False
+        try:
+            os.close(read_fd)
+            try:
+                reply = (True, child_part())
+            except BaseException as exc:
+                reply = (False, exc)
+            with open(write_fd, "wb") as fh:
+                pickle.dump(reply, fh, pickle.HIGHEST_PROTOCOL)
+            replied = True
+        finally:
+            os._exit(0 if replied else 1)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as fh:
+            mine = parent_part()
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError("the approx-bench child process exited without a reply")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value, mine
 
 
 def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
@@ -231,12 +291,33 @@ def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
     y_train = _target(cfg.grading, x_train)
     grid = _grid(cfg)
     y_grid = _target(cfg.grading, grid)
+    data = (x_train, y_train, grid, y_grid)
 
-    rows = [_graded_cell(cfg, x_train, y_train, grid, y_grid)]
+    widths = sorted(set(cfg.hidden_sizes), reverse=True)
+    if _can_split(len(widths)):
+        fits, (graded, ours) = _split_run(
+            lambda: _fit_widths(cfg, widths[0::2], data),
+            lambda: (_graded_cell(cfg, *data), _fit_widths(cfg, widths[1::2], data)))
+        fits.update(ours)
+    else:
+        graded, fits = _graded_cell(cfg, *data), _fit_widths(cfg, widths, data)
+
+    rows = [graded]
     carry = None
     for m in cfg.hidden_sizes:
-        row, carry = _classical_cell(cfg, m, x_train, y_train, grid, y_grid, carry)
-        rows.append(row)
+        candidates = fits[m]
+        if carry is not None:
+            net = _pad_classical(*carry, m=m)
+            candidates = [_score_classical(net, *data) + (net,)] + candidates
+        if not candidates:
+            rows.append(BenchRow("classical", m, float("inf"), float("inf"), "diverged"))
+            continue
+        best = candidates[0]
+        for cand in candidates[1:]:
+            if cand[0] < best[0]:  # a tie or a nan keeps the earlier net
+                best = cand
+        rows.append(BenchRow("classical", m, best[0], best[1]))
+        carry = best[2]
     return rows
 
 

@@ -24,8 +24,7 @@ from .spaces import GradedError, GradingVector, ones_grading, parse_grading
 
 @dataclass
 class ModelSpec:
-    kind: str  # "feedforward" | "multiplicative"
-    layers: List[Tuple[GradingVector, ActivationKind]] = field(default_factory=list)
+    layers: List[Tuple[GradingVector, ActivationKind]]
     exponents: Optional[Tuple[Fraction, ...]] = None  # a multiplicative first layer's
 
 
@@ -102,14 +101,13 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
             layers.append((g, act))
         if not layers:
             raise ConfigError("feedforward model needs at least one layer")
-        model = ModelSpec(kind="feedforward", layers=layers)
+        model = ModelSpec(layers=layers)
     elif kind == "multiplicative":
         # one product neuron: a multiplicative identity layer to grade 1
         reject_unknown_keys(mdoc, {"type", "exponents"}, "model.")
         exponents = parse_exponents(_need(mdoc, "exponents", "model"), len(grading),
                                     "model.exponents")
-        model = ModelSpec(kind="multiplicative",
-                          layers=[(ones_grading(1), ActivationKind.IDENTITY)],
+        model = ModelSpec(layers=[(ones_grading(1), ActivationKind.IDENTITY)],
                           exponents=exponents)
     else:
         raise ConfigError("unknown model type %r" % kind)

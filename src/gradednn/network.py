@@ -223,12 +223,14 @@ def multiplicative_core(w: np.ndarray, k: np.ndarray, x: np.ndarray,
                         sign: np.ndarray) -> np.ndarray:
     """The neuron without its bias, prod_i sign_i |w_i x_i|**k_i, for each
     row of x (N, n) with sign = multiplicative_sign(k, x): weights (n,) give
-    (N,), a stack of R neurons (R, n) gives (R, N)."""
+    (N,), a stack of R neurons (R, n) gives (R, N).  An overflow gives inf
+    or nan without a warning: every caller checks the result for finiteness."""
     terms = w[..., None, :] * x
     np.abs(terms, out=terms)
-    terms **= k
-    terms *= sign
-    return np.prod(terms, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms **= k
+        terms *= sign
+        return np.prod(terms, axis=-1)
 
 
 def multiplicative_slope(w: np.ndarray, k: np.ndarray, core: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ reference loops below compute, and the approximation benchmark must report
 what one training run per restart reports."""
 
 import math
+import os
+import signal
 import zlib
 
 import numpy as np
@@ -382,11 +384,80 @@ def _per_restart_rows(cfg):
     return rows
 
 
+def _small_bench(**changes):
+    doc = {"hidden_sizes": [1, 3, 8], "train_count": 48, "restarts": 4,
+           "classical_iters": 150, "graded_iters": 30, "grid_points": 21}
+    doc.update(changes)
+    return bench.bench_config_from_dict(doc)
+
+
+def _fork_counter(monkeypatch, cpus):
+    """Report `cpus` usable CPUs to approx_bench and record its forks."""
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "forked"])
 @pytest.mark.parametrize("seed", [0, 4])
-def test_approx_bench_matches_per_restart_reference(seed):
-    cfg = bench.bench_config_from_dict({
-        "hidden_sizes": [1, 3, 8], "train_count": 48, "restarts": 4,
-        "classical_iters": 150, "graded_iters": 30, "grid_points": 21,
-        "seed": seed,
-    })
+def test_approx_bench_matches_per_restart_reference(seed, cpus, monkeypatch):
+    forks = _fork_counter(monkeypatch, cpus)
+    cfg = _small_bench(seed=seed)
     assert bench.approx_bench(cfg) == _per_restart_rows(cfg)
+    assert len(forks) == (cpus > 1)
+
+
+@pytest.mark.parametrize("failing", [8, 3], ids=["child", "parent"])
+def test_approx_bench_raises_what_a_width_raises(failing, monkeypatch):
+    """Widths 8 and 1 train in the child, 3 in the parent: either way the
+    call raises the width's exception and leaves no process behind."""
+    _fork_counter(monkeypatch, 2)
+    real_train = bench.mlp_train
+
+    def mlp_train(widths, *args, **kwargs):
+        if widths[1] == failing:
+            raise FloatingPointError("width %d in process %d" % (failing, os.getpid()))
+        return real_train(widths, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "mlp_train", mlp_train)
+    with pytest.raises(FloatingPointError, match="width %d" % failing) as info:
+        bench.approx_bench(_small_bench())
+    in_parent = str(info.value).endswith(" %d" % os.getpid())
+    assert in_parent == (failing == 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("hidden_sizes", [[4], [4, 4]], ids=["one", "repeated"])
+def test_approx_bench_with_one_width_never_forks(hidden_sizes, monkeypatch):
+    forks = _fork_counter(monkeypatch, 2)
+    cfg = _small_bench(hidden_sizes=hidden_sizes)
+    assert bench.approx_bench(cfg) == _per_restart_rows(cfg)
+    assert forks == []
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("approx_bench did not return")
+
+
+def test_approx_bench_child_reply_larger_than_the_pipe_buffer(monkeypatch):
+    """Width 1200's restarts pickle to about 150 KB, past a 64 KiB pipe: a
+    parent that waited for the child before reading would never return."""
+    cfg = _small_bench(hidden_sizes=[2, 1200], classical_iters=3, graded_iters=3)
+    forks = _fork_counter(monkeypatch, 2)
+    handler = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(60)
+    try:
+        forked = bench.approx_bench(cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+    assert len(forks) == 1 and forked == bench.approx_bench(cfg)

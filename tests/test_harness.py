@@ -24,7 +24,7 @@ from gradednn.datasets import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from gradednn.network import load_network, network_forward, save_network
+from gradednn.network import ActivationKind, load_network, network_forward, save_network
 from gradednn.spaces import GradedVector, GradingVector, ones_grading
 
 Q23 = GradingVector([2, 3])
@@ -127,7 +127,8 @@ def test_csv_errors(tmp_path):
 def test_config_parses_round():
     cfg = experiment_config_from_dict(_base_train_doc())
     assert cfg.grading == Q23
-    assert cfg.model.kind == "feedforward"
+    assert cfg.model.layers == [(ones_grading(1), ActivationKind.IDENTITY)]
+    assert cfg.model.exponents is None
     assert cfg.loss.name == "graded_mse"
     assert cfg.optimizer.max_iters == 25
     assert cfg.optimizer.seed == 3  # falls back to the experiment seed
@@ -518,6 +519,20 @@ def test_cli_train_multiplicative_infinite_gradient_is_a_divergence(
     err = capsys.readouterr().err
     assert "error: gradient became non-finite at iteration 0 in layer 0" in err
     assert not (tmp_path / "inf").exists()
+
+
+def test_cli_train_multiplicative_overflow_is_one_error_line(tmp_path, capsys):
+    """An overflowing product neuron is exit 3 with the divergence error as
+    the whole of stderr: no numpy warning comes first."""
+    doc = _base_train_doc(out_dir="over", max_iters=200)
+    doc.update(grading="1,1", model={"type": "multiplicative", "exponents": "2,3"},
+               seed=0)
+    doc["optimizer"].update(momentum=0.9)
+    doc["dataset"]["count"] = 64
+    cfg_path = _write_config(tmp_path / "exp.json", doc)
+    assert main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*at iteration 4\n", err), err
 
 
 def test_cli_train_bad_config_exit_code(tmp_path, capsys):
