@@ -22,19 +22,25 @@ the same either way.
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
 import zlib
 from dataclasses import dataclass, fields
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .classical import mlp_batch_forward, mlp_init, mlp_train
 from .datasets import monomial_value
 from .gradients import _scaled_norm
-from .ioutil import ConfigError, fmt17, int_value, is_int, number_value, reject_unknown_keys
+from .ioutil import (
+    ConfigError,
+    _can_split,
+    _split_run,
+    fmt17,
+    int_value,
+    is_int,
+    number_value,
+    reject_unknown_keys,
+)
 from .network import multiplicative_core, multiplicative_sign, multiplicative_slope
 from .spaces import GradingVector, parse_grading
 
@@ -234,56 +240,6 @@ def _fit_widths(cfg: BenchConfig, widths, data) -> dict:
     return fits
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _can_split(n_widths: int) -> bool:
-    """A forked child can train half of the widths alongside this process."""
-    return (n_widths >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2
-            and threading.active_count() == 1)
-
-
-def _split_run(child_part: Callable, parent_part: Callable):
-    """(child_part(), parent_part()), the first run in a forked child while
-    this process runs the second; an exception in the child is raised here.
-
-    The child sends its result, or its exception, over a pipe as a pickle
-    and always leaves through os._exit.  The parent reads the whole pipe
-    before it waits, since the reply can exceed the pipe buffer, and closes
-    it on failure, so that a child blocked on a write ends too; either way
-    it waits, so no child outlives the call.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        replied = False
-        try:
-            os.close(read_fd)
-            try:
-                reply = (True, child_part())
-            except BaseException as exc:
-                reply = (False, exc)
-            with open(write_fd, "wb") as fh:
-                pickle.dump(reply, fh, pickle.HIGHEST_PROTOCOL)
-            replied = True
-        finally:
-            os._exit(0 if replied else 1)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as fh:
-            mine = parent_part()
-            payload = fh.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        raise RuntimeError("the approx-bench child process exited without a reply")
-    ok, value = pickle.loads(payload)
-    if not ok:
-        raise value
-    return value, mine
-
-
 def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
     data_rng = np.random.default_rng([cfg.seed, zlib.crc32(b"data")])
     x_train = data_rng.uniform(
@@ -294,7 +250,7 @@ def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
     data = (x_train, y_train, grid, y_grid)
 
     widths = sorted(set(cfg.hidden_sizes), reverse=True)
-    if _can_split(len(widths)):
+    if len(widths) >= 2 and _can_split():
         fits, (graded, ours) = _split_run(
             lambda: _fit_widths(cfg, widths[0::2], data),
             lambda: (_graded_cell(cfg, *data), _fit_widths(cfg, widths[1::2], data)))

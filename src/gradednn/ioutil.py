@@ -1,4 +1,5 @@
-"""Serialization helpers and JSON value checks shared by the file formats.
+"""Serialization helpers and JSON value checks shared by the file formats,
+and the fork helper that approx-bench and grad-check split their work with.
 
 JSON artifacts are written by the stdlib: a float's repr is the shortest text
 that reads back as the same double, so saving and reloading is bit-exact,
@@ -10,6 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import threading
+from typing import Callable
 
 
 class ConfigError(ValueError):
@@ -68,3 +73,55 @@ def write_json(path, doc) -> None:
     text = json.dumps(doc, indent=1, allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _can_split() -> bool:
+    """A forked child can run part of a command's work alongside this
+    process: the platform forks, at least two CPUs are usable, and no other
+    thread is running, whose locks the child would inherit held."""
+    return (hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1)
+
+
+def _split_run(child_part: Callable, parent_part: Callable):
+    """(child_part(), parent_part()), the first run in a forked child while
+    this process runs the second; an exception in the child is raised here.
+
+    The child sends its result, or its exception, over a pipe as a pickle
+    and always leaves through os._exit.  The parent reads the whole pipe
+    before it waits, since the reply can exceed the pipe buffer, and closes
+    it on failure, so that a child blocked on a write ends too; either way
+    it waits, so no child outlives the call.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        replied = False
+        try:
+            os.close(read_fd)
+            try:
+                reply = (True, child_part())
+            except BaseException as exc:
+                reply = (False, exc)
+            with open(write_fd, "wb") as fh:
+                pickle.dump(reply, fh, pickle.HIGHEST_PROTOCOL)
+            replied = True
+        finally:
+            os._exit(0 if replied else 1)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as fh:
+            mine = parent_part()
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError("a forked child process exited without a reply")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value, mine

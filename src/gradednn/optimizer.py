@@ -134,33 +134,38 @@ def train(
     inputs, targets = _stack(net, inputs, targets)
     result = TrainResult(network=net)
     velocity = None
-    for t in range(cfg.max_iters + 1):
-        try:
-            bundle = batch_gradient(net, inputs, targets, kind)
-        except TrainingDivergenceError as exc:
-            raise TrainingDivergenceError("%s, at iteration %d" % (exc, t)) from exc
-        if not np.isfinite(bundle.loss):
-            raise TrainingDivergenceError(
-                "loss became non-finite at iteration %d; consider log-domain "
-                "evaluation or a smaller learning rate" % t
-            )
-        grad_norm = bundle.grad_norm()
-        if not np.isfinite(grad_norm):
-            # argmax picks the first NaN, else the first infinite layer norm
-            raise TrainingDivergenceError("gradient became non-finite at iteration %d "
-                                          "in layer %d" % (t, np.argmax(bundle.layer_norms())))
-        result.losses.append(bundle.loss)
-        result.grad_norms.append(grad_norm)
-        if t == cfg.max_iters:
-            result.stop_reason = "max_iters"
-            break
-        w = cfg.stop_window
-        if (
-            cfg.stop_threshold > 0
-            and len(result.losses) > w
-            and result.losses[-1 - w] - result.losses[-1] < cfg.stop_threshold
-        ):
-            result.stop_reason = "plateau"
-            break
-        velocity = sgd_step(net, bundle, cfg, velocity)
+    # an overflow or invalid operation inside an iteration shows as a
+    # non-finite value that the checks below or the next forward pass
+    # report as a divergence, so numpy's warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.max_iters + 1):
+            try:
+                bundle = batch_gradient(net, inputs, targets, kind)
+            except TrainingDivergenceError as exc:
+                raise TrainingDivergenceError("%s, at iteration %d" % (exc, t)) from exc
+            if not np.isfinite(bundle.loss):
+                raise TrainingDivergenceError(
+                    "loss became non-finite at iteration %d; consider log-domain "
+                    "evaluation or a smaller learning rate" % t
+                )
+            grad_norm = bundle.grad_norm()
+            if not np.isfinite(grad_norm):
+                # argmax picks the first NaN, else the first infinite layer norm
+                raise TrainingDivergenceError(
+                    "gradient became non-finite at iteration %d in layer %d"
+                    % (t, np.argmax(bundle.layer_norms())))
+            result.losses.append(bundle.loss)
+            result.grad_norms.append(grad_norm)
+            if t == cfg.max_iters:
+                result.stop_reason = "max_iters"
+                break
+            w = cfg.stop_window
+            if (
+                cfg.stop_threshold > 0
+                and len(result.losses) > w
+                and result.losses[-1 - w] - result.losses[-1] < cfg.stop_threshold
+            ):
+                result.stop_reason = "plateau"
+                break
+            velocity = sgd_step(net, bundle, cfg, velocity)
     return result

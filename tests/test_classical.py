@@ -391,34 +391,20 @@ def _small_bench(**changes):
     return bench.bench_config_from_dict(doc)
 
 
-def _fork_counter(monkeypatch, cpus):
-    """Report `cpus` usable CPUs to approx_bench and record its forks."""
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "forked"])
 @pytest.mark.parametrize("seed", [0, 4])
-def test_approx_bench_matches_per_restart_reference(seed, cpus, monkeypatch):
-    forks = _fork_counter(monkeypatch, cpus)
+def test_approx_bench_matches_per_restart_reference(seed, cpus, fork_counter):
+    forks = fork_counter(cpus)
     cfg = _small_bench(seed=seed)
     assert bench.approx_bench(cfg) == _per_restart_rows(cfg)
     assert len(forks) == (cpus > 1)
 
 
 @pytest.mark.parametrize("failing", [8, 3], ids=["child", "parent"])
-def test_approx_bench_raises_what_a_width_raises(failing, monkeypatch):
+def test_approx_bench_raises_what_a_width_raises(failing, monkeypatch, fork_counter):
     """Widths 8 and 1 train in the child, 3 in the parent: either way the
     call raises the width's exception and leaves no process behind."""
-    _fork_counter(monkeypatch, 2)
+    fork_counter(2)
     real_train = bench.mlp_train
 
     def mlp_train(widths, *args, **kwargs):
@@ -436,8 +422,8 @@ def test_approx_bench_raises_what_a_width_raises(failing, monkeypatch):
 
 
 @pytest.mark.parametrize("hidden_sizes", [[4], [4, 4]], ids=["one", "repeated"])
-def test_approx_bench_with_one_width_never_forks(hidden_sizes, monkeypatch):
-    forks = _fork_counter(monkeypatch, 2)
+def test_approx_bench_with_one_width_never_forks(hidden_sizes, fork_counter):
+    forks = fork_counter(2)
     cfg = _small_bench(hidden_sizes=hidden_sizes)
     assert bench.approx_bench(cfg) == _per_restart_rows(cfg)
     assert forks == []
@@ -447,11 +433,11 @@ def _time_out(signum, frame):
     raise TimeoutError("approx_bench did not return")
 
 
-def test_approx_bench_child_reply_larger_than_the_pipe_buffer(monkeypatch):
+def test_approx_bench_child_reply_larger_than_the_pipe_buffer(fork_counter):
     """Width 1200's restarts pickle to about 150 KB, past a 64 KiB pipe: a
     parent that waited for the child before reading would never return."""
     cfg = _small_bench(hidden_sizes=[2, 1200], classical_iters=3, graded_iters=3)
-    forks = _fork_counter(monkeypatch, 2)
+    forks = fork_counter(2)
     handler = signal.signal(signal.SIGALRM, _time_out)
     signal.alarm(60)
     try:
@@ -459,5 +445,5 @@ def test_approx_bench_child_reply_larger_than_the_pipe_buffer(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+    fork_counter(1)
     assert len(forks) == 1 and forked == bench.approx_bench(cfg)

@@ -1,10 +1,14 @@
 """Analytic gradients against hand values and finite differences."""
 
+import os
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from gradednn import gradients
 from gradednn.gradients import (
     _CHECK_KINDS,
     _MAX_CHECK_LOSS,
@@ -15,7 +19,7 @@ from gradednn.gradients import (
     loss_grad,
     network_backward,
 )
-from gradednn.losses import LossKind, loss_rows, loss_value
+from gradednn.losses import LossKind, _loss_part, loss_rows, loss_value
 from gradednn.network import (
     ActivationKind,
     GradeBlock,
@@ -239,10 +243,13 @@ def test_grad_check_suite_deterministic():
 
 
 def _reference_fd_check(net, x, y, kind, eps=1e-5):
-    """One full (1, n) forward pass per perturbed parameter entry, changed in
-    place: the loop the stacked finite_diff_check replaces."""
-    xs, ys = x.values[np.newaxis], y.values[np.newaxis]
-    bundle = network_backward(net, x, y, kind)
+    """One full forward pass per perturbed parameter entry, changed in
+    place: the loop the stacked finite_diff_check replaces.  x and y are
+    graded vectors, or (N, n) arrays of N samples whose mean loss counts."""
+    xs, ys = x, y
+    if isinstance(x, GradedVector):
+        xs, ys = x.values[np.newaxis], y.values[np.newaxis]
+    bundle = network_backward(net, xs, ys, kind)
     analytic = [g for pair in zip(bundle.weight_grads, bundle.bias_grads) for g in pair]
 
     def current_loss():
@@ -402,6 +409,91 @@ def test_known_rounding_limited_seed_passes():
 def test_grad_check_suite_rejects_empty_count():
     with pytest.raises(ValueError, match="count"):
         grad_check_suite(count=0)
+
+
+def test_grad_check_suite_rejects_eps_before_drawing(monkeypatch, fork_counter):
+    forks, drawn = fork_counter(2), []
+    monkeypatch.setattr(gradients, "_random_check_case",
+                        lambda rng, kind: drawn.append(kind))
+    for eps in (1e-2, 1e-8):
+        with pytest.raises(ValueError, match=re.escape("eps should lie in [1e-7, 1e-4]")):
+            grad_check_suite(eps=eps, count=10)
+    assert forks == [] and drawn == []
+
+
+@pytest.mark.parametrize("seed", [0, 12, 2204877786710033])
+@pytest.mark.parametrize("count", [1, 2, 7, 100])
+def test_grad_check_suite_forked_matches_in_process(count, seed, fork_counter):
+    """The parent checks the first 5 count // 8 cases while a forked child
+    continues the generator with the rest; count 1 leaves the parent no
+    case, so it never forks."""
+    forks = fork_counter(2)
+    forked = grad_check_suite(count=count, seed=seed)
+    assert len(forks) == (count > 1)
+    fork_counter(1)
+    assert forked == grad_check_suite(count=count, seed=seed)
+
+
+@pytest.mark.parametrize("failing", [5, 2], ids=["child", "parent"])
+def test_grad_check_suite_raises_what_a_case_raises(failing, monkeypatch, fork_counter):
+    """Of 7 cases the parent checks 0 to 3 and the child 4 to 6: either way
+    the call raises the case's exception, as the in-process run does, and
+    leaves no process behind."""
+    real_check = gradients.finite_diff_check
+
+    def finite_diff_check(net, x, y, kind, eps):
+        if kind is _CHECK_KINDS[failing]:
+            raise FloatingPointError("case %d in process %d" % (failing, os.getpid()))
+        return real_check(net, x, y, kind, eps)
+
+    monkeypatch.setattr(gradients, "finite_diff_check", finite_diff_check)
+    forks = fork_counter(2)
+    with pytest.raises(FloatingPointError, match="case %d" % failing) as info:
+        grad_check_suite(count=7)
+    assert len(forks) == 1
+    assert str(info.value).endswith(" %d" % os.getpid()) == (failing == 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    fork_counter(1)
+    with pytest.raises(FloatingPointError, match="case %d" % failing):
+        grad_check_suite(count=7)
+
+
+# what train can build and grad-check's sampler never draws: rational grades
+# and batches of N > 1
+_RATIONAL_GRADES = tuple(Fraction(g) for g in ("1/3", "1/2", "2/3", "1", "3/2", "2", "5/2"))
+_SMOOTH_ACTS = tuple(a for a in ActivationKind if a is not ActivationKind.GRADED_EXP)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_backward_matches_central_differences_on_rational_batches(data):
+    """Depth 1 or 2, widths 1 to 4, N = 1 to 5, screened as the grad-check
+    sampler screens: weights in (0.2, 1.5) and inputs in (0.5, 1.5) keep
+    every z positive, here at least 0.05, and no sample sits at a loss kink
+    or past the large-loss screen.  The nets come from a generator of their
+    own, outside grad-check's stream."""
+    kind = data.draw(st.sampled_from(_CHECK_KINDS))
+    depth = data.draw(st.integers(1, 2))
+    widths = data.draw(st.lists(st.integers(1, 4), min_size=depth + 1, max_size=depth + 1))
+    pools = [_RATIONAL_GRADES] * (depth + 1)
+    if kind.scheme is ExponentScheme.BY_MAX_GRADE:
+        # its exponents are defined for integer output grades only
+        pools[-1] = tuple(g for g in _RATIONAL_GRADES if g.denominator == 1)
+    gradings = [GradingVector(data.draw(st.lists(st.sampled_from(pool), min_size=w,
+                                                 max_size=w)))
+                for pool, w in zip(pools, widths)]
+    acts = data.draw(st.lists(st.sampled_from(_SMOOTH_ACTS), min_size=depth, max_size=depth))
+    n = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    net = random_network(gradings, acts, rng, low=0.2, high=1.5)
+    x = rng.uniform(0.5, 1.5, (n, widths[0]))
+    y = rng.uniform(0.1, 1.0, (n, widths[-1]))
+    trace, out = forward_trace(net, x)
+    assume(min(float(np.min(np.abs(z))) for _, z, _ in trace) >= 0.05)
+    assume(not np.any(_loss_part(kind, "kink", gradings[-1], y, out)))
+    assume(abs(loss_value(kind, y, out, gradings[-1])) <= _MAX_CHECK_LOSS)
+    assert _reference_fd_check(net, x, y, kind, eps=1e-6) < GRAD_CHECK_TOL
 
 
 # widths, activation names, x and y of the first 21 cases the sampler draws

@@ -535,6 +535,39 @@ def test_cli_train_multiplicative_overflow_is_one_error_line(tmp_path, capsys):
     assert re.fullmatch(r"error: [^\n]*at iteration 4\n", err), err
 
 
+def _train_mlp_doc(learning_rate, hidden_activation):
+    """The benchmark's train_mlp config on 64 samples, seed 1."""
+    return {
+        "grading": "2,4,6,10",
+        "model": {"type": "feedforward", "layers": [
+            {"grading": "1,1,2,2,3,3,4,4", "activation": hidden_activation},
+            {"grading": "1", "activation": "identity"}]},
+        "loss": "graded_mse",
+        "optimizer": {"learning_rate": learning_rate, "max_iters": 100,
+                      "momentum": 0.9, "seed": 1},
+        "dataset": {"source": "invariant_proxy", "count": 64, "seed": 1},
+        "out_dir": "diverged",
+        "seed": 1,
+    }
+
+
+@pytest.mark.parametrize("learning_rate, hidden_activation, message", [
+    (1000.0, "signed_graded_relu", "loss became non-finite at iteration 47"),
+    (50.0, "graded_exp", "layer 0 produced non-finite values.*at iteration 2"),
+], ids=["loss_overflow", "exp_overflow"])
+def test_cli_train_feedforward_divergence_is_one_error_line(
+        tmp_path, capsys, learning_rate, hidden_activation, message):
+    """The loss overflows in graded_mse, or the exponential hidden layer in
+    expm1 and then the next matmul: exit 3 with the divergence error as the
+    whole of stderr, and no numpy warning before it."""
+    doc = _train_mlp_doc(learning_rate, hidden_activation)
+    cfg_path = _write_config(tmp_path / "exp.json", doc)
+    assert main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*\n", err) and re.search(message, err), err
+    assert not (tmp_path / "diverged").exists()
+
+
 def test_cli_train_bad_config_exit_code(tmp_path, capsys):
     doc = _base_train_doc()
     del doc["loss"]
