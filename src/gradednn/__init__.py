@@ -26,20 +26,15 @@ from .spaces import (
 )
 from .network import (
     ActivationKind,
-    AdditiveNeuron,
     GradeBlock,
     Layer,
-    MultiplicativeNeuron,
     Network,
     NonFiniteForwardError,
-    SignedLog,
-    additive_forward,
     graded_exp,
     graded_relu,
     load_network,
     log_domain_forward,
     multiplicative_core,
-    multiplicative_forward,
     multiplicative_sign,
     multiplicative_slope,
     network_forward,

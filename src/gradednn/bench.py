@@ -10,8 +10,10 @@ stacked run (`train_multiplicative` on the multiplicative kernel of
 `network` for the graded neuron, `mlp_train` for a classical width), with
 the same CSV as one run per restart.  Classical cells train with heavy-ball
 momentum (plain GD stalls at larger widths); each width also considers the
-previous width's best net padded with dead units, which makes the error
-column non-increasing by construction.
+previous width's best net padded with dead units.  The padded net computes
+the same function, so it keeps the score it was given instead of being
+scored again at the wider width, where a different summation order could
+raise the error by an ulp; that makes the error column non-increasing.
 
 The widths train independently; the carry only joins the scoring.  With
 two or more usable CPUs, one thread and two or more distinct widths, a
@@ -40,9 +42,10 @@ from .ioutil import (
     is_int,
     number_value,
     reject_unknown_keys,
+    str_value,
 )
 from .network import multiplicative_core, multiplicative_sign, multiplicative_slope
-from .spaces import GradingVector, parse_grading
+from .spaces import GradedError, GradingVector, parse_grading
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,12 @@ class BenchConfig:
             raise ValueError("grid_points >= 2 and restarts >= 1 required")
         if min(self.hidden_sizes, default=1) < 1 or self.train_count < 1:
             raise ValueError("hidden sizes and train_count must be positive")
+        if list(self.hidden_sizes) != sorted(self.hidden_sizes):
+            raise ValueError("hidden_sizes must be non-decreasing")
         if min(self.classical_iters, self.graded_iters) < 0:
             raise ValueError("iteration counts must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _bench_value(key: str, value, default):
@@ -89,7 +96,11 @@ def _bench_value(key: str, value, default):
 
 def bench_config_from_dict(doc: dict) -> BenchConfig:
     reject_unknown_keys(doc, {f.name for f in fields(BenchConfig)}, "")
-    kwargs = {"grading": parse_grading(doc.get("grading", "2,3"))}
+    text = str_value(doc.get("grading", "2,3"), "grading")
+    try:
+        kwargs = {"grading": parse_grading(text)}
+    except (ValueError, GradedError) as exc:
+        raise ConfigError("grading: %s" % exc) from None
     for f in fields(BenchConfig):
         if f.name in doc and f.name != "grading":
             kwargs[f.name] = _bench_value(f.name, doc[f.name], f.default)
@@ -263,8 +274,8 @@ def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
     for m in cfg.hidden_sizes:
         candidates = fits[m]
         if carry is not None:
-            net = _pad_classical(*carry, m=m)
-            candidates = [_score_classical(net, *data) + (net,)] + candidates
+            # the padded net computes the same function, so it keeps its score
+            candidates = [carry[:2] + (_pad_classical(*carry[2], m=m),)] + candidates
         if not candidates:
             rows.append(BenchRow("classical", m, float("inf"), float("inf"), "diverged"))
             continue
@@ -273,7 +284,7 @@ def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
             if cand[0] < best[0]:  # a tie or a nan keeps the earlier net
                 best = cand
         rows.append(BenchRow("classical", m, best[0], best[1]))
-        carry = best[2]
+        carry = best
     return rows
 
 

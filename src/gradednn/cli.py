@@ -141,7 +141,7 @@ def _cmd_approx_bench(args: argparse.Namespace) -> int:
         if not isinstance(doc, dict):
             raise ValueError("benchmark config root must be a JSON object")
         cfg = bench_config_from_dict(doc)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, GradedError) as exc:  # JSONDecodeError included
         print("error: %s" % exc, file=sys.stderr)
         return 2
     rows = approx_bench(cfg)

@@ -89,12 +89,17 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
     kind = _need(mdoc, "type", "model")
     if kind == "feedforward":
         reject_unknown_keys(mdoc, {"type", "layers"}, "model.")
+        ldocs = _need(mdoc, "layers", "model")
+        if not isinstance(ldocs, list):
+            raise ConfigError("model.layers must be a list of layer objects")
         layers = []
-        for i, ldoc in enumerate(_need(mdoc, "layers", "model")):
+        for i, ldoc in enumerate(ldocs):
             where = "model.layers[%d]" % i
+            text = _need(ldoc, "grading", where)
+            name = str_value(_need(ldoc, "activation", where), where + ".activation")
             try:
-                g = parse_grading(_need(ldoc, "grading", where))
-                act = parse_activation(_need(ldoc, "activation", where))
+                g = parse_grading(text)
+                act = parse_activation(name)
             except (ValueError, GradedError) as exc:
                 raise ConfigError("%s: %s" % (where, exc)) from None
             reject_unknown_keys(ldoc, {"grading", "activation"}, where + ".")
@@ -118,7 +123,7 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
     except ValueError as exc:
         raise ConfigError("bad loss: %s" % exc) from None
 
-    seed = int_value(doc.get("seed", 0), "seed")
+    seed = int_value(doc.get("seed", 0), "seed", low=0)
     odoc = _need(doc, "optimizer", "config")
     settings = dict(
         learning_rate=number_value(_need(odoc, "learning_rate", "optimizer"),
@@ -128,7 +133,7 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
         stop_threshold=number_value(odoc.get("stop_threshold", 0.0),
                                     "optimizer.stop_threshold"),
         stop_window=int_value(odoc.get("stop_window", 10), "optimizer.stop_window"),
-        seed=int_value(odoc.get("seed", seed), "optimizer.seed"),
+        seed=int_value(odoc.get("seed", seed), "optimizer.seed", low=0),
     )
     try:
         optimizer = OptimizerConfig(**settings)
@@ -145,7 +150,7 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
     params = {k: v for k, v in ddoc.items() if k != "source"}
     for key in ("count", "seed"):
         if key in params:
-            params[key] = int_value(params[key], "dataset." + key)
+            params[key] = int_value(params[key], "dataset." + key, low=0)
     for key in ("low", "high", "coefficient"):
         if key in params:
             params[key] = number_value(params[key], "dataset." + key)

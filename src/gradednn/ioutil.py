@@ -14,7 +14,7 @@ import math
 import os
 import pickle
 import threading
-from typing import Callable
+from typing import Callable, Optional
 
 
 class ConfigError(ValueError):
@@ -33,11 +33,14 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def int_value(value, path: str) -> int:
-    """value if it is a JSON integer, else a ConfigError naming path."""
-    if is_int(value):
-        return value
-    raise ConfigError("%s must be an integer" % path)
+def int_value(value, path: str, low: Optional[int] = None) -> int:
+    """value if it is a JSON integer, at least low if given, else a
+    ConfigError naming path."""
+    if not is_int(value):
+        raise ConfigError("%s must be an integer" % path)
+    if low is not None and value < low:
+        raise ConfigError("%s must be >= %d" % (path, low))
+    return value
 
 
 def number_value(value, path: str) -> float:

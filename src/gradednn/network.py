@@ -1,5 +1,6 @@
 """Grade-aware neurons, activations, layers and networks.
 
+A neuron is one output of a Layer; a single neuron is a one-output Layer.
 An additive neuron computes sum_i sgn(w_i)|w_i|**q_i * x_i + b, so the weight
 exponent follows the grade of the *input* coordinate.  Activations take the
 grade of the coordinate they produce.  A multiplicative neuron computes
@@ -7,12 +8,12 @@ prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b, graded-homogeneous of degree
 sum_i q_i k_i; every caller takes its value and weight gradient from the
 batched multiplicative_sign/_core/_slope kernel.  A Layer with exponents is
 a layer of such neurons, allowed only as a network's first layer.
+log_domain_forward evaluates a whole layer as signs and log-magnitudes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -130,62 +131,6 @@ def weight_base_slope(weight_base: np.ndarray, in_grading: GradingVector) -> np.
     return np.where(nz, q * safe ** (q - 1.0), at_zero)
 
 
-@dataclass
-class AdditiveNeuron:
-    """weights and bias of a single graded additive unit."""
-
-    weights: np.ndarray
-    bias: float
-    grading: GradingVector
-
-    def __post_init__(self):
-        self.weights = np.array(self.weights, dtype=float)
-        self.bias = float(self.bias)
-        if self.weights.ndim != 1 or self.weights.shape[0] != len(self.grading):
-            raise GradingMismatchError("weight length does not match grading")
-
-
-def additive_forward(neuron: AdditiveNeuron, x: GradedVector) -> float:
-    if x.grading != neuron.grading:
-        raise GradingMismatchError("input grading does not match neuron grading")
-    eff = effective_weights(neuron.weights, neuron.grading)
-    return float(np.dot(eff, x.values) + neuron.bias)
-
-
-@dataclass
-class MultiplicativeNeuron:
-    """prod_i sgn(x_i)**k_i |w_i x_i|**k_i plus a bias.
-
-    The sign factor keeps the sign of x_i for odd integer k_i; fractional
-    k_i are only defined on x_i > 0 (see multiplicative_sign).
-    """
-
-    weights: np.ndarray
-    exponents: tuple
-    bias: float
-    grading: GradingVector
-
-    def __post_init__(self):
-        self.weights = np.array(self.weights, dtype=float)
-        self.bias = float(self.bias)
-        n = len(self.grading)
-        if self.weights.shape != (n,):
-            raise GradingMismatchError("weight length does not match grading")
-        self.exponents = _checked_exponents(self.exponents, n)
-
-    @property
-    def degree(self) -> Fraction:
-        """Graded homogeneity degree sum_i q_i k_i."""
-        return sum(
-            (q * k for q, k in zip(self.grading.grades, self.exponents)),
-            Fraction(0),
-        )
-
-    @property
-    def exponent_floats(self) -> np.ndarray:
-        return np.array([float(k) for k in self.exponents])
-
-
 def _checked_exponents(exponents, n: int) -> tuple:
     """n exponents k_i >= 0 as Fractions."""
     ks = tuple(_as_fraction(k) for k in exponents)
@@ -241,78 +186,6 @@ def multiplicative_slope(w: np.ndarray, k: np.ndarray, core: np.ndarray) -> np.n
     """
     safe = np.where(np.abs(w) < 1e-12, np.inf, np.abs(w))
     return core[..., None] * (k * np.sign(w) / safe)[..., None, :]
-
-
-def multiplicative_forward(neuron: MultiplicativeNeuron, x: GradedVector) -> float:
-    if x.grading != neuron.grading:
-        raise GradingMismatchError("input grading does not match neuron grading")
-    k, xs = neuron.exponent_floats, x.values[np.newaxis]
-    core = multiplicative_core(neuron.weights, k, xs, multiplicative_sign(k, xs))
-    return float(core[0] + neuron.bias)
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """A real number stored as (sign, log|value|); sign 0 encodes exact zero."""
-
-    sign: float
-    log_magnitude: float
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0.0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-
-def signed_log_sum(terms) -> SignedLog:
-    """Sum of signed log-domain terms via a max-shifted exponential sum."""
-    terms = [(s, lm) for s, lm in terms if s != 0.0 and lm != -math.inf]
-    if not terms:
-        return SignedLog(0.0, -math.inf)
-    shift = max(lm for _, lm in terms)
-    total = sum(s * math.exp(lm - shift) for s, lm in terms)
-    if total == 0.0:
-        return SignedLog(0.0, -math.inf)
-    return SignedLog(math.copysign(1.0, total), shift + math.log(abs(total)))
-
-
-def _log_abs(v: float) -> float:
-    return math.log(abs(v)) if v != 0.0 else -math.inf
-
-
-def log_domain_forward(neuron, x: GradedVector) -> SignedLog:
-    """Evaluate a neuron in the log domain.
-
-    Each additive term contributes log|w**q x| = q log|w| + log|x| with its
-    sign tracked separately, so the result stays finite even when the direct
-    evaluation would overflow.
-    """
-    if x.grading != neuron.grading:
-        raise GradingMismatchError("input grading does not match neuron grading")
-    if isinstance(neuron, AdditiveNeuron):
-        terms = []
-        for w, q, xi in zip(neuron.weights, neuron.grading.floats, x.values):
-            if w == 0.0 or xi == 0.0:
-                continue
-            terms.append(
-                (np.sign(w) * np.sign(xi), q * _log_abs(w) + _log_abs(xi))
-            )
-        terms.append((np.sign(neuron.bias), _log_abs(neuron.bias)))
-        return signed_log_sum(terms)
-    if isinstance(neuron, MultiplicativeNeuron):
-        k, w, xs = neuron.exponent_floats, neuron.weights, x.values
-        sign = float(np.prod(multiplicative_sign(k, xs[np.newaxis])))
-        on = k != 0.0
-        if np.any(w[on] == 0.0) or np.any(xs[on] == 0.0):
-            sign, logmag = 0.0, -math.inf
-        else:
-            logs = np.log(np.abs(w[on])) + np.log(np.abs(xs[on]))
-            logmag = float(np.sum(k[on] * logs))
-        return signed_log_sum(
-            [(sign, logmag), (np.sign(neuron.bias), _log_abs(neuron.bias))]
-        )
-    raise TypeError("log_domain_forward expects an additive or multiplicative neuron")
 
 
 @dataclass(frozen=True)
@@ -498,10 +371,7 @@ def raise_if_non_finite(trace, out: np.ndarray) -> None:
         return
     for i, (_, z, y) in enumerate(trace):
         if not (np.isfinite(z).all() and np.isfinite(y).all()):
-            raise NonFiniteForwardError(
-                "layer %d produced non-finite values; consider log-domain "
-                "evaluation for large magnitudes" % i
-            )
+            raise NonFiniteForwardError("layer %d produced non-finite values" % i)
     raise NonFiniteForwardError("forward pass produced non-finite values")
 
 
@@ -514,6 +384,52 @@ def network_forward(net: Network, x: GradedVector) -> GradedVector:
     trace, out = forward_trace(net, x.values)
     raise_if_non_finite(trace, out)
     return GradedVector(out, net.out_grading)
+
+
+def _signed_logsumexp(sign: np.ndarray, log: np.ndarray):
+    """The sum over the last axis of terms sign * exp(log), as (sign,
+    log|sum|), shifted by the largest log of a live term.  A term of sign 0
+    adds nothing; an empty or cancelling sum is sign 0 with log -inf."""
+    live = sign != 0.0
+    log = np.where(live, log, -np.inf)
+    shift = np.max(log, axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    total = np.sum(sign * np.exp(log - shift), axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.sign(total), shift[..., 0] + np.log(np.abs(total))
+
+
+def log_domain_forward(layer: Layer, x: np.ndarray):
+    """The layer's pre-activation plus bias as (sign, log|z|), two arrays of
+    shape (n_out,) for one sample x (n_in,) or (N, n_out) for rows (N, n_in).
+
+    An additive term has sign sgn(w_ji) sgn(x_i), 0 outside the blocks, and
+    log-magnitude q_i log|w_ji| + log|x_i|; a multiplicative core has
+    log-magnitude sum_{k_i != 0} k_i (log|w_ji| + log|x_i|) and the sign
+    rule of multiplicative_sign.  The bias joins the terms in one signed
+    log-sum-exp.  Neither |w|**q nor the core is formed, so the result stays
+    finite where direct evaluation overflows.
+    """
+    rows = np.atleast_2d(np.asarray(x, dtype=float))[:, np.newaxis, :]
+    w, bias = layer.weight_base, layer.bias[:, np.newaxis]
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a term of sign 0
+        log_w, log_x, log_b = (np.log(np.abs(a)) for a in (w, rows, bias))
+    if layer.exponents is None:
+        sign = np.sign(w) * np.sign(rows)
+        if layer.mask is not None:
+            sign = sign * layer.mask
+        log = layer.in_grading.floats * log_w + log_x
+    else:
+        k = layer.exponent_floats
+        on = k != 0.0
+        log = np.sum(k[on] * (log_w[:, on] + log_x[..., on]), axis=-1, keepdims=True)
+        core_sign = np.prod(multiplicative_sign(k, rows[:, 0]), axis=-1)
+        sign = np.where(log > -np.inf, core_sign[:, np.newaxis, np.newaxis], 0.0)
+    shape = sign.shape[:-1] + (1,)
+    sign = np.concatenate([sign, np.broadcast_to(np.sign(bias), shape)], axis=-1)
+    log = np.concatenate([log, np.broadcast_to(log_b, shape)], axis=-1)
+    out_sign, out_log = _signed_logsumexp(sign, log)
+    return (out_sign, out_log) if np.ndim(x) > 1 else (out_sign[0], out_log[0])
 
 
 def random_network(

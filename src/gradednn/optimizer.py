@@ -145,15 +145,14 @@ def train(
                 raise TrainingDivergenceError("%s, at iteration %d" % (exc, t)) from exc
             if not np.isfinite(bundle.loss):
                 raise TrainingDivergenceError(
-                    "loss became non-finite at iteration %d; consider log-domain "
-                    "evaluation or a smaller learning rate" % t
-                )
+                    "loss became non-finite at iteration %d; try a smaller "
+                    "optimizer.learning_rate" % t)
             grad_norm = bundle.grad_norm()
             if not np.isfinite(grad_norm):
                 # argmax picks the first NaN, else the first infinite layer norm
                 raise TrainingDivergenceError(
-                    "gradient became non-finite at iteration %d in layer %d"
-                    % (t, np.argmax(bundle.layer_norms())))
+                    "gradient became non-finite at iteration %d in layer %d; try a "
+                    "smaller optimizer.learning_rate" % (t, np.argmax(bundle.layer_norms())))
             result.losses.append(bundle.loss)
             result.grad_norms.append(grad_norm)
             if t == cfg.max_iters:

@@ -26,13 +26,13 @@ from .losses import (
     max_graded_loss,
 )
 from .network import (
-    AdditiveNeuron,
-    MultiplicativeNeuron,
-    additive_forward,
+    ActivationKind,
+    Layer,
+    Network,
     graded_exp,
     graded_relu,
     log_domain_forward,
-    multiplicative_forward,
+    network_forward,
 )
 from .spaces import (
     ExponentScheme,
@@ -40,6 +40,7 @@ from .spaces import (
     GradingVector,
     graded_euclidean_norm,
     max_graded_norm,
+    ones_grading,
     tensor_grading,
 )
 
@@ -187,11 +188,12 @@ def verify_examples() -> VerifyReport:
     rep.add("tensor grading fractional contains 5/6",
             1.0 if Fraction(5, 6) in frac.grades else 0.0, 1.0, 0.0)
 
-    mult = MultiplicativeNeuron(
-        weights=np.ones(7), exponents=(1, 0, 0, 2, 0, 0, 0), bias=0.0, grading=Q7)
+    mult = Layer(np.ones((1, 7)), [0.0], ActivationKind.IDENTITY, Q7, ones_grading(1),
+                 exponents=(1, 0, 0, 2, 0, 0, 0))
     rep.add("multiplicative neuron worked value",
-            multiplicative_forward(
-                mult, GradedVector((1, 0, 0, 2, 0, 0, 0), Q7)), 4.0, 1e-12)
+            network_forward(
+                Network([mult]), GradedVector((1, 0, 0, 2, 0, 0, 0), Q7)).values,
+            4.0, 1e-12)
 
     # loss block: the printed 13/7 and 13 restate ||y||_q^2 = 13 from the norm
     # example; the definitions give 15/7 and 15 on these vectors (the huber
@@ -210,13 +212,13 @@ def verify_examples() -> VerifyReport:
             graded_huber(y, yhat, 1.0), 7.5, 1e-12, printed=(6.5,))
 
     # flag 2: single-term neuron magnitudes, direct and log-domain
-    neuron = AdditiveNeuron(
-        weights=np.array([1.5]), bias=0.0, grading=GradingVector([10]))
-    x_small = GradedVector([0.1], GradingVector([10]))
-    direct = additive_forward(neuron, x_small)
-    logform = log_domain_forward(neuron, x_small)
+    neuron = Layer([[1.5]], [0.0], ActivationKind.IDENTITY, GradingVector([10]),
+                   ones_grading(1))
+    x_small = np.array([0.1])
+    direct = neuron.pre_activation(x_small) + neuron.bias
+    _, log_magnitude = log_domain_forward(neuron, x_small)
     rep.add("log-stabilization example (value, log-magnitude)",
-            (direct, logform.log_magnitude),
+            (direct[0], log_magnitude[0]),
             (1.5 ** 10 * 0.1, 10.0 * math.log(1.5) + math.log(0.1)),
             1e-12, printed=(5.7e5, 4.05))
 

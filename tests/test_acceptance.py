@@ -27,13 +27,10 @@ from gradednn.losses import (
 )
 from gradednn.network import (
     ActivationKind,
-    AdditiveNeuron,
-    MultiplicativeNeuron,
+    Layer,
     Network,
-    additive_forward,
     graded_relu,
     log_domain_forward,
-    multiplicative_forward,
     network_forward,
     random_network,
 )
@@ -117,19 +114,21 @@ def test_02_example_report_flags_inconsistent_printed_values():
     assert "7.342" in stab.note
 
 
+def _neuron(weights, exponents, grading):
+    """One graded neuron with a zero bias: a one-output identity Layer,
+    multiplicative when it has exponents."""
+    return Layer(np.asarray(weights)[np.newaxis], [0.0], ActivationKind.IDENTITY,
+                 grading, ones_grading(1), exponents=exponents)
+
+
 def test_03_one_multiplicative_neuron_represents_a_monomial_exactly():
     # f(x) = x_0 * x_3^2 carries degree 1*2 + 2*3 = 8 on q=(2,2,2,3,3,3,3)
-    neuron = MultiplicativeNeuron(
-        weights=np.ones(7),
-        exponents=(1, 0, 0, 2, 0, 0, 0),
-        bias=0.0,
-        grading=Q7,
-    )
+    neuron = _neuron(np.ones(7), (1, 0, 0, 2, 0, 0, 0), Q7)
     rng = np.random.default_rng(42)
     xs = rng.uniform(0.1, 2.0, size=(1000, 7))
     worst = 0.0
     for row in xs:
-        got = multiplicative_forward(neuron, GradedVector(row, Q7))
+        got = network_forward(Network([neuron]), GradedVector(row, Q7)).values[0]
         worst = max(worst, abs(got - row[0] * row[3] ** 2))
     assert worst <= 1e-12, worst
 
@@ -165,19 +164,15 @@ def test_04_homogeneity_invariants_hold():
     for _ in range(m):
         dim = int(rng.integers(2, 5))
         g = GradingVector(rng.choice(GRADE_POOL, size=dim))
-        neuron = MultiplicativeNeuron(
-            weights=rng.uniform(0.3, 1.5, size=dim),
-            exponents=[int(e) for e in rng.integers(0, 3, size=dim)],
-            bias=0.0,
-            grading=g,
-        )
+        weights = rng.uniform(0.3, 1.5, size=dim)
+        neuron = _neuron(weights, [int(e) for e in rng.integers(0, 3, size=dim)], g)
         deg = float(sum(k * q for k, q in zip(neuron.exponents, g.grades)))
         xv = GradedVector(rng.uniform(0.3, 2.0, size=dim), g)
-        for lam in lams:
-            lhs = multiplicative_forward(neuron, scalar_action(lam, xv))
-            rhs = lam ** deg * multiplicative_forward(neuron, xv)
-            worst_mult = max(
-                worst_mult, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        scaled = np.array([scalar_action(lam, xv).values for lam in lams])
+        lhs = neuron.pre_activation(scaled)[:, 0] + neuron.bias[0]
+        rhs = lams ** deg * (neuron.pre_activation(xv.values)[0] + neuron.bias[0])
+        worst_mult = max(
+            worst_mult, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
     assert worst_mult < 1e-9, worst_mult
 
 
@@ -331,29 +326,24 @@ def test_10_log_domain_evaluation_survives_overflow():
     for _ in range(200):
         dim = int(rng.integers(1, 6))
         g = GradingVector([int(q) for q in rng.integers(1, 5, size=dim)])
-        neuron = AdditiveNeuron(
-            weights=rng.uniform(0.2, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim),
-            bias=0.0,
-            grading=g,
-        )
-        xv = GradedVector(rng.uniform(0.1, 3.0, size=dim) * rng.choice([-1.0, 1.0], size=dim), g)
-        direct = additive_forward(neuron, xv)
-        logform = log_domain_forward(neuron, xv)
-        back = logform.sign * math.exp(logform.log_magnitude)
+        weights = rng.uniform(0.2, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+        neuron = _neuron(weights, None, g)
+        x = rng.uniform(0.1, 3.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+        direct = (neuron.pre_activation(x) + neuron.bias)[0]
+        sign, log_magnitude = log_domain_forward(neuron, x)
+        back = sign[0] * math.exp(log_magnitude[0])
         worst = max(worst, abs(back - direct) / max(1.0, abs(direct)))
     assert worst < 1e-12, worst
 
     # |w x|^k = 4^600 = 2^1200 overflows float64 but not its log magnitude
-    g1 = GradingVector([2])
-    big = MultiplicativeNeuron(
-        weights=np.array([2.0]), exponents=(600,), bias=0.0, grading=g1)
-    x1 = GradedVector([2.0], g1)
+    big = _neuron(np.array([2.0]), (600,), GradingVector([2]))
+    x1 = np.array([2.0])
     with np.errstate(over="ignore"):
-        assert not np.isfinite(multiplicative_forward(big, x1))
-    logform = log_domain_forward(big, x1)
-    assert logform.sign == 1.0
-    assert math.isfinite(logform.log_magnitude)
-    assert logform.log_magnitude == pytest.approx(1200.0 * math.log(2.0), rel=1e-15)
+        assert not np.isfinite(big.pre_activation(x1) + big.bias).any()
+    sign, log_magnitude = log_domain_forward(big, x1)
+    assert sign[0] == 1.0
+    assert math.isfinite(log_magnitude[0])
+    assert log_magnitude[0] == pytest.approx(1200.0 * math.log(2.0), rel=1e-15)
 
 
 def test_11_one_graded_neuron_beats_relu_widths_on_the_monomial():

@@ -24,12 +24,10 @@ from gradednn.network import (
     ActivationKind,
     GradeBlock,
     Layer,
-    MultiplicativeNeuron,
     Network,
     NonFiniteForwardError,
     forward_trace,
     multiplicative_core,
-    multiplicative_forward,
     multiplicative_sign,
     multiplicative_slope,
     random_network,
@@ -38,6 +36,7 @@ from gradednn.spaces import (
     ExponentScheme,
     GradedVector,
     GradingVector,
+    ones_grading,
 )
 
 Q7 = GradingVector([2, 2, 2, 3, 3, 3, 3])
@@ -170,43 +169,48 @@ def test_linear_model_fd_is_tight():
     assert finite_diff_check(net, x, y, LossKind.graded_norm(), 1e-5) < 1e-9
 
 
-def _core_and_slope(n: MultiplicativeNeuron, x: GradedVector):
-    k, xs = n.exponent_floats, x.values[np.newaxis]
-    core = multiplicative_core(n.weights, k, xs, multiplicative_sign(k, xs))
-    return core, multiplicative_slope(n.weights, k, core)[0]
+def _neuron(w, exponents, bias, grading):
+    """One multiplicative neuron: a one-output identity Layer."""
+    return Layer(np.array(w, dtype=float)[np.newaxis], [bias], ActivationKind.IDENTITY,
+                 grading, ones_grading(1), exponents=exponents)
+
+
+def _value(n: Layer, x: GradedVector) -> float:
+    return (n.pre_activation(x.values) + n.bias)[0]
+
+
+def _core_and_slope(n: Layer, x: GradedVector):
+    k, w, xs = n.exponent_floats, n.weight_base[0], x.values[np.newaxis]
+    core = multiplicative_core(w, k, xs, multiplicative_sign(k, xs))
+    return core, multiplicative_slope(w, k, core)[0]
 
 
 def test_multiplicative_slope_matches_fd():
     rng = np.random.default_rng(5)
     g = GradingVector([2, 3, 1])
-    n = MultiplicativeNeuron(weights=rng.uniform(0.3, 1.2, 3),
-                             exponents=(2, 1, "1/2"), bias=0.3, grading=g)
+    n = _neuron(rng.uniform(0.3, 1.2, 3), (2, 1, "1/2"), 0.3, g)
     x = GradedVector(rng.uniform(0.2, 2.0, 3), g)
     core, dw = _core_and_slope(n, x)
-    assert core[0] + n.bias == multiplicative_forward(n, x)
+    assert core[0] + n.bias[0] == _value(n, x)
     eps = 1e-6
     for i in range(3):
-        w_hi = n.weights.copy()
+        w_hi = n.weight_base[0].copy()
         w_hi[i] += eps
-        w_lo = n.weights.copy()
+        w_lo = n.weight_base[0].copy()
         w_lo[i] -= eps
-        hi = multiplicative_forward(
-            MultiplicativeNeuron(w_hi, n.exponents, n.bias, g), x)
-        lo = multiplicative_forward(
-            MultiplicativeNeuron(w_lo, n.exponents, n.bias, g), x)
+        hi = _value(_neuron(w_hi, n.exponents, n.bias[0], g), x)
+        lo = _value(_neuron(w_lo, n.exponents, n.bias[0], g), x)
         assert dw[i] == pytest.approx((hi - lo) / (2 * eps), rel=1e-6, abs=1e-8)
 
 
 def test_multiplicative_slope_at_zero_weight():
     g = GradingVector([1, 1])
-    n = MultiplicativeNeuron(weights=np.array([0.0, 1.0]), exponents=(2, 1),
-                             bias=0.0, grading=g)
+    n = _neuron([0.0, 1.0], (2, 1), 0.0, g)
     x = GradedVector([1.0, 1.0], g)
     core, dw = _core_and_slope(n, x)
     assert core[0] == 0.0 and dw[0] == 0.0  # k=2: flat at w=0
     # k=1 has a kink at w=0; the kernel's convention is a zero slope there
-    n = MultiplicativeNeuron(weights=np.array([0.0, 1.0]), exponents=(1, 1),
-                             bias=0.0, grading=g)
+    n = _neuron([0.0, 1.0], (1, 1), 0.0, g)
     assert np.array_equal(_core_and_slope(n, x)[1], [0.0, 0.0])
 
 
@@ -459,20 +463,22 @@ def test_grad_check_suite_raises_what_a_case_raises(failing, monkeypatch, fork_c
         grad_check_suite(count=7)
 
 
-# what train can build and grad-check's sampler never draws: rational grades
-# and batches of N > 1
+# what train can build and grad-check's sampler never draws: rational grades,
+# batches of N > 1 and a multiplicative first layer
 _RATIONAL_GRADES = tuple(Fraction(g) for g in ("1/3", "1/2", "2/3", "1", "3/2", "2", "5/2"))
 _SMOOTH_ACTS = tuple(a for a in ActivationKind if a is not ActivationKind.GRADED_EXP)
+_EXPONENTS = tuple(Fraction(k) for k in ("0", "1/2", "1", "2", "3"))
 
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_backward_matches_central_differences_on_rational_batches(data):
-    """Depth 1 or 2, widths 1 to 4, N = 1 to 5, screened as the grad-check
-    sampler screens: weights in (0.2, 1.5) and inputs in (0.5, 1.5) keep
-    every z positive, here at least 0.05, and no sample sits at a loss kink
-    or past the large-loss screen.  The nets come from a generator of their
-    own, outside grad-check's stream."""
+    """Depth 1 or 2, widths 1 to 4, N = 1 to 5, and a multiplicative first
+    layer about half the time, screened as the grad-check sampler screens:
+    weights in (0.2, 1.5) and inputs in (0.5, 1.5) keep every z positive,
+    here at least 0.05, and every fractional exponent defined, and no sample
+    sits at a loss kink or past the large-loss screen.  The nets come from a
+    generator of their own, outside grad-check's stream."""
     kind = data.draw(st.sampled_from(_CHECK_KINDS))
     depth = data.draw(st.integers(1, 2))
     widths = data.draw(st.lists(st.integers(1, 4), min_size=depth + 1, max_size=depth + 1))
@@ -485,8 +491,11 @@ def test_backward_matches_central_differences_on_rational_batches(data):
                 for pool, w in zip(pools, widths)]
     acts = data.draw(st.lists(st.sampled_from(_SMOOTH_ACTS), min_size=depth, max_size=depth))
     n = data.draw(st.integers(1, 5))
+    exponents = data.draw(st.one_of(
+        st.none(), st.lists(st.sampled_from(_EXPONENTS), min_size=widths[0],
+                            max_size=widths[0])))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    net = random_network(gradings, acts, rng, low=0.2, high=1.5)
+    net = random_network(gradings, acts, rng, low=0.2, high=1.5, exponents=exponents)
     x = rng.uniform(0.5, 1.5, (n, widths[0]))
     y = rng.uniform(0.1, 1.0, (n, widths[-1]))
     trace, out = forward_trace(net, x)

@@ -1,12 +1,16 @@
 """Dataset generators, CSV and config handling, and the CLI end to end."""
 
+import copy
+import functools
 import json
 import math
+import operator
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradednn import bench
 from gradednn.cli import _build_dataset, main
@@ -24,8 +28,18 @@ from gradednn.datasets import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from gradednn.network import ActivationKind, load_network, network_forward, save_network
-from gradednn.spaces import GradedVector, GradingVector, ones_grading
+from gradednn.network import (
+    ActivationKind,
+    GradeBlock,
+    Layer,
+    Network,
+    load_network,
+    network_forward,
+    network_from_dict,
+    network_to_dict,
+    save_network,
+)
+from gradednn.spaces import GradedError, GradedVector, GradingVector, ones_grading
 
 Q23 = GradingVector([2, 3])
 
@@ -641,9 +655,127 @@ def test_cli_approx_bench_rejects_wrong_value_types(tmp_path, capsys, doc, key):
 
 @pytest.mark.parametrize("doc", [
     {"hidden_sizes": [0]}, {"train_count": 0}, {"classical_iters": -1},
+    {"hidden_sizes": [4, 2]},
 ])
 def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
     cfg_path = _write_config(tmp_path / "bench.json", doc)
     out_csv = tmp_path / "bench.csv"
     assert main(["approx-bench", "--config", cfg_path, "--out", str(out_csv)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"model": {"type": "feedforward",
+                "layers": [{"grading": "1", "activation": 1}]}},
+     "model.layers[0].activation must be a string"),
+    ({"model": {"type": "feedforward", "layers": 0}},
+     "model.layers must be a list of layer objects"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"optimizer": {"learning_rate": 0.05, "max_iters": 400, "seed": -1}},
+     "optimizer.seed must be >= 0"),
+    ({"dataset": {"source": "invariant_proxy", "count": 256, "seed": -1}},
+     "dataset.seed must be >= 0"),
+], ids=["activation_int", "layers_int", "seed", "optimizer_seed", "dataset_seed"])
+def test_cli_train_config_mistake_is_one_error_line_naming_the_key(
+        tmp_path, capsys, doc, message):
+    """Repros on the README demo config: each ended in a traceback, or in an
+    error line that named no key."""
+    base = {"grading": "2,4,6,10",
+            "model": {"type": "feedforward",
+                      "layers": [{"grading": "1", "activation": "identity"}]},
+            "loss": "graded_mse",
+            "optimizer": {"learning_rate": 0.05, "max_iters": 400},
+            "dataset": {"source": "invariant_proxy", "count": 256},
+            "out_dir": "run",
+            "seed": 0}
+    base.update(doc)
+    cfg_path = _write_config(tmp_path / "demo.json", base)
+    assert main(["train", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"grading": "0,1"}, "grading: grades must be positive, got 0"),
+    ({"seed": -1}, "seed must be >= 0"),
+], ids=["grading_zero", "seed_negative"])
+def test_cli_approx_bench_config_mistake_is_one_error_line_naming_the_key(
+        tmp_path, capsys, doc, message):
+    cfg_path = _write_config(tmp_path / "bench.json", doc)
+    out_csv = tmp_path / "bench.csv"
+    assert main(["approx-bench", "--config", cfg_path, "--out", str(out_csv)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out_csv.exists()
+
+
+def _saved_model_doc():
+    """A model.json with every optional part: a multiplicative first layer
+    and a block-masked second one."""
+    g1, g12 = GradingVector([1]), GradingVector([1, 2])
+    blocks = [GradeBlock(Fraction(1), (0, 1), (0, 1)), GradeBlock(Fraction(2), (1, 2), (1, 2))]
+    return network_to_dict(Network([
+        Layer([[0.5, 0.25], [1.5, 2.0]], [0.1, -0.2], ActivationKind.IDENTITY, g12, g12,
+              exponents=("1/2", 2)),
+        Layer([[0.75, 0.0], [0.0, -1.25]], [0.0, 0.3], ActivationKind.GRADED_RELU, g12, g12,
+              blocks),
+        Layer([[1.0, -1.0]], [0.5], ActivationKind.IDENTITY, g12, g1),
+    ]))
+
+
+# the three JSON readers, each with a valid document: the benchmark's
+# train_mlp config, a saved model and the benchmark's approx-bench config
+_FUZZ_READERS = {
+    "experiment": (experiment_config_from_dict, {
+        "grading": "2,4,6,10",
+        "model": {"type": "feedforward",
+                  "layers": [{"grading": "1,1,2,2,3,3,4,4",
+                              "activation": "signed_graded_relu"},
+                             {"grading": "1", "activation": "identity"}]},
+        "loss": "graded_mse",
+        "optimizer": {"learning_rate": 0.01, "max_iters": 10, "momentum": 0.9,
+                      "stop_threshold": 0.0, "seed": 0},
+        "dataset": {"source": "invariant_proxy", "count": 256, "seed": 0},
+        "out_dir": "run",
+        "seed": 0,
+    }),
+    "model": (network_from_dict, _saved_model_doc()),
+    "bench": (bench.bench_config_from_dict, {
+        "grading": "2,3", "hidden_sizes": [1, 2, 4, 8, 16, 32], "restarts": 5,
+        "classical_iters": 200, "graded_iters": 100, "seed": 0,
+    }),
+}
+_FUZZ_VALUES = (None, True, False, -1, -7, 2 ** 70, 0.5, -2.5, 1e300,
+                "0,1", "", "x", "1/2", [], [0, 1], {}, {"x": 1})
+
+
+def _json_paths(doc, prefix=()):
+    """The path (a tuple of keys and indices) of every value below doc."""
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_json_readers_raise_only_what_the_cli_maps_to_exit_2(data):
+    """One or two values of a valid document set to a value of another JSON
+    type, or deleted: the reader accepts the document or raises ValueError
+    (ConfigError included) or GradedError, never anything else."""
+    read, base = _FUZZ_READERS[data.draw(st.sampled_from(sorted(_FUZZ_READERS)))]
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        *head, key = data.draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, head, doc)
+        if data.draw(st.integers(0, len(_FUZZ_VALUES))) == len(_FUZZ_VALUES):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES)))
+    try:
+        read(doc)
+    except (ValueError, GradedError):
+        pass

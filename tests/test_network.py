@@ -13,15 +13,13 @@ from gradednn.ioutil import ConfigError
 from gradednn.network import (
     CLAMP,
     ActivationKind,
-    AdditiveNeuron,
     GradeBlock,
     Layer,
-    MultiplicativeNeuron,
     Network,
     NonFiniteForwardError,
+    _signed_logsumexp,
     activation_slope,
     activation_value,
-    additive_forward,
     effective_weights,
     forward_trace,
     graded_exp,
@@ -29,7 +27,6 @@ from gradednn.network import (
     load_network,
     log_domain_forward,
     multiplicative_core,
-    multiplicative_forward,
     multiplicative_sign,
     network_forward,
     network_from_dict,
@@ -37,7 +34,6 @@ from gradednn.network import (
     parse_activation,
     random_network,
     save_network,
-    signed_log_sum,
     weight_base_slope,
 )
 from gradednn.spaces import (
@@ -108,101 +104,171 @@ def test_effective_weights_and_slope():
     assert np.allclose(weight_base_slope(z, GradingVector([1, 2])), [[1.0, 0.0]])
 
 
+def _neuron(w, b, grading, exponents=None):
+    """One graded neuron: a one-output identity Layer."""
+    return Layer(np.array(w, dtype=float)[np.newaxis], [b], ActivationKind.IDENTITY,
+                 grading, ones_grading(1), exponents=exponents)
+
+
+def _value(neuron, x):
+    return (neuron.pre_activation(np.asarray(x, dtype=float)) + neuron.bias)[0]
+
+
+def _log_form(neuron, x):
+    """(sign, log|z|) of a one-output layer at one sample."""
+    sign, log = log_domain_forward(neuron, np.asarray(x, dtype=float))
+    assert sign.shape == log.shape == (1,)
+    return float(sign[0]), float(log[0])
+
+
 def test_additive_neuron_forward():
-    n = AdditiveNeuron(weights=np.array([0.5, -0.5]), bias=0.25,
-                       grading=GradingVector([2, 3]))
+    n = _neuron([0.5, -0.5], 0.25, GradingVector([2, 3]))
     x = GradedVector([2.0, 2.0], GradingVector([2, 3]))
     # 0.25*2 - 0.125*2 + 0.25
-    assert additive_forward(n, x) == pytest.approx(0.5, abs=1e-15)
+    assert network_forward(Network([n]), x).values[0] == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(GradingMismatchError):
-        additive_forward(n, GradedVector([1.0, 1.0], GradingVector([1, 1])))
+        network_forward(Network([n]), GradedVector([1.0, 1.0], GradingVector([1, 1])))
 
 
 def test_multiplicative_neuron_worked_value():
-    n = MultiplicativeNeuron(weights=np.ones(7), exponents=(1, 0, 0, 2, 0, 0, 0),
-                             bias=0.0, grading=Q7)
+    n = _neuron(np.ones(7), 0.0, Q7, exponents=(1, 0, 0, 2, 0, 0, 0))
     x = GradedVector([1, 0, 0, 2, 0, 0, 0], Q7)
-    assert multiplicative_forward(n, x) == pytest.approx(4.0, abs=1e-12)
-    assert n.degree == Fraction(8)  # 2*1 + 3*2
+    assert network_forward(Network([n]), x).values[0] == pytest.approx(4.0, abs=1e-12)
+    degree = sum((q * k for q, k in zip(Q7.grades, n.exponents)), Fraction(0))
+    assert degree == Fraction(8)  # 2*1 + 3*2
 
 
 def test_multiplicative_fractional_domain():
     g = GradingVector([2])
-    n = MultiplicativeNeuron(weights=np.ones(1), exponents=("1/2",), bias=0.0,
-                             grading=g)
-    assert multiplicative_forward(n, GradedVector([4.0], g)) == pytest.approx(2.0)
+    n = _neuron(np.ones(1), 0.0, g, exponents=("1/2",))
+    assert _value(n, [4.0]) == pytest.approx(2.0)
     with pytest.raises(GradedDomainError):
-        multiplicative_forward(n, GradedVector([-4.0], g))
+        _value(n, [-4.0])
 
 
 def test_multiplicative_integer_signs():
     g = GradingVector([1, 1])
-    n = MultiplicativeNeuron(weights=np.ones(2), exponents=(1, 2), bias=0.0,
-                             grading=g)
+    n = _neuron(np.ones(2), 0.0, g, exponents=(1, 2))
     # odd power keeps the sign, even power drops it
-    assert multiplicative_forward(n, GradedVector([-2.0, -3.0], g)) == pytest.approx(-18.0)
+    assert _value(n, [-2.0, -3.0]) == pytest.approx(-18.0)
 
 
 def test_multiplicative_kernel_follows_the_sign_rule():
     g = GradingVector([1, 1])
-    n = MultiplicativeNeuron(weights=np.ones(2), exponents=(1, 2), bias=0.0,
-                             grading=g)
+    n = _neuron(np.ones(2), 0.0, g, exponents=(1, 2))
     k = np.array([1.0, 2.0])
     x = np.array([[-2.0, 1.0]])
     pred = multiplicative_core(np.ones(2), k, x, multiplicative_sign(k, x))
-    assert pred[0] == -2.0 == multiplicative_forward(n, GradedVector([-2.0, 1.0], g))
+    assert pred[0] == -2.0 == _value(n, [-2.0, 1.0])
     with pytest.raises(GradedDomainError):
         multiplicative_sign(np.array([0.5]), np.array([[4.0], [0.0]]))
 
 
-def test_signed_log_sum_cancellation():
-    s = signed_log_sum([(1.0, math.log(5.0)), (-1.0, math.log(5.0))])
-    assert s.sign == 0.0 and s.value == 0.0
+def test_log_domain_cancellation_is_sign_zero():
+    n = _neuron([5.0], -5.0, GradingVector([1]))
+    sign, log = _log_form(n, [1.0])
+    assert sign == 0.0 and log == -math.inf
+    # an all-zero layer is an exact zero too
+    sign, log = _log_form(_neuron([0.0, 0.0], 0.0, GradingVector([1, 2])), [0.0, 3.0])
+    assert sign == 0.0 and log == -math.inf
 
 
 @given(st.lists(st.floats(-20.0, 20.0).filter(lambda v: abs(v) > 1e-6),
                 min_size=1, max_size=6))
-def test_signed_log_sum_matches_direct(terms):
-    pairs = [(float(np.sign(t)), math.log(abs(t))) for t in terms]
+def test_signed_logsumexp_matches_direct(terms):
+    t = np.array(terms)
     direct = sum(terms)
-    if abs(direct) < 1e-9 * max(abs(t) for t in terms):
+    if abs(direct) < 1e-9 * max(abs(v) for v in terms):
         return  # near-total cancellation: relative comparison meaningless
-    got = signed_log_sum(pairs).value
-    assert got == pytest.approx(direct, rel=1e-12)
+    sign, log = _signed_logsumexp(np.sign(t), np.log(np.abs(t)))
+    assert sign * math.exp(log) == pytest.approx(direct, rel=1e-12)
 
 
 def test_log_domain_additive_matches_direct():
     rng = np.random.default_rng(0)
     g = GradingVector([2, 3, 1])
     for _ in range(50):
-        n = AdditiveNeuron(weights=rng.uniform(-2, 2, 3),
-                           bias=float(rng.uniform(-1, 1)), grading=g)
-        x = GradedVector(rng.uniform(0.1, 3.0, 3), g)
-        direct = additive_forward(n, x)
-        viaslog = log_domain_forward(n, x).value
-        assert viaslog == pytest.approx(direct, rel=1e-12, abs=1e-300)
+        n = _neuron(rng.uniform(-2, 2, 3), float(rng.uniform(-1, 1)), g)
+        x = rng.uniform(0.1, 3.0, 3)
+        direct = _value(n, x)
+        sign, log = _log_form(n, x)
+        assert sign * math.exp(log) == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
 
 def test_log_domain_survives_overflow():
     g = GradingVector([1200])
-    n = AdditiveNeuron(weights=np.array([2.0]), bias=0.0, grading=g)
-    x = GradedVector([1.0], g)
-    out = log_domain_forward(n, x)
-    assert out.sign == 1.0
-    assert out.log_magnitude == pytest.approx(1200 * math.log(2.0), rel=1e-15)
-    assert math.isfinite(out.log_magnitude)
+    n = _neuron([2.0], 0.0, g)
+    sign, log = _log_form(n, [1.0])
+    assert sign == 1.0
+    assert log == pytest.approx(1200 * math.log(2.0), rel=1e-15)
+    assert math.isfinite(log)
     # the direct evaluation overflows to inf for the same parameters
     with np.errstate(over="ignore"):
-        assert not np.isfinite(np.float64(2.0) ** np.float64(1200.0))
+        assert not np.isfinite(_value(n, [1.0]))
 
 
 def test_log_domain_multiplicative():
     g = GradingVector([2, 3])
-    n = MultiplicativeNeuron(weights=np.array([1.5, 0.5]), exponents=(2, 1),
-                             bias=0.25, grading=g)
-    x = GradedVector([2.0, 3.0], g)
-    direct = multiplicative_forward(n, x)
-    assert log_domain_forward(n, x).value == pytest.approx(direct, rel=1e-12)
+    n = _neuron([1.5, 0.5], 0.25, g, exponents=(2, 1))
+    x = np.array([2.0, 3.0])
+    sign, log = _log_form(n, x)
+    assert sign * math.exp(log) == pytest.approx(_value(n, x), rel=1e-12)
+
+
+def _random_layer(rng, kind, n_out, n_in):
+    """An additive, block-masked or multiplicative layer with signed weights
+    and biases, some of them zero."""
+    w = rng.uniform(-2.0, 2.0, (n_out, n_in)) * (rng.random((n_out, n_in)) > 0.2)
+    b = rng.uniform(-3.0, 3.0, n_out) * (rng.random(n_out) > 0.3)
+    if kind == "blocked":
+        g_in = GradingVector([1] * (n_in // 2) + [2] * (n_in - n_in // 2))
+        g_out = GradingVector([1] * (n_out // 2) + [2] * (n_out - n_out // 2))
+        blocks = [GradeBlock(Fraction(1), (0, n_out // 2), (0, n_in // 2)),
+                  GradeBlock(Fraction(2), (n_out // 2, n_out), (n_in // 2, n_in))]
+        mask = np.zeros((n_out, n_in), dtype=bool)
+        for blk in blocks:
+            mask[slice(*blk.rows), slice(*blk.cols)] = True
+        layer = Layer(w * mask, b, ActivationKind.IDENTITY, g_in, g_out, blocks)
+        layer.weight_base[~mask] = 7.0  # outside the blocks: no contribution
+        return layer
+    g_in = GradingVector(rng.integers(1, 5, n_in))
+    ks = tuple(int(k) for k in rng.integers(0, 4, n_in)) if kind == "multiplicative" else None
+    return Layer(w, b, ActivationKind.IDENTITY, g_in, ones_grading(n_out), exponents=ks)
+
+
+@pytest.mark.parametrize("kind", ["additive", "blocked", "multiplicative"])
+def test_log_domain_layer_matches_direct_evaluation(kind):
+    rng = np.random.default_rng(11)
+    for n_rows in range(1, 6):
+        for _ in range(20):
+            layer = _random_layer(rng, kind, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+            x = rng.uniform(-2.0, 2.0, (n_rows, layer.n_in)) * (rng.random((n_rows, layer.n_in)) > 0.1)
+            direct = layer.pre_activation(x) + layer.bias
+            sign, log = log_domain_forward(layer, x)
+            assert sign.shape == log.shape == direct.shape == (n_rows, layer.n_out)
+            assert np.array_equal(sign == 0.0, log == -np.inf)
+            back = sign * np.exp(log)
+            # the scale of the largest term bounds the error of either sum
+            terms = np.abs(layer.pre_activation(np.abs(x))) + np.abs(layer.bias)
+            assert np.all(np.abs(back - direct) <= 1e-12 * np.maximum(terms, 1e-300))
+            one = log_domain_forward(layer, x[0])
+            assert one[0].shape == (layer.n_out,)
+            assert np.array_equal(one[0], sign[0]) and np.array_equal(one[1], log[0])
+
+
+def test_log_domain_multiplicative_survives_overflow_and_checks_its_domain():
+    # |w x|^k = 4^600 = 2^1200 overflows float64 but not its log magnitude
+    n = _neuron([2.0], 0.0, GradingVector([1]), exponents=(600,))
+    sign, log = _log_form(n, [2.0])
+    assert sign == 1.0 and log == pytest.approx(1200.0 * math.log(2.0), rel=1e-15)
+    # odd exponents keep the sign of a negative input
+    n = _neuron([2.0, 1.0], 0.0, GradingVector([1, 1]), exponents=(601, 2))
+    sign, log = _log_form(n, [-2.0, 1.0])
+    assert sign == -1.0 and log == pytest.approx(1202.0 * math.log(2.0), rel=1e-15)
+    n = _neuron([1.0, 1.0], 0.0, GradingVector([1, 1]), exponents=("1/2", 1))
+    for x in ([-4.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(GradedDomainError):
+            _log_form(n, x)
 
 
 def _simple_net():
@@ -244,7 +310,6 @@ def test_non_finite_forward_names_layer():
         with pytest.raises(NonFiniteForwardError) as err:
             network_forward(net, GradedVector([400.0], g))
     assert "layer 1" in str(err.value)
-    assert "log-domain" in str(err.value)
 
 
 def _mult_net():
@@ -262,12 +327,12 @@ def test_multiplicative_layer_computes_one_neuron_per_output():
     layer = net.layers[0]
     x = np.array([[0.5, 2.0], [1.5, -0.25]])
     trace, _ = forward_trace(net, x)
+    w, b = layer.weight_base, layer.bias
     for j in range(2):
-        neuron = MultiplicativeNeuron(layer.weight_base[j], layer.exponents,
-                                      layer.bias[j], layer.in_grading)
         for s in range(2):
-            assert trace[0][1][s, j] == multiplicative_forward(
-                neuron, GradedVector(x[s], layer.in_grading))
+            # exponents (1/2, 3): the odd cube keeps the sign of x_1
+            closed = math.sqrt(w[j, 0] * x[s, 0]) * (w[j, 1] * x[s, 1]) ** 3 + b[j]
+            assert trace[0][1][s, j] == pytest.approx(closed, rel=1e-15, abs=1e-15)
     one, _ = forward_trace(net, x[1])
     assert one[0][1].shape == (2,) and np.array_equal(one[0][1], trace[0][1][1])
     with pytest.raises(GradedDomainError):
