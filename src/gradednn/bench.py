@@ -38,14 +38,15 @@ from .ioutil import (
     _can_split,
     _split_run,
     fmt17,
+    grading_value,
     int_value,
     is_int,
     number_value,
-    reject_unknown_keys,
+    read_object,
     str_value,
 )
 from .network import multiplicative_core, multiplicative_sign, multiplicative_slope
-from .spaces import GradedError, GradingVector, parse_grading
+from .spaces import GradingVector, parse_grading
 
 
 @dataclass(frozen=True)
@@ -83,28 +84,21 @@ class BenchConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _bench_value(key: str, value, default):
-    """value as the type of the field's default, or a ConfigError naming key."""
-    if isinstance(default, tuple):
-        if isinstance(value, list) and all(is_int(m) for m in value):
-            return tuple(value)
-        raise ConfigError("%s must be a list of integers" % key)
-    if isinstance(default, int):
-        return int_value(value, key)
-    return number_value(value, key)
+def _int_list(value, path: str) -> tuple:
+    if isinstance(value, list) and all(is_int(m) for m in value):
+        return tuple(value)
+    raise ConfigError("%s must be a list of integers" % path)
+
+
+# every setting is optional and takes the type of its default
+_CHECKERS = {tuple: _int_list, int: int_value, float: number_value}
+_BENCH_KEYS = {f.name: (False, _CHECKERS.get(type(f.default))) for f in fields(BenchConfig)}
+_BENCH_KEYS["grading"] = (False, lambda v, path: grading_value(str_value(v, path), path))
 
 
 def bench_config_from_dict(doc: dict) -> BenchConfig:
-    reject_unknown_keys(doc, {f.name for f in fields(BenchConfig)}, "")
-    text = str_value(doc.get("grading", "2,3"), "grading")
-    try:
-        kwargs = {"grading": parse_grading(text)}
-    except (ValueError, GradedError) as exc:
-        raise ConfigError("grading: %s" % exc) from None
-    for f in fields(BenchConfig):
-        if f.name in doc and f.name != "grading":
-            kwargs[f.name] = _bench_value(f.name, doc[f.name], f.default)
-    return BenchConfig(**kwargs)
+    settings = read_object(doc, _BENCH_KEYS, "", "benchmark config root")
+    return BenchConfig(**{"grading": parse_grading("2,3"), **settings})
 
 
 @dataclass

@@ -137,10 +137,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_approx_bench(args: argparse.Namespace) -> int:
     try:
         with open(args.config) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("benchmark config root must be a JSON object")
-        cfg = bench_config_from_dict(doc)
+            cfg = bench_config_from_dict(json.load(fh))
     except (OSError, ValueError, GradedError) as exc:  # JSONDecodeError included
         print("error: %s" % exc, file=sys.stderr)
         return 2

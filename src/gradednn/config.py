@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -10,16 +11,17 @@ from typing import List, Optional, Tuple
 
 from .ioutil import (
     ConfigError,
+    grading_value,
     int_value,
-    is_int,
     number_value,
-    reject_unknown_keys,
+    parsed,
+    read_object,
     str_value,
 )
 from .losses import LossKind, parse_loss
-from .network import ActivationKind, parse_activation, parse_exponents
+from .network import ActivationKind, activation_kind, parse_exponents
 from .optimizer import OptimizerConfig
-from .spaces import GradedError, GradingVector, ones_grading, parse_grading
+from .spaces import GradingVector, ones_grading
 
 
 @dataclass
@@ -45,21 +47,66 @@ class ExperimentConfig:
     seed: int = 0
 
 
-# Keys each dataset source reads, besides "source" itself.
+_nonnegative = functools.partial(int_value, low=0)  # seeds and counts
+
+
+def _key_table(doc, key: str, tables: dict, path: str) -> dict:
+    """The key table doc[key] picks, else one that reports a non-object or no key."""
+    if not (isinstance(doc, dict) and key in doc):
+        return {key: (True, None)}
+    if not (isinstance(doc[key], str) and doc[key] in tables):
+        raise ConfigError("unknown %s.%s %r" % (path, key, doc[key]))
+    return tables[doc[key]]
+
+
+# the message names the layer, not its grading key
+_LAYER_KEYS = {"grading": (True, lambda v, path: grading_value(v, path.rpartition(".")[0])),
+               "activation": (True, activation_kind)}
+
+
+def _layers(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError("%s must be a list of layer objects" % path)
+    layers = [read_object(doc, _LAYER_KEYS, "%s[%d]" % (path, i))
+              for i, doc in enumerate(value)]
+    return [(layer["grading"], layer["activation"]) for layer in layers]
+
+
+def _box(value, path: str) -> list:
+    if not (isinstance(value, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in value)):
+        raise ConfigError("%s must be a list of [low, high] pairs" % path)
+    return [[number_value(v, "%s[%d]" % (path, i)) for v in pair]
+            for i, pair in enumerate(value)]
+
+
+# model.exponents and dataset.exponents are counted against the grading
+_MODEL_KEYS = {"feedforward": {"type": (True, None), "layers": (True, _layers)},
+               "multiplicative": {"type": (True, None), "exponents": (True, None)}}
+_OPTIMIZER_KEYS = {"learning_rate": (True, number_value), "momentum": (False, number_value),
+                   "max_iters": (True, int_value), "stop_threshold": (False, number_value),
+                   "stop_window": (False, int_value), "seed": (False, _nonnegative)}
+_SAMPLES = {"source": (True, None), "count": (False, _nonnegative),
+            "seed": (False, _nonnegative)}
 _DATASET_KEYS = {
-    "csv": {"path"},
-    "monomial": {"exponents", "box", "low", "high", "coefficient", "count", "seed"},
-    "linear_map": {"count", "seed"},
-    "invariant_proxy": {"count", "seed"},
+    "csv": {"source": (True, None), "path": (True, str_value)},
+    "monomial": {**_SAMPLES, "exponents": (False, None), "box": (False, _box),
+                 "low": (False, number_value), "high": (False, number_value),
+                 "coefficient": (False, number_value)},
+    "linear_map": _SAMPLES,
+    "invariant_proxy": _SAMPLES,
 }
-
-
-def _need(doc: dict, key: str, where: str):
-    if not isinstance(doc, dict):
-        raise ConfigError("%s must be a JSON object" % where)
-    if key not in doc:
-        raise ConfigError("missing %r in %s" % (key, where))
-    return doc[key]
+_CONFIG_KEYS = {
+    "grading": (True, lambda v, path: grading_value(v, "bad grading")),
+    "model": (True, lambda v, path: read_object(
+        v, _key_table(v, "type", _MODEL_KEYS, path), path)),
+    "loss": (True, lambda v, path: parsed(path, parse_loss, str_value(v, path))),
+    "optimizer": (True, lambda v, path: read_object(v, _OPTIMIZER_KEYS, path)),
+    "dataset": (True, lambda v, path: read_object(
+        v, _key_table(v, "source", _DATASET_KEYS, path), path)),
+    "out_dir": (False, str_value),
+    "seed": (False, _nonnegative),
+}
 
 
 def _dataset_exponents(value, n: int) -> Tuple[Fraction, ...]:
@@ -78,109 +125,40 @@ def _dataset_exponents(value, n: int) -> Tuple[Fraction, ...]:
 
 
 def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
-    try:
-        grading = parse_grading(_need(doc, "grading", "config"))
-    except (ValueError, GradedError) as exc:
-        raise ConfigError("bad grading: %s" % exc) from None
-    reject_unknown_keys(
-        doc, {"grading", "model", "loss", "optimizer", "dataset", "out_dir", "seed"}, "")
-
-    mdoc = _need(doc, "model", "config")
-    kind = _need(mdoc, "type", "model")
-    if kind == "feedforward":
-        reject_unknown_keys(mdoc, {"type", "layers"}, "model.")
-        ldocs = _need(mdoc, "layers", "model")
-        if not isinstance(ldocs, list):
-            raise ConfigError("model.layers must be a list of layer objects")
-        layers = []
-        for i, ldoc in enumerate(ldocs):
-            where = "model.layers[%d]" % i
-            text = _need(ldoc, "grading", where)
-            name = str_value(_need(ldoc, "activation", where), where + ".activation")
-            try:
-                g = parse_grading(text)
-                act = parse_activation(name)
-            except (ValueError, GradedError) as exc:
-                raise ConfigError("%s: %s" % (where, exc)) from None
-            reject_unknown_keys(ldoc, {"grading", "activation"}, where + ".")
-            layers.append((g, act))
-        if not layers:
-            raise ConfigError("feedforward model needs at least one layer")
-        model = ModelSpec(layers=layers)
-    elif kind == "multiplicative":
-        # one product neuron: a multiplicative identity layer to grade 1
-        reject_unknown_keys(mdoc, {"type", "exponents"}, "model.")
-        exponents = parse_exponents(_need(mdoc, "exponents", "model"), len(grading),
-                                    "model.exponents")
-        model = ModelSpec(layers=[(ones_grading(1), ActivationKind.IDENTITY)],
-                          exponents=exponents)
+    top = read_object(doc, _CONFIG_KEYS, "", "config root")
+    grading, mdoc, params = top["grading"], top["model"], top["dataset"]
+    if mdoc["type"] == "feedforward":
+        if not mdoc["layers"]:
+            raise ConfigError("model.layers must hold at least one layer")
+        model = ModelSpec(layers=mdoc["layers"])
     else:
-        raise ConfigError("unknown model type %r" % kind)
+        # one product neuron: a multiplicative identity layer to grade 1
+        model = ModelSpec(layers=[(ones_grading(1), ActivationKind.IDENTITY)],
+                          exponents=parse_exponents(mdoc["exponents"], len(grading),
+                                                    "model.exponents"))
 
-    loss_name = str_value(_need(doc, "loss", "config"), "loss")
-    try:
-        loss = parse_loss(loss_name)
-    except ValueError as exc:
-        raise ConfigError("bad loss: %s" % exc) from None
+    seed = top.get("seed", 0)
+    optimizer = parsed("optimizer", OptimizerConfig, **{"seed": seed, **top["optimizer"]})
 
-    seed = int_value(doc.get("seed", 0), "seed", low=0)
-    odoc = _need(doc, "optimizer", "config")
-    settings = dict(
-        learning_rate=number_value(_need(odoc, "learning_rate", "optimizer"),
-                                   "optimizer.learning_rate"),
-        momentum=number_value(odoc.get("momentum", 0.0), "optimizer.momentum"),
-        max_iters=int_value(_need(odoc, "max_iters", "optimizer"), "optimizer.max_iters"),
-        stop_threshold=number_value(odoc.get("stop_threshold", 0.0),
-                                    "optimizer.stop_threshold"),
-        stop_window=int_value(odoc.get("stop_window", 10), "optimizer.stop_window"),
-        seed=int_value(odoc.get("seed", seed), "optimizer.seed", low=0),
-    )
-    try:
-        optimizer = OptimizerConfig(**settings)
-    except ValueError as exc:
-        raise ConfigError("bad optimizer settings: %s" % exc) from None
-    reject_unknown_keys(odoc, {"learning_rate", "momentum", "max_iters", "stop_threshold",
-                               "stop_window", "seed"}, "optimizer.")
-
-    ddoc = _need(doc, "dataset", "config")
-    source = _need(ddoc, "source", "dataset")
-    if not isinstance(source, str) or source not in _DATASET_KEYS:
-        raise ConfigError("unknown dataset source %r" % source)
-    reject_unknown_keys(ddoc, _DATASET_KEYS[source] | {"source"}, "dataset.")
-    params = {k: v for k, v in ddoc.items() if k != "source"}
-    for key in ("count", "seed"):
-        if key in params:
-            params[key] = int_value(params[key], "dataset." + key, low=0)
-    for key in ("low", "high", "coefficient"):
-        if key in params:
-            params[key] = number_value(params[key], "dataset." + key)
-    if "box" in params:
-        box = params["box"]
-        if not (isinstance(box, list)
-                and all(isinstance(pair, list) and len(pair) == 2 for pair in box)):
-            raise ConfigError("dataset.box must be a list of [low, high] pairs")
-        params["box"] = [[number_value(v, "dataset.box[%d]" % i) for v in pair]
-                         for i, pair in enumerate(box)]
-        if len(box) != len(grading):
-            raise ConfigError("dataset.box must hold %d [low, high] pairs, one per "
-                              "coordinate" % len(grading))
+    source = params.pop("source")
+    if "box" in params and len(params["box"]) != len(grading):
+        raise ConfigError("dataset.box must hold %d [low, high] pairs, one per "
+                          "coordinate" % len(grading))
     if source == "monomial":
         if "exponents" not in params:
             raise ConfigError("monomial dataset needs exponents")
         params["exponents"] = _dataset_exponents(params["exponents"], len(grading))
     if source == "csv":
-        if "path" not in params:
-            raise ConfigError("csv dataset needs a path")
-        params["path"] = str(base_dir / str_value(params["path"], "dataset.path"))
+        params["path"] = str(base_dir / params["path"])
 
-    out_dir = Path(str_value(doc.get("out_dir", "."), "out_dir"))
+    out_dir = Path(top.get("out_dir", "."))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
 
     return ExperimentConfig(
         grading=grading,
         model=model,
-        loss=loss,
+        loss=top["loss"],
         optimizer=optimizer,
         dataset=DatasetSpec(source=source, params=params),
         out_dir=out_dir,
@@ -197,6 +175,4 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     return experiment_config_from_dict(doc, base_dir=path.parent)

@@ -1,5 +1,5 @@
-"""Serialization helpers and JSON value checks shared by the file formats,
-and the fork helper that approx-bench and grad-check split their work with.
+"""Serialization helpers, the one JSON reader behind every file format, and
+the fork helper that approx-bench and grad-check split their work with.
 
 JSON artifacts are written by the stdlib: a float's repr is the shortest text
 that reads back as the same double, so saving and reloading is bit-exact,
@@ -16,16 +16,40 @@ import pickle
 import threading
 from typing import Callable, Optional
 
+from .spaces import GradedError, GradingVector, parse_grading
+
 
 class ConfigError(ValueError):
     """A configuration file is missing something or contradicts itself."""
 
 
-def reject_unknown_keys(doc: dict, allowed, prefix: str) -> None:
-    """A mistyped optional key would otherwise fall back to its default."""
-    unknown = sorted(set(doc) - set(allowed))
+def read_object(doc, table: dict, path: str, name: str = "") -> dict:
+    """The keys of the JSON object doc (name, else path), each parsed by the
+    checker(value, key_path) that table maps it to with whether it is
+    required; a checker of None keeps the value for a rule on several keys.
+    path is "" at a document's root, else it prefixes every key path.  Any
+    fault is a ConfigError naming its path."""
+    if not isinstance(doc, dict):
+        raise ConfigError("%s must be a JSON object" % (name or path))
+    prefix = path + "." if path else ""
+    missing = [prefix + k for k, (required, _) in table.items()
+               if required and k not in doc]
+    if missing:
+        raise ConfigError("missing key %s" % ", ".join(missing))
+    unknown = sorted(doc.keys() - table.keys())
     if unknown:
+        # a mistyped optional key would otherwise fall back to its default
         raise ConfigError("unknown key %s" % ", ".join(prefix + k for k in unknown))
+    return {k: doc[k] if check is None else check(doc[k], prefix + k)
+            for k, (_, check) in table.items() if k in doc}
+
+
+def parsed(where: str, parse: Callable, *args, **kwargs):
+    """parse(*args, **kwargs), a failure raised as ConfigError "where: reason"."""
+    try:
+        return parse(*args, **kwargs)
+    except (ValueError, GradedError) as exc:
+        raise ConfigError("%s: %s" % (where, exc)) from None
 
 
 def is_int(value) -> bool:
@@ -60,6 +84,11 @@ def str_value(value, path: str) -> str:
     if isinstance(value, str):
         return value
     raise ConfigError("%s must be a string" % path)
+
+
+def grading_value(value, path: str) -> GradingVector:
+    """The grading a string such as "2,1/2" names, or a ConfigError."""
+    return parsed(path, parse_grading, value)
 
 
 def fmt17(v: float) -> str:

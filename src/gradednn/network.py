@@ -23,9 +23,11 @@ import numpy as np
 
 from .ioutil import (
     ConfigError,
+    grading_value,
     int_value,
     is_int,
-    reject_unknown_keys,
+    parsed,
+    read_object,
     str_value,
     write_json,
 )
@@ -36,7 +38,6 @@ from .spaces import (
     GradingMismatchError,
     GradingVector,
     _as_fraction,
-    parse_grading,
 )
 
 # inputs this close to zero are treated as zero by the graded ReLU family;
@@ -61,6 +62,11 @@ def parse_activation(text: str) -> ActivationKind:
         return ActivationKind(text.strip().lower())
     except ValueError:
         raise ValueError("unknown activation %r" % text) from None
+
+
+def activation_kind(value, path: str) -> ActivationKind:
+    """The activation a JSON string names, or a ConfigError naming path."""
+    return parsed(path, parse_activation, str_value(value, path))
 
 
 def activation_value(kind: ActivationKind, z: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -132,13 +138,16 @@ def weight_base_slope(weight_base: np.ndarray, in_grading: GradingVector) -> np.
 
 
 def _checked_exponents(exponents, n: int) -> tuple:
-    """n exponents k_i >= 0 as Fractions."""
+    """n exponents k_i >= 0 that fit a float64, as Fractions and as floats."""
     ks = tuple(_as_fraction(k) for k in exponents)
     if len(ks) != n:
         raise GradingMismatchError("exponents length does not match grading")
     if any(k < 0 for k in ks):
         raise GradedDomainError("multiplicative exponents must be >= 0")
-    return ks
+    try:
+        return ks, np.array([float(k) for k in ks])
+    except OverflowError:
+        raise GradedDomainError("multiplicative exponents must fit a float64") from None
 
 
 def parse_exponents(value, n: int, where: str) -> tuple:
@@ -146,13 +155,10 @@ def parse_exponents(value, n: int, where: str) -> tuple:
     ConfigError naming where."""
     text = str_value(value, where)
     try:
-        ks = tuple(Fraction(tok) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        ks = ()
-    if len(ks) != n or min(ks) < 0:
+        return _checked_exponents(text.split(","), n)[0]
+    except (ValueError, GradedError):
         raise ConfigError("%s must be %d nonnegative rationals such as \"%s\""
-                          % (where, n, ",".join(["2"] * n)))
-    return ks
+                          % (where, n, ",".join(["2"] * n))) from None
 
 
 def multiplicative_sign(k: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -239,8 +245,7 @@ class Layer:
         if exponents is not None:
             if self.blocks is not None:
                 raise GradingMismatchError("a multiplicative layer takes no blocks")
-            self.exponents = _checked_exponents(exponents, n_in)
-            self.exponent_floats = np.array([float(k) for k in self.exponents])
+            self.exponents, self.exponent_floats = _checked_exponents(exponents, n_in)
 
     def _validate_blocks(self) -> np.ndarray:
         mask = np.zeros(self.weight_base.shape, dtype=bool)
@@ -483,23 +488,6 @@ def network_to_dict(net: Network) -> dict:
     return {"gradings": gradings, "layers": layers}
 
 
-def _check_keys(doc: dict, required, optional, prefix: str, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError("%s must be a JSON object" % where)
-    reject_unknown_keys(doc, set(required) | set(optional), prefix)
-    missing = [prefix + k for k in required if k not in doc]
-    if missing:
-        raise ConfigError("missing key %s" % ", ".join(missing))
-
-
-def _loaded(where: str, parse, value):
-    """parse(value), with a failure raised as a ConfigError naming where."""
-    try:
-        return parse(value)
-    except (ValueError, GradedError) as exc:
-        raise ConfigError("%s: %s" % (where, exc)) from None
-
-
 def _load_numbers(value, n: int, where: str) -> np.ndarray:
     """A flat JSON list of n finite numbers as a float64 array."""
     arr = None
@@ -519,55 +507,60 @@ def _load_range(value, where: str) -> tuple:
     return tuple(int_value(v, where) for v in value)
 
 
+def _load_gradings(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError("%s must be a list of grading strings" % where)
+    return [grading_value(t, "%s[%d]" % (where, i)) for i, t in enumerate(value)]
+
+
+_BLOCK_KEYS = {"rows": (True, _load_range), "cols": (True, _load_range),
+               "grade": (True, lambda v, path: parsed(path, _as_fraction,
+                                                      str_value(v, path)))}
+
+
+def _load_blocks(value, where: str):
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ConfigError("%s must be a list" % where)
+    return [GradeBlock(**read_object(b, _BLOCK_KEYS, "%s[%d]" % (where, k)))
+            for k, b in enumerate(value)]
+
+
+# weight_base, bias and exponents are counted against the gradings
+_LAYER_KEYS = {"rows": (True, int_value), "cols": (True, int_value),
+               "weight_base": (True, None), "bias": (True, None),
+               "activation": (True, activation_kind), "blocks": (False, _load_blocks),
+               "exponents": (False, None)}
+_NETWORK_KEYS = {"gradings": (True, _load_gradings), "layers": (True, None)}
+
+
 def network_from_dict(doc: dict) -> Network:
     """The network network_to_dict wrote.  A missing or unknown key, or a
     value of the wrong type or size, is a ConfigError naming its path."""
-    _check_keys(doc, ("gradings", "layers"), (), "", "a saved network")
-    texts, specs = doc["gradings"], doc["layers"]
-    if not isinstance(texts, list):
-        raise ConfigError("gradings must be a list of grading strings")
-    gradings = [_loaded("gradings[%d]" % i, parse_grading, t) for i, t in enumerate(texts)]
+    top = read_object(doc, _NETWORK_KEYS, "", "a saved network")
+    gradings, specs = top["gradings"], top["layers"]
     if not isinstance(specs, list) or len(gradings) != (len(specs) + 1 if specs else 0):
         raise ConfigError("need a list of layers and one grading per layer boundary")
     layers = []
     for l, spec in enumerate(specs):
         where = "layers[%d]" % l
-        _check_keys(spec, ("rows", "cols", "weight_base", "bias", "activation"),
-                    ("blocks", "exponents"), where + ".", where)
-        rows = int_value(spec["rows"], where + ".rows")
-        cols = int_value(spec["cols"], where + ".cols")
+        spec = read_object(spec, _LAYER_KEYS, where)
+        rows, cols = spec["rows"], spec["cols"]
         for key, n, g in (("rows", rows, l + 1), ("cols", cols, l)):
             if n != len(gradings[g]):
                 raise ConfigError("%s.%s is %d but gradings[%d] has %d coordinates"
                                   % (where, key, n, g, len(gradings[g])))
         w = _load_numbers(spec["weight_base"], rows * cols, where + ".weight_base")
         bias = _load_numbers(spec["bias"], rows, where + ".bias")
-        activation = _loaded(where + ".activation", parse_activation,
-                             str_value(spec["activation"], where + ".activation"))
-        blocks = None
-        if spec.get("blocks") is not None:
-            if not isinstance(spec["blocks"], list):
-                raise ConfigError("%s.blocks must be a list" % where)
-            blocks = []
-            for k, b in enumerate(spec["blocks"]):
-                at = "%s.blocks[%d]" % (where, k)
-                _check_keys(b, ("grade", "rows", "cols"), (), at + ".", at)
-                blocks.append(GradeBlock(
-                    _loaded(at + ".grade", _as_fraction, str_value(b["grade"], at + ".grade")),
-                    _load_range(b["rows"], at + ".rows"),
-                    _load_range(b["cols"], at + ".cols"),
-                ))
         exponents = None
         if "exponents" in spec:
-            exponents = parse_exponents(spec["exponents"], cols, where + ".exponents")
             if l:
-                raise ConfigError("%s.exponents: only the first layer may be "
-                                  "multiplicative" % where)
-        try:
-            layers.append(Layer(w.reshape(rows, cols), bias, activation,
-                                gradings[l], gradings[l + 1], blocks, exponents))
-        except GradedError as exc:
-            raise ConfigError("%s: %s" % (where, exc)) from None
+                raise ConfigError("%s.exponents: only the first layer may be multiplicative"
+                                  % where)
+            exponents = parse_exponents(spec["exponents"], cols, where + ".exponents")
+        layers.append(parsed(where, Layer, w.reshape(rows, cols), bias, spec["activation"],
+                             gradings[l], gradings[l + 1], spec.get("blocks"), exponents))
     return Network(layers)
 
 

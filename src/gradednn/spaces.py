@@ -59,20 +59,30 @@ def _as_fraction(value) -> Fraction:
     raise TypeError("cannot interpret %r as a rational grade" % (value,))
 
 
+def _grade_float(raw, g: Fraction) -> float:
+    """float(g) for a positive grade g that fits a float64, else an error naming raw."""
+    if g <= 0:
+        raise GradedDomainError("grades must be positive, got %s" % g)
+    try:
+        if (f := float(g)) != 0.0:
+            return f
+    except OverflowError:
+        pass
+    raise GradedDomainError("grade %s does not fit a float64" % str(raw).strip())
+
+
 class GradingVector:
     """Immutable tuple of positive rational grades, one per coordinate."""
 
     __slots__ = ("_grades", "_floats", "_hash", "_groups")
 
     def __init__(self, grades: Iterable):
+        grades = tuple(grades)
         gs = tuple(_as_fraction(g) for g in grades)
         if len(gs) == 0:
             raise ValueError("a grading needs at least one coordinate")
-        for g in gs:
-            if g <= 0:
-                raise GradedDomainError("grades must be positive, got %s" % g)
         self._grades = gs
-        floats = np.array([float(g) for g in gs], dtype=float)
+        floats = np.array([_grade_float(r, g) for r, g in zip(grades, gs)], dtype=float)
         floats.flags.writeable = False
         self._floats = floats
         self._hash = hash(gs)

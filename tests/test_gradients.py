@@ -464,38 +464,67 @@ def test_grad_check_suite_raises_what_a_case_raises(failing, monkeypatch, fork_c
 
 
 # what train can build and grad-check's sampler never draws: rational grades,
-# batches of N > 1 and a multiplicative first layer
+# batches of N > 1, a multiplicative first layer and block-masked layers
 _RATIONAL_GRADES = tuple(Fraction(g) for g in ("1/3", "1/2", "2/3", "1", "3/2", "2", "5/2"))
 _SMOOTH_ACTS = tuple(a for a in ActivationKind if a is not ActivationKind.GRADED_EXP)
 _EXPONENTS = tuple(Fraction(k) for k in ("0", "1/2", "1", "2", "3"))
 
 
+def _same_grade_blocks(g: GradingVector) -> list:
+    """The blocks of a layer from g to g that keep every weight between two
+    coordinates of one grade: each pair of runs of that grade."""
+    runs, start = [], 0
+    for i in range(1, len(g) + 1):
+        if i == len(g) or g[i] != g[start]:
+            runs.append((g[start], (start, i)))
+            start = i
+    return [GradeBlock(q, rows, cols) for q, rows in runs for p, cols in runs if p == q]
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_backward_matches_central_differences_on_rational_batches(data):
-    """Depth 1 or 2, widths 1 to 4, N = 1 to 5, and a multiplicative first
-    layer about half the time, screened as the grad-check sampler screens:
-    weights in (0.2, 1.5) and inputs in (0.5, 1.5) keep every z positive,
-    here at least 0.05, and every fractional exponent defined, and no sample
-    sits at a loss kink or past the large-loss screen.  The nets come from a
-    generator of their own, outside grad-check's stream."""
+    """Depth 1 or 2, widths 1 to 4, N = 1 to 5, a multiplicative first layer
+    about half the time and block-masked layers from a grading to itself,
+    screened as the grad-check sampler screens: weights in (0.2, 1.5) and
+    inputs in (0.5, 1.5) keep every z positive, here at least 0.05, and every
+    fractional exponent defined, and no sample sits at a loss kink or past
+    the large-loss screen.  The nets come from a generator of their own,
+    outside grad-check's stream."""
     kind = data.draw(st.sampled_from(_CHECK_KINDS))
     depth = data.draw(st.integers(1, 2))
-    widths = data.draw(st.lists(st.integers(1, 4), min_size=depth + 1, max_size=depth + 1))
+    exponents_first = data.draw(st.booleans())
+    masked = data.draw(st.lists(st.booleans(), min_size=depth, max_size=depth))
+    masked[0] = masked[0] and not exponents_first  # a multiplicative layer takes no blocks
     pools = [_RATIONAL_GRADES] * (depth + 1)
     if kind.scheme is ExponentScheme.BY_MAX_GRADE:
         # its exponents are defined for integer output grades only
         pools[-1] = tuple(g for g in _RATIONAL_GRADES if g.denominator == 1)
-    gradings = [GradingVector(data.draw(st.lists(st.sampled_from(pool), min_size=w,
-                                                 max_size=w)))
-                for pool, w in zip(pools, widths)]
+    for l in reversed(range(depth)):
+        if masked[l]:  # a masked layer keeps its grading, so it takes the next pool
+            pools[l] = pools[l + 1]
+    gradings = []
+    for l, pool in enumerate(pools):
+        if l and masked[l - 1]:
+            gradings.append(gradings[-1])
+        else:
+            width = data.draw(st.integers(1, 4))
+            gradings.append(GradingVector(data.draw(
+                st.lists(st.sampled_from(pool), min_size=width, max_size=width))))
     acts = data.draw(st.lists(st.sampled_from(_SMOOTH_ACTS), min_size=depth, max_size=depth))
     n = data.draw(st.integers(1, 5))
-    exponents = data.draw(st.one_of(
-        st.none(), st.lists(st.sampled_from(_EXPONENTS), min_size=widths[0],
-                            max_size=widths[0])))
+    widths = [len(g) for g in gradings]
+    exponents = data.draw(st.lists(st.sampled_from(_EXPONENTS), min_size=widths[0],
+                                   max_size=widths[0])) if exponents_first else None
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     net = random_network(gradings, acts, rng, low=0.2, high=1.5, exponents=exponents)
+    layers = list(net.layers)
+    for l in np.flatnonzero(masked):
+        g, old = gradings[l], layers[l]
+        same = np.array([[p == q for q in g] for p in g])
+        layers[l] = Layer(np.where(same, old.weight_base, 0.0), old.bias, old.activation,
+                          g, g, _same_grade_blocks(g))
+    net = Network(layers)
     x = rng.uniform(0.5, 1.5, (n, widths[0]))
     y = rng.uniform(0.1, 1.0, (n, widths[-1]))
     trace, out = forward_trace(net, x)

@@ -39,6 +39,7 @@ from gradednn.network import (
     network_to_dict,
     save_network,
 )
+from gradednn.ioutil import int_value, read_object, str_value
 from gradednn.spaces import GradedError, GradedVector, GradingVector, ones_grading
 
 Q23 = GradingVector([2, 3])
@@ -226,6 +227,8 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
      'model.exponents must be 2 nonnegative rationals such as "2,2"'),
     (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,x"}),
      'model.exponents must be 2 nonnegative rationals such as "2,2"'),
+    (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,1e400"}),
+     'model.exponents must be 2 nonnegative rationals such as "2,2"'),
     (lambda d: d["dataset"].update(exponents="2,3"),
      "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
     (lambda d: d["dataset"].update(exponents=[True, 2.5]),
@@ -271,6 +274,35 @@ def test_config_sub_documents_must_be_objects():
     doc["optimizer"] = [0.05, 25]
     with pytest.raises(ConfigError, match="optimizer must be a JSON object"):
         experiment_config_from_dict(doc)
+
+
+# one table of each kind of entry: required and parsed, optional and parsed,
+# optional and kept as it is
+_WALK_TABLE = {"grade": (True, int_value), "name": (False, str_value), "raw": (False, None)}
+
+
+@pytest.mark.parametrize("doc, path, name, message", [
+    ([1], "layers[0]", "", "layers[0] must be a JSON object"),
+    ("x", "", "a saved network", "a saved network must be a JSON object"),
+    # both faults at once: the missing key is reported
+    ({"name": "a", "grades": 2}, "opt", "", "missing key opt.grade"),
+    ({"grade": 1, "z": 0, "y": 0}, "", "", "unknown key y, z"),
+    ({"grade": "1/2"}, "layers[0].blocks[0]", "",
+     "layers[0].blocks[0].grade must be an integer"),
+    ({"grade": 1, "name": 2}, "model", "", "model.name must be a string"),
+])
+def test_read_object_reports_a_fault_by_its_path(doc, path, name, message):
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        read_object(doc, _WALK_TABLE, path, name)
+
+
+def test_read_object_returns_the_keys_present_in_table_order():
+    """An absent optional key is left out, and a key without a checker keeps
+    its value as it is."""
+    raw = [1, {"a": None}]
+    assert list(read_object({"raw": raw, "grade": 3}, _WALK_TABLE, "").items()) == [
+        ("grade", 3), ("raw", raw)]
+    assert read_object({"grade": 0}, _WALK_TABLE, "opt") == {"grade": 0}
 
 
 def test_config_file_errors(tmp_path):
@@ -675,7 +707,12 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
      "optimizer.seed must be >= 0"),
     ({"dataset": {"source": "invariant_proxy", "count": 256, "seed": -1}},
      "dataset.seed must be >= 0"),
-], ids=["activation_int", "layers_int", "seed", "optimizer_seed", "dataset_seed"])
+    ({"grading": "2,4,6,1e400"}, "bad grading: grade 1e400 does not fit a float64"),
+    ({"model": {"type": "feedforward",
+                "layers": [{"grading": "1e400", "activation": "identity"}]}},
+     "model.layers[0]: grade 1e400 does not fit a float64"),
+], ids=["activation_int", "layers_int", "seed", "optimizer_seed", "dataset_seed",
+        "grading_overflow", "layer_grading_overflow"])
 def test_cli_train_config_mistake_is_one_error_line_naming_the_key(
         tmp_path, capsys, doc, message):
     """Repros on the README demo config: each ended in a traceback, or in an
@@ -698,7 +735,8 @@ def test_cli_train_config_mistake_is_one_error_line_naming_the_key(
 @pytest.mark.parametrize("doc, message", [
     ({"grading": "0,1"}, "grading: grades must be positive, got 0"),
     ({"seed": -1}, "seed must be >= 0"),
-], ids=["grading_zero", "seed_negative"])
+    ({"grading": "1e400"}, "grading: grade 1e400 does not fit a float64"),
+], ids=["grading_zero", "seed_negative", "grading_overflow"])
 def test_cli_approx_bench_config_mistake_is_one_error_line_naming_the_key(
         tmp_path, capsys, doc, message):
     cfg_path = _write_config(tmp_path / "bench.json", doc)
@@ -744,8 +782,11 @@ _FUZZ_READERS = {
         "classical_iters": 200, "graded_iters": 100, "seed": 0,
     }),
 }
+# the strings below "1/2" reach a grade beyond the float range and the key
+# tables that model.type and dataset.source pick
 _FUZZ_VALUES = (None, True, False, -1, -7, 2 ** 70, 0.5, -2.5, 1e300,
-                "0,1", "", "x", "1/2", [], [0, 1], {}, {"x": 1})
+                "0,1", "", "x", "1/2", "2,1e400", "feedforward", "multiplicative", "csv",
+                "monomial", "linear_map", [], [0, 1], {}, {"x": 1})
 
 
 def _json_paths(doc, prefix=()):
@@ -779,3 +820,20 @@ def test_json_readers_raise_only_what_the_cli_maps_to_exit_2(data):
         read(doc)
     except (ValueError, GradedError):
         pass
+
+
+@pytest.mark.parametrize("reader", sorted(_FUZZ_READERS))
+def test_json_readers_survive_each_fuzz_string_at_each_path(reader):
+    """The random draws above rarely set model.type or dataset.source to
+    another table's name; here every value of each valid document is set to
+    each string of _FUZZ_VALUES in turn, so every key table and the float
+    range are reached."""
+    read, base = _FUZZ_READERS[reader]
+    for *head, key in _json_paths(base):
+        for value in (v for v in _FUZZ_VALUES if isinstance(v, str)):
+            doc = copy.deepcopy(base)
+            functools.reduce(operator.getitem, head, doc)[key] = value
+            try:
+                read(doc)
+            except (ValueError, GradedError):
+                pass

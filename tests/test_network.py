@@ -346,6 +346,8 @@ def test_multiplicative_layer_is_checked():
         Layer(w, b, act, g, g, exponents=(2,))
     with pytest.raises(GradedDomainError, match=">= 0"):
         Layer(w, b, act, g, g, exponents=(2, -1))
+    with pytest.raises(GradedDomainError, match="fit a float64"):
+        Layer(w, b, act, g, g, exponents=(2, "1e400"))
     blocks = [GradeBlock(Fraction(1), (0, 1), (0, 1)), GradeBlock(Fraction(2), (1, 2), (1, 2))]
     with pytest.raises(GradingMismatchError, match="takes no blocks"):
         Layer(np.eye(2), b, act, g, g, blocks, exponents=(2, 1))
@@ -476,6 +478,9 @@ def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
     (lambda d: d.update(kind="multiplicative"), "unknown key kind"),
     (lambda d: d["layers"][0].update(weights=[1.0]), "unknown key layers[0].weights"),
     (lambda d: d["layers"][0].pop("bias"), "missing key layers[0].bias"),
+    # a renamed key is both missing and unknown: the missing one is named
+    (lambda d: d["layers"][0].update(biases=d["layers"][0].pop("bias")),
+     "missing key layers[0].bias"),
     (lambda d: d.update(layers={}),
      "need a list of layers and one grading per layer boundary"),
     (lambda d: d.update(layers=[]),
@@ -483,6 +488,8 @@ def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
     (lambda d: d.update(gradings=5), "gradings must be a list of grading strings"),
     (lambda d: d.update(gradings=[2, "2,3"]),
      'gradings[0]: grading must be a string such as "2,3"'),
+    (lambda d: d["gradings"].__setitem__(0, "1e400,2"),
+     "gradings[0]: grade 1e400 does not fit a float64"),
     (lambda d: d["layers"][0].update(rows="x"), "layers[0].rows must be an integer"),
     (lambda d: d["layers"][0].update(cols=True), "layers[0].cols must be an integer"),
     (lambda d: d["layers"][0].update(rows=3),

@@ -70,6 +70,18 @@ def test_grading_rejects_nonpositive():
         parse_grading("1/0,2")
 
 
+@pytest.mark.parametrize("grades, named", [
+    (["2", "1e400"], "1e400"),
+    ([10 ** 400], str(10 ** 400)),
+    (["1e-400", 2], "1e-400"),
+], ids=["text_overflow", "integer_overflow", "rounds_to_zero"])
+def test_grading_rejects_a_grade_that_does_not_fit_a_float64(grades, named):
+    """Beyond the float range, float(grade) overflows; so small that it
+    rounds to 0, the eta/q rates divide by zero."""
+    with pytest.raises(GradedDomainError, match="^grade %s does not fit a float64$" % named):
+        GradingVector(grades)
+
+
 def test_grading_distinct_sorted():
     g = GradingVector([3, 1, 3, 2, 1])
     assert g.distinct == (Fraction(1), Fraction(2), Fraction(3))
