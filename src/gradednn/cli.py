@@ -66,6 +66,9 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     src = cfg.dataset.source
     p = cfg.dataset.params
     out_g = cfg.model.layers[-1][0]
+    # a multiplicative model's one output is scalar, so only a feedforward
+    # model's last layer can break a scalar-target rule
+    out_key = "model.layers[%d].grading" % (len(cfg.model.layers) - 1)
     if src == "csv":
         return read_dataset_csv(p["path"], cfg.grading, out_g)
     seed = p.get("seed", cfg.seed)
@@ -77,17 +80,18 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
             lo, hi = p.get("low", 0.1), p.get("high", 2.0)
             box = [(lo, hi)] * len(cfg.grading)
         if len(out_g) != 1:
-            raise ConfigError("monomial targets are scalar; model output must be 1-dim")
+            raise ConfigError("%s: monomial targets are scalar; model output must be "
+                              "1-dim" % out_key)
         return gen_monomial_dataset(
             cfg.grading, p["exponents"], p.get("coefficient", 1.0),
             box, count, seed)
     if src == "linear_map":
         if any(g != 1 for g in cfg.grading.grades):
-            raise ConfigError("linear_map datasets use the all-ones input grading")
+            raise ConfigError("grading: linear_map datasets use the all-ones input grading")
         return gen_linear_map_dataset(len(cfg.grading), out_g, count, seed)[0]
     if src == "invariant_proxy":
         if len(out_g) != 1:
-            raise ConfigError("invariant_proxy targets are scalar")
+            raise ConfigError("%s: invariant_proxy targets are scalar" % out_key)
         return gen_invariant_proxy_dataset(cfg.grading, count, seed)
     raise ConfigError("unknown dataset source %r" % src)
 
@@ -108,7 +112,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         cfg = load_experiment_config(args.config)
         ds = _build_dataset(cfg)
         if ds.in_grading != cfg.grading:
-            raise ConfigError("dataset grading does not match the config grading")
+            raise ConfigError("dataset.source: dataset grading does not match the config "
+                              "grading")
         net = random_network([cfg.grading] + [g for g, _ in cfg.model.layers],
                              [a for _, a in cfg.model.layers],
                              np.random.default_rng(cfg.optimizer.seed),

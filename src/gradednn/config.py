@@ -21,7 +21,7 @@ from .ioutil import (
 from .losses import LossKind, parse_loss
 from .network import ActivationKind, activation_kind, parse_exponents
 from .optimizer import OptimizerConfig
-from .spaces import GradingVector, ones_grading
+from .spaces import GradedError, GradingVector, _as_fraction, ones_grading
 
 
 @dataclass
@@ -115,8 +115,8 @@ def _dataset_exponents(value, n: int) -> Tuple[Fraction, ...]:
     ks = ()
     if isinstance(value, list) and not any(isinstance(v, bool) for v in value):
         try:
-            ks = tuple(Fraction(str(v)) for v in value)
-        except (ValueError, ZeroDivisionError):
+            ks = tuple(_as_fraction(str(v)) for v in value)
+        except (ValueError, GradedError):
             pass
     if len(ks) != n:
         raise ConfigError("dataset.exponents must be a list of %d rationals such as %s"

@@ -58,9 +58,10 @@ def _scaled_norm(values: np.ndarray, axis=None):
     """Euclidean norm of every entry (a float) or along axis, inf or NaN where
     an entry is; scaled by the largest magnitude so that no square overflows."""
     keep = axis is not None
-    big = np.max(np.abs(values), axis=axis, initial=0.0, keepdims=keep)
+    # the ufunc reductions np.max and np.sum call, without their dispatch
+    big = np.maximum.reduce(np.abs(values), axis=axis, initial=0.0, keepdims=keep)
     scale = np.minimum(np.maximum(big, _SCALE_RANGE[0]), _SCALE_RANGE[1])
-    norm = scale * np.sqrt(np.sum((values / scale) ** 2, axis=axis, keepdims=keep))
+    norm = scale * np.sqrt(np.add.reduce((values / scale) ** 2, axis=axis, keepdims=keep))
     return norm.squeeze(axis) if keep else float(norm)
 
 
@@ -75,7 +76,7 @@ class GradientBundle:
     def layer_norms(self) -> List[float]:
         """Euclidean norm of each layer's weight and bias gradients."""
         pairs = zip(self.weight_grads, self.bias_grads)
-        return [_scaled_norm(np.append(w, b)) for w, b in pairs]
+        return [_scaled_norm(np.concatenate((w.ravel(), b))) for w, b in pairs]
 
     def grad_norm(self) -> float:
         """Euclidean norm over every entry; finite while the entries are."""

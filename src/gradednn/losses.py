@@ -9,6 +9,7 @@ Each kind's value, gradient and kink test sit in one branch of _loss_part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +46,8 @@ class LossKind:
             if self.delta is None or not float(self.delta) > 0:
                 raise ValueError("huber threshold must be positive")
             object.__setattr__(self, "delta", float(self.delta))
+            if not math.isfinite(self.delta):
+                raise ValueError("huber threshold must be finite")
         if self.name == "homogeneous" and not isinstance(self.scheme, ExponentScheme):
             raise ValueError("homogeneous loss needs an exponent scheme")
         for field, owner in (("delta", "huber"), ("scheme", "homogeneous")):
@@ -89,7 +92,13 @@ def parse_loss(text: str) -> LossKind:
     "homogeneous:<scheme>" | "cross_entropy" | "max_graded"."""
     name, colon, arg = text.strip().lower().partition(":")
     if colon and name == "huber":
-        return LossKind.huber(float(arg))
+        try:
+            delta = float(arg)
+        except ValueError:
+            delta = math.nan
+        if not 0.0 < delta < math.inf:
+            raise ValueError("huber threshold must be a positive finite number")
+        return LossKind.huber(delta)
     if colon and name == "homogeneous":
         return LossKind.homogeneous(parse_scheme(arg))
     if colon or name not in _NAMES:

@@ -74,10 +74,11 @@ def activation_value(kind: ActivationKind, z: np.ndarray, q: np.ndarray) -> np.n
     z = np.asarray(z, dtype=float)
     if kind is ActivationKind.GRADED_RELU:
         # unsigned variant: |z|**(1/q); positive even for negative inputs
-        return np.where(np.abs(z) <= CLAMP, 0.0, np.abs(z) ** (1.0 / q))
+        mag = np.abs(z)
+        return np.where(mag <= CLAMP, 0.0, mag ** (1.0 / q))
     if kind is ActivationKind.SIGNED_GRADED_RELU:
-        safe = np.where(z > CLAMP, z, 1.0)
-        return np.where(z > CLAMP, safe ** (1.0 / q), 0.0)
+        live = z > CLAMP
+        return np.where(live, np.where(live, z, 1.0) ** (1.0 / q), 0.0)
     if kind is ActivationKind.GRADED_EXP:
         return np.expm1(z / q)
     if kind is ActivationKind.CLASSICAL_RELU:
@@ -95,13 +96,13 @@ def activation_slope(kind: ActivationKind, z: np.ndarray, q: np.ndarray) -> np.n
     """
     z = np.asarray(z, dtype=float)
     if kind is ActivationKind.GRADED_RELU:
-        safe = np.where(np.abs(z) <= CLAMP, 1.0, np.abs(z))
-        return np.where(
-            np.abs(z) <= CLAMP, 0.0, np.sign(z) * (1.0 / q) * safe ** (1.0 / q - 1.0)
-        )
+        mag = np.abs(z)
+        flat = mag <= CLAMP
+        safe = np.where(flat, 1.0, mag)
+        return np.where(flat, 0.0, np.sign(z) * (1.0 / q) * safe ** (1.0 / q - 1.0))
     if kind is ActivationKind.SIGNED_GRADED_RELU:
-        safe = np.where(z > CLAMP, z, 1.0)
-        return np.where(z > CLAMP, (1.0 / q) * safe ** (1.0 / q - 1.0), 0.0)
+        live = z > CLAMP
+        return np.where(live, (1.0 / q) * np.where(live, z, 1.0) ** (1.0 / q - 1.0), 0.0)
     if kind is ActivationKind.GRADED_EXP:
         return np.exp(z / q) / q
     if kind is ActivationKind.CLASSICAL_RELU:
@@ -133,8 +134,7 @@ def weight_base_slope(weight_base: np.ndarray, in_grading: GradingVector) -> np.
     q = in_grading.floats
     nz = weight_base != 0.0
     safe = np.where(nz, np.abs(weight_base), 1.0)
-    at_zero = np.broadcast_to(np.where(q == 1.0, 1.0, 0.0), weight_base.shape)
-    return np.where(nz, q * safe ** (q - 1.0), at_zero)
+    return np.where(nz, q * safe ** (q - 1.0), q == 1.0)
 
 
 def _checked_exponents(exponents, n: int) -> tuple:
@@ -302,7 +302,7 @@ class Layer:
         (..., N, n_in) give (..., N, n_out); a stack (..., n_out, n_in) of
         other base weights for this layer adds its leading axes in front."""
         if self.exponents is None:
-            return x @ np.swapaxes(self.effective(weight_base), -1, -2)
+            return x @ self.effective(weight_base).swapaxes(-1, -2)
         w = self.weight_base if weight_base is None else weight_base
         k = self.exponent_floats
         rows = np.atleast_2d(x)[..., np.newaxis, :, :]

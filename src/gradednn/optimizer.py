@@ -8,6 +8,7 @@ a fixed seed and configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -45,29 +46,27 @@ class OptimizerConfig:
             raise ValueError("stop_window must be >= 1")
 
 
-def _rates(net: Network, eta: float):
-    per_layer = []
-    for layer in net.layers:
-        rate_w = eta / layer.in_grading.floats[np.newaxis, :]
-        rate_b = eta / layer.out_grading.floats
-        per_layer.append((rate_w, rate_b))
-    return per_layer
-
-
 def sgd_step(
     net: Network,
     bundle: GradientBundle,
     cfg: OptimizerConfig,
     velocity: Optional[list] = None,
 ) -> list:
-    """One in-place update; returns the velocity state for the next call."""
-    rates = _rates(net, cfg.learning_rate)
+    """One in-place update; returns the velocity state for the next call.
+
+    The state holds each layer's velocities and its eta/q rates.  The first
+    call (velocity None) builds them from cfg.learning_rate; every later
+    call reads the rates from the state it is handed, so a run builds them
+    once."""
     if velocity is None:
+        eta = cfg.learning_rate
         velocity = [
-            (np.zeros_like(l.weight_base), np.zeros_like(l.bias)) for l in net.layers
+            (np.zeros_like(l.weight_base), np.zeros_like(l.bias),
+             eta / l.in_grading.floats[np.newaxis, :], eta / l.out_grading.floats)
+            for l in net.layers
         ]
-    for layer, (gw, gb), (rw, rb), (vw, vb) in zip(
-        net.layers, zip(bundle.weight_grads, bundle.bias_grads), rates, velocity
+    for layer, gw, gb, (vw, vb, rw, rb) in zip(
+        net.layers, bundle.weight_grads, bundle.bias_grads, velocity
     ):
         vw *= cfg.momentum
         vw -= rw * gw
@@ -143,12 +142,12 @@ def train(
                 bundle = batch_gradient(net, inputs, targets, kind)
             except TrainingDivergenceError as exc:
                 raise TrainingDivergenceError("%s, at iteration %d" % (exc, t)) from exc
-            if not np.isfinite(bundle.loss):
+            if not math.isfinite(bundle.loss):
                 raise TrainingDivergenceError(
                     "loss became non-finite at iteration %d; try a smaller "
                     "optimizer.learning_rate" % t)
             grad_norm = bundle.grad_norm()
-            if not np.isfinite(grad_norm):
+            if not math.isfinite(grad_norm):
                 # argmax picks the first NaN, else the first infinite layer norm
                 raise TrainingDivergenceError(
                     "gradient became non-finite at iteration %d in layer %d; try a "

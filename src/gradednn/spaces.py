@@ -9,6 +9,7 @@ float64 arrays.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -39,15 +40,34 @@ class IllConditionedWarning(UserWarning):
     """Emitted when a projection system is numerically fragile."""
 
 
+# a decimal literal with an exponent, in Fraction's syntax: whole digits,
+# fraction digits, exponent
+_DECIMAL = re.compile(r"[-+]?(?=\.?\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                      r"[eE]([-+]?\d+(?:_\d+)*)", re.ASCII)
+
+
 def _as_fraction(value) -> Fraction:
     # floats are accepted only when integral; "1/3" style strings are exact
     if isinstance(value, bool):
         raise TypeError("grades must be rational numbers, not bool")
-    if isinstance(value, Rational):
+    if isinstance(value, (int, Rational)):  # int first: the ABC test is slow
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if m := _DECIMAL.fullmatch(text):
+            # Fraction builds 10**exponent as an exact integer, seconds of
+            # work for a 7-digit exponent; the power of ten of the leading
+            # digit tells first whether the value is 0 or beyond any float64
+            whole = m[1].replace("_", "")
+            digits = whole + (m[2] or "").replace("_", "")
+            significant = digits.lstrip("0")
+            if not significant:
+                return Fraction(0)
+            place = len(whole) - 1 - (len(digits) - len(significant)) + int(m[3])
+            if not -325 < place < 309:
+                raise GradedDomainError("grade %s does not fit a float64" % text)
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError("grade %r has a zero denominator" % value) from None
     if isinstance(value, float):
@@ -61,10 +81,13 @@ def _as_fraction(value) -> Fraction:
 
 def _grade_float(raw, g: Fraction) -> float:
     """float(g) for a positive grade g that fits a float64, else an error naming raw."""
-    if g <= 0:
+    # a Python int raw equals g, and compares and converts in C where the
+    # Fraction's methods run in Python
+    v = raw if type(raw) is int else g
+    if v <= 0:
         raise GradedDomainError("grades must be positive, got %s" % g)
     try:
-        if (f := float(g)) != 0.0:
+        if (f := float(v)) != 0.0:
             return f
     except OverflowError:
         pass
@@ -74,7 +97,7 @@ def _grade_float(raw, g: Fraction) -> float:
 class GradingVector:
     """Immutable tuple of positive rational grades, one per coordinate."""
 
-    __slots__ = ("_grades", "_floats", "_hash", "_groups")
+    __slots__ = ("_grades", "_floats", "_groups")
 
     def __init__(self, grades: Iterable):
         grades = tuple(grades)
@@ -85,7 +108,6 @@ class GradingVector:
         floats = np.array([_grade_float(r, g) for r, g in zip(grades, gs)], dtype=float)
         floats.flags.writeable = False
         self._floats = floats
-        self._hash = hash(gs)
         self._groups = None
 
     @property
@@ -139,7 +161,7 @@ class GradingVector:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._grades)
 
     def __repr__(self) -> str:
         return "GradingVector(%s)" % (self.as_text(),)
@@ -170,13 +192,14 @@ class GradedVector:
         if arr.ndim != 1:
             raise GradingMismatchError("graded vectors are one-dimensional")
         # built once per dataset row on the train path, so kept to direct
-        # attribute reads and array methods
+        # attribute reads; count_nonzero skips ndarray.all's Python wrapper,
+        # which costs more than isfinite itself on a short row
         n = len(grading._grades)
         if arr.shape[0] != n:
             raise GradingMismatchError(
                 "value length %d does not match grading length %d" % (arr.shape[0], n)
             )
-        if not np.isfinite(arr).all():
+        if np.count_nonzero(np.isfinite(arr)) != n:
             raise GradedDomainError("graded vector entries must be finite")
         arr.flags.writeable = False
         self._values = arr
@@ -237,11 +260,14 @@ def stack_values(vectors: Sequence[GradedVector], grading: GradingVector) -> np.
     without being the same object."""
     checked = grading
     for v in vectors:
-        if v.grading is not checked:
-            if v.grading != grading:
+        if v._grading is not checked:
+            if v._grading != grading:
                 raise GradingMismatchError("vector grading does not match %s" % grading)
-            checked = v.grading
-    return np.array([v.values for v in vectors]).reshape(len(vectors), len(grading))
+            checked = v._grading
+    # every row has len(grading) entries, so one concatenation of the rows
+    # is the array, built without np.array's search for the nested shape
+    rows = [v._values for v in vectors] or [np.empty(0)]
+    return np.concatenate(rows).reshape(len(vectors), len(grading))
 
 
 def scalar_action(lam: float, x: GradedVector) -> GradedVector:

@@ -711,8 +711,30 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
     ({"model": {"type": "feedforward",
                 "layers": [{"grading": "1e400", "activation": "identity"}]}},
      "model.layers[0]: grade 1e400 does not fit a float64"),
+    # Fraction would first build 10**10000000, about 13 s of work
+    ({"grading": "2,4,6,1e10000000"}, "bad grading: grade 1e10000000 does not fit a float64"),
+    ({"model": {"type": "multiplicative", "exponents": "1,1,1,1e10000000"}},
+     'model.exponents must be 4 nonnegative rationals such as "2,2,2,2"'),
+    ({"dataset": {"source": "monomial", "exponents": [1, 1, 1, "1e10000000"]}},
+     "dataset.exponents must be a list of 4 rationals such as [2, 3, 4, 5]"),
+    ({"loss": "huber:x"}, "loss: huber threshold must be a positive finite number"),
+    ({"loss": "huber:1e400"}, "loss: huber threshold must be a positive finite number"),
+    ({"loss": "huber:nan"}, "loss: huber threshold must be a positive finite number"),
+    ({"model": {"type": "feedforward", "layers": [
+        {"grading": "1", "activation": "identity"},
+        {"grading": "1,1", "activation": "identity"}]},
+      "dataset": {"source": "monomial", "exponents": [1, 1, 1, 1]}},
+     "model.layers[1].grading: monomial targets are scalar; model output must be 1-dim"),
+    ({"dataset": {"source": "linear_map"}},
+     "grading: linear_map datasets use the all-ones input grading"),
+    ({"model": {"type": "feedforward",
+                "layers": [{"grading": "1,1", "activation": "identity"}]}},
+     "model.layers[0].grading: invariant_proxy targets are scalar"),
 ], ids=["activation_int", "layers_int", "seed", "optimizer_seed", "dataset_seed",
-        "grading_overflow", "layer_grading_overflow"])
+        "grading_overflow", "layer_grading_overflow", "grading_huge_exponent",
+        "model_exponent_huge_exponent", "dataset_exponent_huge_exponent", "huber_text",
+        "huber_overflow", "huber_nan", "monomial_output", "linear_map_grading",
+        "invariant_proxy_output"])
 def test_cli_train_config_mistake_is_one_error_line_naming_the_key(
         tmp_path, capsys, doc, message):
     """Repros on the README demo config: each ended in a traceback, or in an
@@ -736,7 +758,8 @@ def test_cli_train_config_mistake_is_one_error_line_naming_the_key(
     ({"grading": "0,1"}, "grading: grades must be positive, got 0"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"grading": "1e400"}, "grading: grade 1e400 does not fit a float64"),
-], ids=["grading_zero", "seed_negative", "grading_overflow"])
+    ({"grading": "2,1e10000000"}, "grading: grade 1e10000000 does not fit a float64"),
+], ids=["grading_zero", "seed_negative", "grading_overflow", "grading_huge_exponent"])
 def test_cli_approx_bench_config_mistake_is_one_error_line_naming_the_key(
         tmp_path, capsys, doc, message):
     cfg_path = _write_config(tmp_path / "bench.json", doc)

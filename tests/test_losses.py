@@ -65,6 +65,11 @@ def test_parse_loss_grammar():
     for bad in ("mse", "huber", "huber:zero", "homogeneous:none", ""):
         with pytest.raises(ValueError):
             parse_loss(bad)
+    for bad in ("huber:x", "huber:", "huber:1e400", "huber:inf", "huber:-inf", "huber:nan",
+                "huber:0", "huber:-0.5"):
+        with pytest.raises(ValueError,
+                           match="^huber threshold must be a positive finite number$"):
+            parse_loss(bad)
 
 
 def test_loss_name_round_trip():
@@ -81,6 +86,7 @@ def test_loss_name_round_trip():
     ("huber", {}, "huber threshold must be positive"),
     ("huber", {"delta": 0.0}, "huber threshold must be positive"),
     ("huber", {"delta": float("nan")}, "huber threshold must be positive"),
+    ("huber", {"delta": float("inf")}, "huber threshold must be finite"),
     ("homogeneous", {}, "homogeneous loss needs an exponent scheme"),
     ("homogeneous", {"scheme": "by_max_grade"}, "homogeneous loss needs an exponent scheme"),
     ("graded_mse", {"delta": 3.0}, "loss graded_mse takes no delta"),

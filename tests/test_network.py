@@ -510,6 +510,8 @@ def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
      "layers[0].blocks[1].rows must be a [start, stop] pair of integers"),
     (lambda d: d["layers"][0]["blocks"][0].update(grade="2/0"),
      "layers[0].blocks[0].grade: grade '2/0' has a zero denominator"),
+    (lambda d: d["layers"][0]["blocks"][0].update(grade="1e10000000"),
+     "layers[0].blocks[0].grade: grade 1e10000000 does not fit a float64"),
     (lambda d: d["layers"][0]["blocks"][0].update(grade="3"),
      "layers[0]: block grade 3 does not match output coordinate 0"),
 ])

@@ -70,6 +70,33 @@ def test_momentum_accumulates():
     assert net.layers[0].weight_base[0, 0] == pytest.approx(-0.25)
 
 
+def test_train_equals_a_hand_loop_that_threads_the_velocity():
+    """train builds the eta/q rates once, in the first sgd_step's state;
+    a loop that hands each step the state the last one returned takes the
+    same steps, bit for bit."""
+    gradings = [GradingVector([1, 2, "1/2"]), GradingVector([3, 1, 2, 2]), GradingVector([2])]
+    net = random_network(gradings, [ActivationKind.SIGNED_GRADED_RELU,
+                                    ActivationKind.IDENTITY], np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    x, y = rng.uniform(0.5, 1.5, (32, 3)), rng.uniform(0.0, 1.0, (32, 1))
+    kind = LossKind.graded_mse()
+    cfg = OptimizerConfig(learning_rate=0.05, momentum=0.8, max_iters=8)
+    ref = net.copy()
+    result = train(net, x, y, kind, cfg)
+    losses, grad_norms, velocity = [], [], None
+    for t in range(cfg.max_iters + 1):
+        bundle = batch_gradient(ref, x, y, kind)
+        losses.append(bundle.loss)
+        grad_norms.append(bundle.grad_norm())
+        if t < cfg.max_iters:
+            velocity = sgd_step(ref, bundle, cfg, velocity)
+    assert result.losses == losses and result.grad_norms == grad_norms
+    assert losses[-1] < losses[0]
+    for got, want in zip(result.network.layers, ref.layers):
+        assert got.weight_base.tobytes() == want.weight_base.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
 def test_batch_gradient_averages():
     g = GradingVector([1])
     net = _single_weight_net(1.0, 1)

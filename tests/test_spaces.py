@@ -32,6 +32,7 @@ from gradednn.spaces import (
     stack_values,
     tensor_grading,
     vandermonde_project,
+    _as_fraction,
 )
 
 GRADE_POOL = [Fraction(1), Fraction(2), Fraction(3), Fraction(4),
@@ -74,12 +75,30 @@ def test_grading_rejects_nonpositive():
     (["2", "1e400"], "1e400"),
     ([10 ** 400], str(10 ** 400)),
     (["1e-400", 2], "1e-400"),
-], ids=["text_overflow", "integer_overflow", "rounds_to_zero"])
+    # Fraction would first build 10**10000000, about 13 s of work
+    (["1e10000000", 2], "1e10000000"),
+    ([2, " 2.5E-10_000_000"], "2.5E-10_000_000"),
+], ids=["text_overflow", "integer_overflow", "rounds_to_zero", "huge_exponent",
+        "huge_negative_exponent"])
 def test_grading_rejects_a_grade_that_does_not_fit_a_float64(grades, named):
     """Beyond the float range, float(grade) overflows; so small that it
     rounds to 0, the eta/q rates divide by zero."""
     with pytest.raises(GradedDomainError, match="^grade %s does not fit a float64$" % named):
         GradingVector(grades)
+
+
+@pytest.mark.parametrize("text", ["1e308", "1.7e308", "0.01e310", "12e307", "5e-324",
+                                  "3e-324", "0.0001e-320", "1.e5", ".5e3", "-2.5E+10",
+                                  "1_0e-3"])
+def test_a_decimal_exponent_is_bounded_without_changing_the_value(text):
+    """Literals at the edges of the float range read as Fraction reads them."""
+    assert _as_fraction(text) == Fraction(text)
+
+
+def test_a_zero_with_a_huge_decimal_exponent_reads_as_zero():
+    # Fraction would first build 10**10000000
+    assert _as_fraction("0e10000000") == 0
+    assert _as_fraction("-0.00e-10000000") == 0
 
 
 def test_grading_distinct_sorted():
@@ -285,24 +304,40 @@ def test_parse_scheme():
 
 def test_graded_vector_validation():
     q = GradingVector([1, 2])
-    for values, error, message in [
-        ([1.0], GradingMismatchError, "value length 1 does not match grading length 2"),
-        ([1.0, 2.0, 3.0], GradingMismatchError,
+    q64, q10k = GradingVector([1] * 64), GradingVector([1] * 10 ** 4)
+    for values, grading, error, message in [
+        ([1.0], q, GradingMismatchError, "value length 1 does not match grading length 2"),
+        ([1.0, 2.0, 3.0], q, GradingMismatchError,
          "value length 3 does not match grading length 2"),
-        ([[1.0, 2.0]], GradingMismatchError, "graded vectors are one-dimensional"),
-        (3.0, GradingMismatchError, "graded vectors are one-dimensional"),
-        ([1.0, float("inf")], GradedDomainError, "graded vector entries must be finite"),
-        ([-math.inf, 1.0], GradedDomainError, "graded vector entries must be finite"),
-        ([1.0, math.nan], GradedDomainError, "graded vector entries must be finite"),
+        ([[1.0, 2.0]], q, GradingMismatchError, "graded vectors are one-dimensional"),
+        (3.0, q, GradingMismatchError, "graded vectors are one-dimensional"),
+        ([1.0, float("inf")], q, GradedDomainError, "graded vector entries must be finite"),
+        ([-math.inf, 1.0], q, GradedDomainError, "graded vector entries must be finite"),
+        ([1.0, math.nan], q, GradedDomainError, "graded vector entries must be finite"),
+        # the one fault at either end of a longer row
+        ([0.0] * (10 ** 4 - 1) + [math.nan], q10k, GradedDomainError,
+         "graded vector entries must be finite"),
+        ([-math.inf] + [1.0] * 63, q64, GradedDomainError,
+         "graded vector entries must be finite"),
     ]:
         with pytest.raises(error, match="^%s$" % message):
-            GradedVector(values, q)
+            GradedVector(values, grading)
     src = np.array([1.0, 2.0])
     x = GradedVector(src, q)
     src[0] = 7.0
     assert x.values.tolist() == [1.0, 2.0]  # a copy
     with pytest.raises(ValueError):
         x.values[0] = 5.0  # read-only view
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [-1e308, 1e308]])
+def test_graded_vector_accepts_finite_entries_whose_sum_overflows(values):
+    """The finiteness test looks at each entry; a sum or a square of these
+    overflows, and pytest turns the RuntimeWarning into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = GradedVector(values, GradingVector([1, 2]))
+    assert x.values.tolist() == values
 
 
 def test_stack_values_accepts_an_equal_grading_held_by_another_object():
