@@ -12,9 +12,25 @@ computes exactly what a single-net call does.  The approximation benchmark
 trains a width's restarts as one stacked run, with an unchanged CSV.
 
 Both work in place where that leaves every float unchanged: relu overwrites
-its pre-activation, identity returns it, and the training step updates
-velocities and weights in place, skips the identity slope of 1, and forms
-the K = 1 product `dz @ w` of a one-output layer as the broadcast `dz * w`.
+its pre-activation, identity returns it, and the training step skips the
+identity slope of 1.  `mlp_train` does each iteration's float operations in
+the order the plain loop does (the bit-for-bit reference in
+tests/test_classical.py), through fewer and cheaper numpy calls:
+
+- the forward matmul takes a contiguous copy of the transposed weights,
+  which costs less than a matmul through the strided `swapaxes` view and
+  gives the same sums;
+- a bias gradient of width >= 2 is `einsum("...nm->...m", dz)`,
+  which adds the rows of dz one by one as `dz.sum(axis=-2)` does, at half
+  its cost or less; numpy sums an (N, 1) column pairwise, so width 1 keeps
+  the sum;
+- the K = 1 product `dz @ w` of a one-output layer is the outer product
+  `einsum("...n,...m->...nm")`, whose entries are each one rounded product;
+- parameters, velocities and gradients each live in one flat buffer whose
+  views are the layer weights and biases: matmul and the bias sums write
+  each gradient into its view, and a step is four in-place calls on the
+  whole buffer.  Every update follows the whole backward pass, which moves
+  no bit, since each layer's gradient is formed before its own update.
 """
 
 from __future__ import annotations
@@ -62,6 +78,11 @@ def check_shapes(widths: Sequence[int], weights, biases) -> None:
             raise ValueError("layer %d bias shape %s mismatch" % (l, b.shape))
 
 
+def _check_activations(weights, activations) -> None:
+    if len(activations) != len(weights):
+        raise ValueError("need one activation per layer")
+
+
 def classical_mlp_forward(
     widths: Sequence[int],
     weights: Sequence[np.ndarray],
@@ -71,8 +92,6 @@ def classical_mlp_forward(
 ) -> np.ndarray:
     """Forward pass for a single input vector, one activation name per layer."""
     check_shapes(widths, weights, biases)
-    if len(activations) != len(weights):
-        raise ValueError("need one activation per layer")
     return mlp_batch_forward(weights, biases, np.atleast_2d(x), activations)[..., 0, :]
 
 
@@ -87,6 +106,7 @@ def mlp_init(widths: Sequence[int], rng: np.random.Generator, scale: float = 1.0
 
 def mlp_batch_forward(weights, biases, X: np.ndarray, activations) -> np.ndarray:
     """Rows of X through the net(s); (N, out), or (R, N, out) when stacked."""
+    _check_activations(weights, activations)
     cur = np.asarray(X, dtype=float)
     for w, b, act in zip(weights, biases, activations):
         # In place: one (N, out) array per layer, however large the grid.
@@ -94,6 +114,15 @@ def mlp_batch_forward(weights, biases, X: np.ndarray, activations) -> np.ndarray
         z += b[..., None, :]
         cur = _act(act, z)
     return cur
+
+
+def _views(flat: np.ndarray, like: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Consecutive views of flat, shaped as the arrays in like."""
+    views, start = [], 0
+    for a in like:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def mlp_train(
@@ -114,22 +143,29 @@ def mlp_train(
     per iterate for one net, an (R,) array for R stacked nets.
     """
     check_shapes(widths, weights, biases)
-    weights = [w.copy() for w in weights]
-    biases = [b.copy() for b in biases]
-    # Views, so they follow the in-place updates below.
-    weights_t = [np.swapaxes(w, -1, -2) for w in weights]
-    bias_rows = [b[..., None, :] for b in biases]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    _check_activations(weights, activations)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != widths[0] or Y.shape != (len(X), widths[-1]):
+        raise ValueError("X must be (N, %d) and Y (N, %d), got %s and %s"
+                         % (widths[0], widths[-1], X.shape, Y.shape))
+    # One flat buffer each for the parameters, their velocities and their
+    # gradients: every layer's weights and biases are views of it.
+    layers = [a for pair in zip(weights, biases) for a in pair]
+    params = np.concatenate([a.ravel() for a in layers])
+    vel = np.zeros_like(params)
+    grad = np.empty_like(params)
+    views, grads = _views(params, layers), _views(grad, layers)
+    weights, biases = views[0::2], views[1::2]
+    grad_w, grad_b = grads[0::2], grads[1::2]
+    bias_rows = [b[..., None, :] for b in biases]
     n = X.shape[0]
     losses = []
     for t in range(iters + 1):
         zs = []
         outs = [X]
-        for w_t, b_row, act in zip(weights_t, bias_rows, activations):
-            z = outs[-1] @ w_t
+        for w, b_row, act in zip(weights, bias_rows, activations):
+            z = outs[-1] @ np.ascontiguousarray(np.swapaxes(w, -1, -2))
             z += b_row
             zs.append(z)
             outs.append(_act(act, z))
@@ -148,20 +184,24 @@ def mlp_train(
             dz = g
             if activations[l] != "identity":
                 dz *= _act_slope(activations[l], zs[l])
-            gw = dz.swapaxes(-1, -2) @ outs[l]
-            gb = dz.sum(axis=-2)
+            np.matmul(dz.swapaxes(-1, -2), outs[l], out=grad_w[l])
+            # Both add the rows of dz one by one at width >= 2, einsum at
+            # less cost; numpy sums an (N, 1) column pairwise, einsum would not.
+            if widths[l + 1] > 1:
+                np.einsum("...nm->...m", dz, out=grad_b[l])
+            else:
+                np.add.reduce(dz, axis=-2, out=grad_b[l])
             if l == 0:
-                g = None  # no gradient for the input X
-            elif widths[l + 1] == 1:
-                g = dz * weights[l]  # the products of the K = 1 matmul dz @ w
+                break  # no gradient for the input X
+            if widths[l + 1] == 1:
+                # the products of the K = 1 matmul dz @ w, each rounded once
+                g = np.einsum("...n,...m->...nm", dz[..., 0], weights[l][..., 0, :])
             else:
                 g = dz @ weights[l]
-            gw *= lr
-            gb *= lr
-            vel_w[l] *= momentum
-            vel_w[l] -= gw
-            vel_b[l] *= momentum
-            vel_b[l] -= gb
-            weights[l] += vel_w[l]
-            biases[l] += vel_b[l]
-    return weights, biases, losses
+        # One step for every layer: the backward pass above read only the
+        # weights from before it.
+        grad *= lr
+        vel *= momentum
+        vel -= grad
+        params += vel
+    return [w.copy() for w in weights], [b.copy() for b in biases], losses

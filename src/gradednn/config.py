@@ -110,14 +110,16 @@ _CONFIG_KEYS = {
 
 
 def _dataset_exponents(value, n: int) -> Tuple[Fraction, ...]:
-    """dataset.exponents: a list of n rationals, each a JSON number or a
-    string such as "1/2"."""
+    """dataset.exponents: a list of n rationals that fit a float64, each a
+    JSON number or a string such as "1/2"."""
     ks = ()
     if isinstance(value, list) and not any(isinstance(v, bool) for v in value):
         try:
             ks = tuple(_as_fraction(str(v)) for v in value)
-        except (ValueError, GradedError):
-            pass
+            for k in ks:
+                float(k)  # an integer such as 10**400 raises only here
+        except (ValueError, OverflowError, GradedError):
+            ks = ()
     if len(ks) != n:
         raise ConfigError("dataset.exponents must be a list of %d rationals such as %s"
                           % (n, list(range(2, n + 2))))

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from gradednn import bench
-from gradednn.classical import check_shapes, mlp_batch_forward, mlp_init, mlp_train
+from gradednn.classical import (
+    check_shapes,
+    classical_mlp_forward,
+    mlp_batch_forward,
+    mlp_init,
+    mlp_train,
+)
 from gradednn.gradients import network_backward
 from gradednn.losses import LossKind
 from gradednn.network import (
@@ -200,11 +206,16 @@ def test_check_shapes_rejects_mismatched_leading_axes():
 
 
 @pytest.mark.parametrize("stacked", [False, True])
-@pytest.mark.parametrize("widths", [[3, 5, 2], [3, 5, 1], [3, 5, 4, 2], [3, 5, 4, 1]])
+@pytest.mark.parametrize("widths", [
+    [3, 5, 2], [3, 5, 1], [3, 5, 4, 2], [3, 5, 4, 1],
+    # approx-bench's shapes: hidden width 1 sums its bias gradient with
+    # `sum`, widths 2 and up with einsum
+    [2, 1, 1], [2, 2, 1], [2, 32, 1],
+])
 @pytest.mark.parametrize("hidden", ["relu", "expm1", "identity"])
 def test_mlp_train_matches_the_reference_loop_bit_for_bit(hidden, widths, stacked):
     X, Y = _data()
-    Y = Y[:, :widths[-1]]
+    X, Y = X[:, :widths[0]], Y[:, :widths[-1]]
     acts = [hidden] * (len(widths) - 2) + ["identity"]
     rng = np.random.default_rng(len(widths) * 10 + widths[-1])
     if stacked:
@@ -221,6 +232,83 @@ def test_mlp_train_matches_the_reference_loop_bit_for_bit(hidden, widths, stacke
     assert all(isinstance(l, float) for l in got_losses) != stacked
     assert _same(mlp_batch_forward(got_w, got_b, X, acts),
                  _ref_forward(got_w, got_b, X, acts))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_mlp_train_mutates_nothing_and_returns_its_own_arrays(stacked):
+    X, Y = _data()
+    rng = np.random.default_rng(2)
+    if stacked:
+        weights, biases = _stack([mlp_init(WIDTHS, rng) for _ in range(3)])
+    else:
+        weights, biases = mlp_init(WIDTHS, rng)
+    inputs = weights + biases + [X, Y]
+    before = [a.copy() for a in inputs]
+    got_w, got_b, _ = mlp_train(WIDTHS, weights, biases, X, Y,
+                                ["relu", "identity"], 0.05, 5, momentum=0.9)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+    out = got_w + got_b
+    assert [a.shape for a in out] == [a.shape for a in weights + biases]
+    for i, a in enumerate(out):
+        assert not any(np.shares_memory(a, b) for b in out[i + 1:] + inputs)
+
+
+def _entry_point_case():
+    widths = [2, 3, 1]
+    rng = np.random.default_rng(0)
+    weights, biases = mlp_init(widths, rng)
+    X = rng.uniform(-1.0, 1.0, size=(8, 2))
+    return widths, weights, biases, X, X[:, :1] * X[:, 1:]
+
+
+@pytest.mark.parametrize("acts", [["relu"], ["relu", "identity", "identity"]],
+                         ids=["one_too_few", "one_too_many"])
+def test_classical_entry_points_need_one_activation_per_layer(acts):
+    """One activation too few used to give the hidden layer's (8, 3) output
+    from mlp_batch_forward and an IndexError from mlp_train; one too many
+    was ignored."""
+    widths, weights, biases, X, Y = _entry_point_case()
+    with pytest.raises(ValueError, match="need one activation per layer"):
+        mlp_batch_forward(weights, biases, X, acts)
+    with pytest.raises(ValueError, match="need one activation per layer"):
+        mlp_train(widths, weights, biases, X, Y, acts, 0.05, 3)
+    with pytest.raises(ValueError, match="need one activation per layer"):
+        classical_mlp_forward(widths, weights, biases, X[0], acts)
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [
+    ((8, 3), (8, 1)), ((8,), (8, 1)), ((2, 8, 2), (8, 1)),
+    ((8, 2), (8,)), ((8, 2), (8, 2)), ((8, 2), (7, 1)), ((8, 2), (2, 8, 1)),
+], ids=["x_width", "x_1d", "x_3d", "y_1d", "y_width", "y_rows", "y_3d"])
+def test_mlp_train_refuses_data_that_does_not_fit_the_widths(x_shape, y_shape):
+    """A 1-D Y of 8 rows used to broadcast the residual to (8, 8) first."""
+    widths, weights, biases, _, _ = _entry_point_case()
+    with pytest.raises(ValueError, match=r"X must be \(N, 2\) and Y \(N, 1\)"):
+        mlp_train(widths, weights, biases, np.zeros(x_shape), np.zeros(y_shape),
+                  ["relu", "identity"], 0.05, 3)
+
+
+def _row_by_row(a):
+    acc = a[..., 0, :].copy()
+    for i in range(1, a.shape[-2]):
+        acc += a[..., i, :]
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_numpy_sums_the_bias_gradient_in_the_order_mlp_train_assumes(seed):
+    """mlp_train keeps the reference loop's `dz.sum(axis=-2)` bits by summing
+    dz of width >= 2 with einsum and an (N, 1) column with `sum`.  A numpy
+    whose summation order differs fails here, not in an approx-bench CSV."""
+    rng = np.random.default_rng(seed)
+    wide = rng.normal(size=(5, 192, 4)) * np.exp(rng.normal(scale=8.0, size=(5, 192, 4)))
+    assert _same(wide.sum(axis=-2), _row_by_row(wide))
+    assert _same(np.einsum("...nm->...m", wide), _row_by_row(wide))
+    column = wide[..., :1].copy()
+    pairwise = np.array([[np.sum(np.ascontiguousarray(c))] for c in column[..., 0]])
+    assert _same(column.sum(axis=-2), pairwise)
+    # summed row by row, as einsum sums it, the column moves
+    assert not _same(_row_by_row(column), pairwise)
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])

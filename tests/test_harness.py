@@ -717,6 +717,8 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
      'model.exponents must be 4 nonnegative rationals such as "2,2,2,2"'),
     ({"dataset": {"source": "monomial", "exponents": [1, 1, 1, "1e10000000"]}},
      "dataset.exponents must be a list of 4 rationals such as [2, 3, 4, 5]"),
+    ({"grading": "1,2", "dataset": {"source": "monomial", "exponents": [1, 10 ** 400]}},
+     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
     ({"loss": "huber:x"}, "loss: huber threshold must be a positive finite number"),
     ({"loss": "huber:1e400"}, "loss: huber threshold must be a positive finite number"),
     ({"loss": "huber:nan"}, "loss: huber threshold must be a positive finite number"),
@@ -732,7 +734,8 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
      "model.layers[0].grading: invariant_proxy targets are scalar"),
 ], ids=["activation_int", "layers_int", "seed", "optimizer_seed", "dataset_seed",
         "grading_overflow", "layer_grading_overflow", "grading_huge_exponent",
-        "model_exponent_huge_exponent", "dataset_exponent_huge_exponent", "huber_text",
+        "model_exponent_huge_exponent", "dataset_exponent_huge_exponent",
+        "dataset_exponent_huge_integer", "huber_text",
         "huber_overflow", "huber_nan", "monomial_output", "linear_map_grading",
         "invariant_proxy_output"])
 def test_cli_train_config_mistake_is_one_error_line_naming_the_key(
