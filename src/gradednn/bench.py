@@ -10,16 +10,17 @@ stacked run (`train_multiplicative` on the multiplicative kernel of
 `network` for the graded neuron, `mlp_train` for a classical width), with
 the same CSV as one run per restart.  Classical cells train with heavy-ball
 momentum (plain GD stalls at larger widths); each width also considers the
-previous width's best net padded with dead units.  The padded net computes
-the same function, so it keeps the score it was given instead of being
-scored again at the wider width, where a different summation order could
-raise the error by an ulp; that makes the error column non-increasing.
+previous width's row, because that width's best net padded with dead units
+computes the same function.  The row keeps its score instead of a padded
+net being scored again at the wider width, where a different summation
+order could raise the error by an ulp; that makes the error column
+non-increasing.
 
-The widths train independently; the carry only joins the scoring.  With
-two or more usable CPUs, one thread and two or more distinct widths, a
-forked child trains and scores every other width from the largest down
-while this process runs the graded cell and the other widths; the CSV is
-the same either way.
+The widths train and score independently, and only their (error, mse)
+pairs reach the rows.  With two or more usable CPUs, one thread and two or
+more distinct widths, a forked child trains and scores every other width
+from the largest down while this process runs the graded cell and the
+other widths; the CSV is the same either way.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .classical import mlp_batch_forward, mlp_init, mlp_train
 from .datasets import monomial_value
-from .gradients import _scaled_norm
 from .ioutil import (
     ConfigError,
     _can_split,
@@ -82,6 +82,13 @@ class BenchConfig:
             raise ValueError("iteration counts must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not 0.0 < self.grid_low < self.grid_high:
+            raise ValueError("grid_low must be positive and below grid_high")
+        for name in ("classical_learning_rate", "graded_learning_rate"):
+            if not getattr(self, name) > 0:
+                raise ValueError("%s must be positive" % name)
+        if not 0.0 <= self.classical_momentum < 1.0:
+            raise ValueError("classical_momentum must lie in [0, 1)")
 
 
 def _int_list(value, path: str) -> tuple:
@@ -138,13 +145,13 @@ def train_multiplicative(
     neurons as one stack from weights w0 (R, n) and biases b0 (R,); each
     slice computes exactly what a run of its own does.
 
-    Returns (w, b, losses, grad_norms, finite): the histories hold an (R,)
-    array per iterate, and `finite` (R,) marks the runs that stayed in the
-    finite range; the values of the other runs mean nothing.  The weight
-    gradient is `multiplicative_slope`'s (0 where |w_i| < 1e-12).  Rates
-    follow the usual convention: lr/q_i for the weight tied to coordinate i,
-    lr for the bias (scalar output, grade 1).  `graded-nn train` trains the
-    same neuron as a multiplicative first layer of the shared engine.
+    Returns (w, b, finite): `finite` (R,) marks the runs whose loss stayed
+    finite at every iterate, the final one included, and whose weights are
+    finite; the values of the other runs mean nothing.  The weight gradient
+    is `multiplicative_slope`'s (0 where |w_i| < 1e-12).  Rates follow the
+    usual convention: lr/q_i for the weight tied to coordinate i, lr for the
+    bias (scalar output, grade 1).  `graded-nn train` trains the same neuron
+    as a multiplicative first layer of the shared engine.
     """
     w = np.array(w0, dtype=float)
     b = np.array(b0, dtype=float)
@@ -152,41 +159,17 @@ def train_multiplicative(
     rate_w = lr / q
     sign = multiplicative_sign(k, x)
     finite = np.ones(b.shape, dtype=bool)
-    losses: list = []
-    grads: list = []  # (dw, db) per iterate; their norms are taken in one call
     for t in range(iters + 1):
         core = multiplicative_core(w, k, x, sign)
         diff = core + b[..., None] - y
-        loss = np.mean(diff * diff, axis=-1)
-        finite &= np.isfinite(loss)
-        if not finite.any():
+        finite &= np.isfinite(np.mean(diff * diff, axis=-1))
+        if t == iters or not finite.any():
             break
         g = 2.0 * diff / n
-        dw = (g[..., None] * multiplicative_slope(w, k, core)).sum(axis=-2)
-        db = g.sum(axis=-1)
-        losses.append(loss)
-        grads.append(np.concatenate([dw, db[..., None]], axis=-1))
-        if t == iters:
-            break
-        w -= rate_w * dw
-        b -= lr * db
+        w -= rate_w * (g[..., None] * multiplicative_slope(w, k, core)).sum(axis=-2)
+        b -= lr * g.sum(axis=-1)
     finite &= np.all(np.isfinite(w), axis=-1)
-    grad_norms = list(_scaled_norm(np.array(grads), axis=-1)) if grads else []
-    return w, b, losses, grad_norms, finite
-
-
-def _pad_classical(weights, biases, m: int):
-    """Embed a smaller hidden layer into width m with dead (zero) units."""
-    w1, w2 = weights
-    b1, b2 = biases
-    m_prev = w1.shape[0]
-    w1p = np.zeros((m, w1.shape[1]))
-    w1p[:m_prev] = w1
-    b1p = np.zeros(m)
-    b1p[:m_prev] = b1
-    w2p = np.zeros((w2.shape[0], m))
-    w2p[:, :m_prev] = w2
-    return [w1p, w2p], [b1p, b2.copy()]
+    return w, b, finite
 
 
 def _graded_cell(cfg: BenchConfig, x_train, y_train, grid, y_grid) -> BenchRow:
@@ -196,7 +179,7 @@ def _graded_cell(cfg: BenchConfig, x_train, y_train, grid, y_grid) -> BenchRow:
     # Training draws nothing from rng, so drawing every init first keeps the
     # draw order of one init-then-train pass per restart.
     w0 = rng.uniform(0.2, 0.9, size=(cfg.restarts, 2))
-    w, b, _, _, finite = train_multiplicative(
+    w, b, finite = train_multiplicative(
         x_train, y_train, k, q, w0, np.zeros(cfg.restarts),
         cfg.graded_learning_rate, cfg.graded_iters)
     # the analytic solution w=1, b=0 first, then the finite restarts
@@ -213,9 +196,8 @@ def _graded_cell(cfg: BenchConfig, x_train, y_train, grid, y_grid) -> BenchRow:
 _ACTS = ("relu", "identity")
 
 
-def _score_classical(net, x_train, y_train, grid, y_grid) -> Tuple[float, float]:
+def _score_classical(weights, biases, x_train, y_train, grid, y_grid) -> Tuple[float, float]:
     """(max abs error on the grid, training mse) of one classical net."""
-    weights, biases = net
     pred_grid = mlp_batch_forward(weights, biases, grid, _ACTS)[:, 0]
     pred_train = mlp_batch_forward(weights, biases, x_train, _ACTS)[:, 0]
     return (float(np.max(np.abs(pred_grid - y_grid))),
@@ -223,8 +205,8 @@ def _score_classical(net, x_train, y_train, grid, y_grid) -> Tuple[float, float]
 
 
 def _fit_widths(cfg: BenchConfig, widths, data) -> dict:
-    """Per width m: its finite restarts, trained as one stacked run, each
-    scored as (error, mse, (weights, biases)) in restart order."""
+    """Per width m: the (error, mse) of its finite restarts in restart
+    order, trained as one stacked run and scored one net at a time."""
     x_train, y_train = data[:2]
     fits = {}
     for m in widths:
@@ -237,11 +219,9 @@ def _fit_widths(cfg: BenchConfig, widths, data) -> dict:
             [np.stack(bs) for bs in zip(*init_b)], x_train, y_train[:, None], _ACTS,
             cfg.classical_learning_rate, cfg.classical_iters,
             momentum=cfg.classical_momentum)
-        fits[m] = []
-        for r in range(cfg.restarts):
-            if all(np.all(np.isfinite(w[r])) for w in weights):
-                net = ([w[r] for w in weights], [b[r] for b in biases])
-                fits[m].append(_score_classical(net, *data) + (net,))
+        fits[m] = [_score_classical([w[r] for w in weights], [b[r] for b in biases], *data)
+                   for r in range(cfg.restarts)
+                   if all(np.all(np.isfinite(w[r])) for w in weights)]
     return fits
 
 
@@ -255,30 +235,27 @@ def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
     data = (x_train, y_train, grid, y_grid)
 
     widths = sorted(set(cfg.hidden_sizes), reverse=True)
-    if len(widths) >= 2 and _can_split():
-        fits, (graded, ours) = _split_run(
-            lambda: _fit_widths(cfg, widths[0::2], data),
-            lambda: (_graded_cell(cfg, *data), _fit_widths(cfg, widths[1::2], data)))
-        fits.update(ours)
-    else:
-        graded, fits = _graded_cell(cfg, *data), _fit_widths(cfg, widths, data)
+    # A diverging restart overflows or turns nan, and `finite` and the
+    # finite-weight test drop it, so numpy's warning would only repeat that;
+    # a forked child inherits the setting.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(widths) >= 2 and _can_split():
+            fits, (graded, ours) = _split_run(
+                lambda: _fit_widths(cfg, widths[0::2], data),
+                lambda: (_graded_cell(cfg, *data), _fit_widths(cfg, widths[1::2], data)))
+            fits.update(ours)
+        else:
+            graded, fits = _graded_cell(cfg, *data), _fit_widths(cfg, widths, data)
 
-    rows = [graded]
-    carry = None
+    rows, best = [graded], None
     for m in cfg.hidden_sizes:
-        candidates = fits[m]
-        if carry is not None:
-            # the padded net computes the same function, so it keeps its score
-            candidates = [carry[:2] + (_pad_classical(*carry[2], m=m),)] + candidates
-        if not candidates:
-            rows.append(BenchRow("classical", m, float("inf"), float("inf"), "diverged"))
-            continue
-        best = candidates[0]
-        for cand in candidates[1:]:
-            if cand[0] < best[0]:  # a tie or a nan keeps the earlier net
-                best = cand
-        rows.append(BenchRow("classical", m, best[0], best[1]))
-        carry = best
+        # best starts as the previous row: its net padded with dead units
+        # computes the same function, so it keeps its score
+        for score in fits[m]:
+            if best is None or score[0] < best[0]:  # a tie or a nan keeps the earlier
+                best = score
+        rows.append(BenchRow("classical", m, *best) if best is not None else
+                    BenchRow("classical", m, float("inf"), float("inf"), "diverged"))
     return rows
 
 

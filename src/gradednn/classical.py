@@ -78,7 +78,9 @@ def check_shapes(widths: Sequence[int], weights, biases) -> None:
             raise ValueError("layer %d bias shape %s mismatch" % (l, b.shape))
 
 
-def _check_activations(weights, activations) -> None:
+def _check_layers(weights, biases, activations) -> None:
+    if len(biases) != len(weights):
+        raise ValueError("need one weight/bias pair per layer")
     if len(activations) != len(weights):
         raise ValueError("need one activation per layer")
 
@@ -106,7 +108,7 @@ def mlp_init(widths: Sequence[int], rng: np.random.Generator, scale: float = 1.0
 
 def mlp_batch_forward(weights, biases, X: np.ndarray, activations) -> np.ndarray:
     """Rows of X through the net(s); (N, out), or (R, N, out) when stacked."""
-    _check_activations(weights, activations)
+    _check_layers(weights, biases, activations)
     cur = np.asarray(X, dtype=float)
     for w, b, act in zip(weights, biases, activations):
         # In place: one (N, out) array per layer, however large the grid.
@@ -143,7 +145,7 @@ def mlp_train(
     per iterate for one net, an (R,) array for R stacked nets.
     """
     check_shapes(widths, weights, biases)
-    _check_activations(weights, activations)
+    _check_layers(weights, biases, activations)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or X.shape[1] != widths[0] or Y.shape != (len(X), widths[-1]):

@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from gradednn import bench
+from gradednn import bench, ioutil
 from gradednn.classical import (
     check_shapes,
     classical_mlp_forward,
@@ -276,6 +276,16 @@ def test_classical_entry_points_need_one_activation_per_layer(acts):
         classical_mlp_forward(widths, weights, biases, X[0], acts)
 
 
+@pytest.mark.parametrize("keep", [1, 3], ids=["one_too_few", "one_too_many"])
+def test_mlp_batch_forward_needs_one_bias_per_weight(keep):
+    """One bias too few used to give the hidden layer's (8, 3) output; one
+    too many was ignored."""
+    _, weights, biases, X, _ = _entry_point_case()
+    biases = (biases + [np.zeros(1)])[:keep]
+    with pytest.raises(ValueError, match="need one weight/bias pair per layer"):
+        mlp_batch_forward(weights, biases, X, ["relu", "identity"])
+
+
 @pytest.mark.parametrize("x_shape, y_shape", [
     ((8, 3), (8, 1)), ((8,), (8, 1)), ((2, 8, 2), (8, 1)),
     ((8, 2), (8,)), ((8, 2), (8, 2)), ((8, 2), (7, 1)), ((8, 2), (2, 8, 1)),
@@ -348,8 +358,7 @@ def _mult_data(negative):
 def _check_against_per_restart_runs(x, y, k, q, w0, b0, lr, iters):
     """Each slice of one stacked run against its own reference run; returns
     the slices that left the finite range."""
-    w, b, losses, grad_norms, finite = bench.train_multiplicative(
-        x, y, k, q, w0, b0, lr, iters)
+    w, b, finite = bench.train_multiplicative(x, y, k, q, w0, b0, lr, iters)
     assert finite.shape == b0.shape
     diverged = []
     for r in range(len(b0)):
@@ -359,8 +368,6 @@ def _check_against_per_restart_runs(x, y, k, q, w0, b0, lr, iters):
             diverged.append(r)
             continue
         assert _same(w[r], ref[0]) and b[r] == ref[1]
-        assert _same([l[r] for l in losses], ref[2])
-        assert _same([g[r] for g in grad_norms], ref[3])
     return diverged
 
 
@@ -406,12 +413,14 @@ _TINY_Y = np.array([-0.25, 0.75])
 
 
 def test_weight_gradient_survives_a_large_bias():
+    """One step at lr = 1e3 moves each weight by 5e-16, to the float above
+    1; a gradient of 0 would leave it at exactly 1."""
     k = np.ones(2)
-    grad_norms = bench.train_multiplicative(
-        _TINY_X, _TINY_Y, k, k, np.ones((1, 2)), np.array([0.25]), 1.0, 0)[3]
-    assert grad_norms[0][0] == pytest.approx(math.sqrt(2) * 0.5e-18, rel=1e-12)
-    assert [g[0] for g in grad_norms] == _ref_train_multiplicative(
-        _TINY_X, _TINY_Y, k, k, np.ones(2), 0.25, 1.0, 0)[3]
+    w, _, finite = bench.train_multiplicative(
+        _TINY_X, _TINY_Y, k, k, np.ones((1, 2)), np.array([0.25]), 1e3, 1)
+    assert finite[0] and np.array_equal(w[0], np.full(2, 1.0000000000000004))
+    assert _same(w[0], _ref_train_multiplicative(
+        _TINY_X, _TINY_Y, k, k, np.ones(2), 0.25, 1e3, 1)[0])
 
 
 def test_engine_weight_gradient_survives_a_large_bias():
@@ -454,8 +463,6 @@ def _per_restart_rows(cfg):
     for m in cfg.hidden_sizes:
         rng = bench._cell_rng(cfg.seed, "classical-%d" % m)
         # the previous width's best, padded with dead units, keeps its score
-        if best is not None:
-            best = best[:2] + (bench._pad_classical(*best[2], m=m),)
         for _ in range(cfg.restarts):
             w, b = mlp_init([2, m, 1], rng)
             w, b, _ = _ref_mlp_train(
@@ -528,21 +535,67 @@ def test_approx_bench_with_one_width_never_forks(hidden_sizes, fork_counter):
     assert forks == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "forked"])
+@pytest.mark.parametrize("bad", [1, 3], ids=["first", "after_a_finite_width"])
+def test_approx_bench_width_without_a_finite_restart(
+        bad, cpus, fork_counter, monkeypatch, tmp_path):
+    """Every restart of width `bad` comes back with a nan weight.  As the
+    first width it reads diverged; after width 1 it repeats width 1's row.
+    Forked, width 1 trains in the child and width 3 in this process."""
+    forks = fork_counter(cpus)
+    real_train = bench.mlp_train
+
+    def mlp_train(widths, *args, **kwargs):
+        weights, biases, losses = real_train(widths, *args, **kwargs)
+        if widths[1] == bad:
+            weights[0][:, 0, 0] = np.nan
+        return weights, biases, losses
+
+    monkeypatch.setattr(bench, "mlp_train", mlp_train)
+    rows = bench.approx_bench(_small_bench())
+    assert len(forks) == (cpus > 1)
+    bench.write_bench_csv(rows, tmp_path / "bench.csv")
+    lines = (tmp_path / "bench.csv").read_text().splitlines()
+    if bad == 1:
+        assert lines[2] == "classical,1,inf,inf,diverged"
+        monkeypatch.setattr(bench, "mlp_train", real_train)
+        assert rows[2:] == bench.approx_bench(_small_bench(hidden_sizes=[3, 8]))[1:]
+    else:
+        assert lines[2].startswith("classical,1,") and lines[2].endswith(",ok")
+        assert lines[3] == "classical,3," + lines[2].split(",", 2)[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "forked"])
+@pytest.mark.parametrize("doc", [
+    {"graded_learning_rate": 3.0, "classical_iters": 5, "graded_iters": 50,
+     "hidden_sizes": [1]},
+    {"classical_learning_rate": 1000.0, "classical_iters": 200, "graded_iters": 5,
+     "hidden_sizes": [1, 4]},
+], ids=["graded", "classical"])
+def test_approx_bench_diverging_restarts_warn_nothing(doc, cpus, fork_counter):
+    """Diverged restarts are dropped, so they raise no numpy warning, which
+    the suite's error::RuntimeWarning filter would turn into an error in
+    this process or in the child."""
+    forks = fork_counter(cpus)
+    rows = bench.approx_bench(bench.bench_config_from_dict(doc))
+    assert len(forks) == (cpus > 1 and len(doc["hidden_sizes"]) > 1)
+    if "classical_learning_rate" in doc:
+        assert [r.status for r in rows] == ["ok", "diverged", "diverged"]
+
+
 def _time_out(signum, frame):
-    raise TimeoutError("approx_bench did not return")
+    raise TimeoutError("_split_run did not return")
 
 
-def test_approx_bench_child_reply_larger_than_the_pipe_buffer(fork_counter):
-    """Width 1200's restarts pickle to about 150 KB, past a 64 KiB pipe: a
-    parent that waited for the child before reading would never return."""
-    cfg = _small_bench(hidden_sizes=[2, 1200], classical_iters=3, graded_iters=3)
-    forks = fork_counter(2)
+def test_split_run_child_reply_larger_than_the_pipe_buffer():
+    """A 204,800-byte reply is past a 64 KiB pipe: a parent that waited for
+    the child before reading would never return."""
+    reply = bytes(range(256)) * 800
     handler = signal.signal(signal.SIGALRM, _time_out)
     signal.alarm(60)
     try:
-        forked = bench.approx_bench(cfg)
+        got = ioutil._split_run(lambda: reply, lambda: "parent")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
-    fork_counter(1)
-    assert len(forks) == 1 and forked == bench.approx_bench(cfg)
+    assert got == (reply, "parent")

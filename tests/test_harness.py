@@ -41,6 +41,7 @@ from gradednn.network import (
 )
 from gradednn.ioutil import int_value, read_object, str_value
 from gradednn.spaces import GradedError, GradedVector, GradingVector, ones_grading
+from test_classical import _ref_train_multiplicative
 
 Q23 = GradingVector([2, 3])
 
@@ -489,8 +490,8 @@ def _odd_exponent_csv(path):
 @pytest.mark.parametrize("case", ["positive", "odd_negative", "fractional"])
 def test_cli_train_multiplicative_matches_the_reference_trainer(tmp_path, case):
     """The engine's run of a multiplicative model writes exactly the loss and
-    gradient-norm history, and ends at exactly the weights and bias, of
-    bench.train_multiplicative from the same initial weights."""
+    gradient-norm history, and ends at exactly the weights and bias, of the
+    one-neuron reference trainer from the same initial weights."""
     doc = _mult_doc(case, max_iters=60)
     if case == "odd_negative":
         doc.update(grading="1,2", seed=5,
@@ -510,14 +511,14 @@ def test_cli_train_multiplicative_matches_the_reference_trainer(tmp_path, case):
     cfg = load_experiment_config(cfg_path)
     ds = _build_dataset(cfg)
     k = np.array([float(v) for v in cfg.model.exponents])
-    w0 = np.random.default_rng(cfg.optimizer.seed).uniform(0.2, 0.9, size=(1, 2))
-    w, b, losses, grad_norms, finite = bench.train_multiplicative(
-        ds.inputs, ds.targets[:, 0], k, cfg.grading.floats, w0, np.zeros(1),
+    w0 = np.random.default_rng(cfg.optimizer.seed).uniform(0.2, 0.9, size=2)
+    w, b, losses, grad_norms = _ref_train_multiplicative(
+        ds.inputs, ds.targets[:, 0], k, cfg.grading.floats, w0, 0.0,
         cfg.optimizer.learning_rate, cfg.optimizer.max_iters)
-    assert finite[0] and len(recs) == 61
-    assert [r["loss"] for r in recs] == [float(l[0]) for l in losses]
-    assert [r["grad_norm"] for r in recs] == [float(g[0]) for g in grad_norms]
-    assert np.array_equal(layer.weight_base, w) and np.array_equal(layer.bias, b)
+    assert len(recs) == 61
+    assert [r["loss"] for r in recs] == losses
+    assert [r["grad_norm"] for r in recs] == grad_norms
+    assert np.array_equal(layer.weight_base, w[None]) and np.array_equal(layer.bias, [b])
 
 
 def test_cli_train_multiplicative_model_round_trips(tmp_path):
@@ -688,6 +689,11 @@ def test_cli_approx_bench_rejects_wrong_value_types(tmp_path, capsys, doc, key):
 @pytest.mark.parametrize("doc", [
     {"hidden_sizes": [0]}, {"train_count": 0}, {"classical_iters": -1},
     {"hidden_sizes": [4, 2]},
+    {"grading": "1/2,1", "grid_low": 0}, {"grading": "1/2,1", "grid_low": -1},
+    {"grid_low": -1}, {"grid_low": 0.5, "grid_high": 0.2},
+    {"classical_learning_rate": -1}, {"graded_learning_rate": -1},
+    {"classical_learning_rate": 0}, {"classical_momentum": 1.5},
+    {"classical_momentum": -0.1},
 ])
 def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
     cfg_path = _write_config(tmp_path / "bench.json", doc)
