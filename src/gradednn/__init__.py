@@ -30,8 +30,6 @@ from .network import (
     Layer,
     Network,
     NonFiniteForwardError,
-    graded_exp,
-    graded_relu,
     load_network,
     log_domain_forward,
     multiplicative_core,

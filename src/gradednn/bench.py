@@ -205,8 +205,9 @@ def _score_classical(weights, biases, x_train, y_train, grid, y_grid) -> Tuple[f
 
 
 def _fit_widths(cfg: BenchConfig, widths, data) -> dict:
-    """Per width m: the (error, mse) of its finite restarts in restart
-    order, trained as one stacked run and scored one net at a time."""
+    """Per width m: the (error, mse) of its restarts in restart order,
+    trained as one stacked run and scored one net at a time, keeping a
+    restart when its weights and both scores are finite."""
     x_train, y_train = data[:2]
     fits = {}
     for m in widths:
@@ -219,9 +220,10 @@ def _fit_widths(cfg: BenchConfig, widths, data) -> dict:
             [np.stack(bs) for bs in zip(*init_b)], x_train, y_train[:, None], _ACTS,
             cfg.classical_learning_rate, cfg.classical_iters,
             momentum=cfg.classical_momentum)
-        fits[m] = [_score_classical([w[r] for w in weights], [b[r] for b in biases], *data)
-                   for r in range(cfg.restarts)
-                   if all(np.all(np.isfinite(w[r])) for w in weights)]
+        scores = (_score_classical([w[r] for w in weights], [b[r] for b in biases], *data)
+                  for r in range(cfg.restarts)
+                  if all(np.all(np.isfinite(w[r])) for w in weights))
+        fits[m] = [s for s in scores if np.isfinite(s).all()]
     return fits
 
 
@@ -252,7 +254,7 @@ def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
         # best starts as the previous row: its net padded with dead units
         # computes the same function, so it keeps its score
         for score in fits[m]:
-            if best is None or score[0] < best[0]:  # a tie or a nan keeps the earlier
+            if best is None or score[0] < best[0]:  # a tie keeps the earlier
                 best = score
         rows.append(BenchRow("classical", m, *best) if best is not None else
                     BenchRow("classical", m, float("inf"), float("inf"), "diverged"))

@@ -8,6 +8,7 @@ file back reproduces the doubles exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -185,9 +186,21 @@ def read_dataset_csv(path, in_grading: GradingVector, out_grading: GradingVector
         for row in reader:
             if not row:
                 continue
+            where = "dataset file %s line %d" % (path, reader.line_num)
             if len(row) != n + m:
-                raise ValueError("dataset row has %d fields, expected %d" % (len(row), n + m))
-            vals = [float(tok) for tok in row]
+                # a short row names its first missing column
+                col = " column %s" % expected[len(row)] if len(row) < n + m else ""
+                raise ValueError("%s%s: row has %d fields, expected %d"
+                                 % (where, col, len(row), n + m))
+            vals = []
+            for name, tok in zip(expected, row):
+                try:
+                    vals.append(float(tok))
+                except ValueError as exc:
+                    raise ValueError("%s column %s: %s" % (where, name, exc)) from None
+                if not math.isfinite(vals[-1]):
+                    raise GradedDomainError("%s column %s: dataset entries must be finite"
+                                            % (where, name))
             xs.append(vals[:n])
             ys.append(vals[n:])
     if not xs:

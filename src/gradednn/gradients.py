@@ -25,12 +25,7 @@ from .network import (
     random_network,
     weight_base_slope,
 )
-from .spaces import (
-    ExponentScheme,
-    GradedVector,
-    GradingVector,
-    stack_values,
-)
+from .spaces import ExponentScheme, GradingVector
 
 # default central-difference step, and the relative error grad-check accepts
 DEFAULT_EPS = 1e-5
@@ -40,13 +35,11 @@ GRAD_CHECK_TOL = 1e-5
 _STACK_ENTRIES = 1 << 20
 
 
-def loss_grad(kind: LossKind, y, yhat, grading=None):
-    """Gradient of loss_value with respect to yhat: a graded vector for one
-    sample, an (N, n) array for a batch, whose row k is the gradient of
-    row k's loss divided by N because loss_value averages along axis 0."""
+def loss_grad(kind: LossKind, y, yhat, grading) -> np.ndarray:
+    """Gradient of loss_value with respect to yhat: an (N, n) array whose row
+    k is the gradient of row k's loss divided by N, because loss_value
+    averages along axis 0."""
     g = _loss_part(kind, "grad", *_operands(y, yhat, grading))
-    if grading is None:
-        return GradedVector(g[0], y.grading)
     return g / len(g)
 
 
@@ -84,13 +77,10 @@ class GradientBundle:
 
 
 def network_backward(net: Network, x, y, kind: LossKind) -> GradientBundle:
-    """Mean loss and its exact parameter gradients, averaged along axis 0, for
-    one sample as graded vectors (the batch N = 1) or for (N, n_in) and
-    (N, n_out) arrays with one sample per row."""
+    """Mean loss and its exact parameter gradients, averaged along axis 0,
+    for (N, n_in) inputs and (N, n_out) targets with one sample per row."""
     if not net.layers:
         raise ValueError("an empty network has no parameters to differentiate")
-    if isinstance(x, GradedVector):
-        x, y = stack_values([x], net.in_grading), stack_values([y], net.out_grading)
     trace, out = forward_trace(net, x)
     raise_if_non_finite(trace, out)
     loss = loss_value(kind, y, out, net.out_grading)
@@ -124,13 +114,13 @@ def _check_eps(eps: float) -> None:
 
 def finite_diff_check(
     net: Network,
-    x: GradedVector,
-    y: GradedVector,
+    x: np.ndarray,
+    y: np.ndarray,
     kind: LossKind,
     eps: float = DEFAULT_EPS,
 ) -> float:
     """Max over parameters of |analytic - central difference| / max(1, |fd|);
-    NaN when any of them is NaN.
+    NaN when any of them is NaN.  x (1, n_in) and y (1, n_out) are one sample.
 
     The perturbed passes of one layer run as one stack: every copy of the
     layer with one parameter at keep + eps or keep - eps evaluates from the
@@ -138,16 +128,18 @@ def finite_diff_check(
     stack of activations, which gives the same floats as one pass each.
     """
     _check_eps(eps)
-    xs, ys = stack_values([x], net.in_grading), stack_values([y], net.out_grading)
-    bundle = network_backward(net, xs, ys, kind)
-    trace, _ = forward_trace(net, xs)
+    if net.layers and (np.shape(x) != (1, len(net.in_grading))
+                       or np.shape(y) != (1, len(net.out_grading))):
+        raise ValueError("need one sample as (1, n_in) and (1, n_out) arrays")
+    bundle = network_backward(net, x, y, kind)
+    trace, _ = forward_trace(net, x)
     errs = []
     for l in range(len(net.layers)):
         analytic = np.append(bundle.weight_grads[l], bundle.bias_grads[l])
         step = max(1, _STACK_ENTRIES // (2 * len(analytic)))
         for lo in range(0, len(analytic), step):
             idx = np.arange(lo, min(lo + step, len(analytic)))
-            plus, minus = _perturbed_losses(net, trace, l, idx, ys, kind, eps)
+            plus, minus = _perturbed_losses(net, trace, l, idx, y, kind, eps)
             fd = (plus - minus) / (2.0 * eps)
             errs.append(np.abs(analytic[idx] - fd) / np.maximum(1.0, np.abs(fd)))
     return float(np.max(np.concatenate(errs)))
@@ -231,7 +223,7 @@ def _random_check_case(rng: np.random.Generator, kind: LossKind):
                 continue
             if abs(loss_value(kind, y, yhat, gradings[-1])) > _MAX_CHECK_LOSS:
                 break  # the outputs, not a target in (0.1, 1), make it large
-            return net, GradedVector(x, gradings[0]), GradedVector(y[0], gradings[-1])
+            return net, x[np.newaxis], y
         # targets kept colliding with a kink or the loss was too large;
         # rebuild the net instead
     raise RuntimeError("could not sample a kink-free gradient-check case")

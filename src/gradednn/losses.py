@@ -1,10 +1,15 @@
 """Grade-weighted loss functions.
 
-All losses take (target, prediction) as graded vectors over the same grading,
-or as (N, n) arrays of samples with their grading, and return the mean loss
-over the samples.  A LossKind value names the kind and its parameter, and
+All losses take (target, prediction) as (N, n) arrays, one sample per row,
+with the grading of the n coordinates, and return the mean loss over the
+samples.  A LossKind value names the kind and its parameter, and
 parses from compact text such as "huber:0.5" or "homogeneous:by_max_grade".
 Each kind's value, gradient and kink test sit in one branch of _loss_part.
+Per sample, with d = yhat - y: graded_mse (1/n) sum_i q_i d_i**2,
+graded_norm sum_i q_i d_i**2, huber sum_i q_i rho_delta(d_i), homogeneous
+(sum_j n_j**e_j)**(2/E) over the euclidean norms n_j of d's grade groups,
+cross_entropy -sum_i q_i y_i log(max(yhat_i, 1e-12)), max_graded
+max_i q_i d_i**2.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .spaces import (
     homogeneous_parts,
     homogeneous_terms,
     parse_scheme,
-    require_same_grading,
 )
 
 # predictions below this are clamped inside the cross entropy log
@@ -106,59 +110,26 @@ def parse_loss(text: str) -> LossKind:
     return LossKind(name)
 
 
-def _operands(y, yhat, grading=None):
-    """(grading, y, yhat) as (N, n) arrays; two graded vectors are N = 1."""
-    if grading is None:
-        require_same_grading(y, yhat)
-        return y.grading, y.values[np.newaxis], yhat.values[np.newaxis]
+def _operands(y, yhat, grading):
+    """(grading, y, yhat) with y and yhat as (N, n) float arrays, N >= 1."""
     y, yhat = np.asarray(y, dtype=float), np.asarray(yhat, dtype=float)
     if y.ndim != 2 or y.shape != yhat.shape or y.shape[1] != len(grading):
         raise GradingMismatchError("need (N, %d) arrays" % len(grading))
+    if not len(y):
+        raise ValueError("an empty batch has no mean loss")
     return grading, y, yhat
 
 
-def graded_mse(y: GradedVector, yhat: GradedVector) -> float:
-    """(1/n) sum_i q_i (yhat_i - y_i)**2."""
-    return loss_value(LossKind.graded_mse(), y, yhat)
-
-
-def graded_norm_loss(y: GradedVector, yhat: GradedVector) -> float:
-    """sum_i q_i (yhat_i - y_i)**2, the squared graded euclidean norm."""
-    return loss_value(LossKind.graded_norm(), y, yhat)
-
-
-def graded_huber(y: GradedVector, yhat: GradedVector, delta: float) -> float:
-    """sum_i q_i rho_delta(yhat_i - y_i) with the usual quadratic/linear split."""
-    return loss_value(LossKind.huber(delta), y, yhat)
-
-
-def homogeneous_loss(y: GradedVector, yhat: GradedVector, scheme: ExponentScheme) -> float:
-    """Square of the homogeneous norm of the residual, (sum_j n_j**e_j)**(2/E)
-    over the per-group euclidean norms n_j; zero residual gives zero."""
-    return loss_value(LossKind.homogeneous(scheme), y, yhat)
-
-
-def graded_cross_entropy(y: GradedVector, yhat: GradedVector) -> float:
-    """-sum_i q_i y_i log(yhat_i), with yhat clamped below at 1e-12."""
-    return loss_value(LossKind.cross_entropy(), y, yhat)
-
-
-def max_graded_loss(y: GradedVector, yhat: GradedVector) -> float:
-    """(max_i sqrt(q_i)|yhat_i - y_i|)**2 = max_i q_i (yhat_i - y_i)**2."""
-    return loss_value(LossKind.max_graded(), y, yhat)
-
-
-def loss_value(kind: LossKind, y, yhat, grading=None) -> float:
-    """Mean loss along axis 0.  y and yhat are one sample as graded vectors
-    over one grading, or (N, n) arrays, one sample per row, with `grading`."""
+def loss_value(kind: LossKind, y, yhat, grading) -> float:
+    """Mean loss along axis 0 of the (N, n) arrays y and yhat, one sample
+    per row, over `grading`."""
     rows = loss_rows(kind, y, yhat, grading)
     # rows.sum() / N is np.mean without its per-call overhead
     return float(rows.sum() / len(rows))
 
 
-def loss_rows(kind: LossKind, y, yhat, grading=None) -> np.ndarray:
-    """The (N,) per-sample losses that loss_value averages; operands as
-    there, one graded-vector sample giving N = 1."""
+def loss_rows(kind: LossKind, y, yhat, grading) -> np.ndarray:
+    """The (N,) per-sample losses that loss_value averages."""
     return _loss_part(kind, "value", *_operands(y, yhat, grading))
 
 

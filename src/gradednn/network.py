@@ -112,17 +112,6 @@ def activation_slope(kind: ActivationKind, z: np.ndarray, q: np.ndarray) -> np.n
     raise ValueError("unknown activation kind %r" % kind)
 
 
-def graded_relu(x: GradedVector, signed: bool = False) -> GradedVector:
-    kind = ActivationKind.SIGNED_GRADED_RELU if signed else ActivationKind.GRADED_RELU
-    return x.with_values(activation_value(kind, x.values, x.grading.floats))
-
-
-def graded_exp(x: GradedVector) -> GradedVector:
-    return x.with_values(
-        activation_value(ActivationKind.GRADED_EXP, x.values, x.grading.floats)
-    )
-
-
 def effective_weights(weight_base: np.ndarray, in_grading: GradingVector) -> np.ndarray:
     """sgn(w)|w|**q_i with the exponent taken from the input coordinate."""
     q = in_grading.floats
@@ -348,12 +337,6 @@ class Network:
 
     def copy(self) -> "Network":
         return Network([l.copy() for l in self.layers])
-
-    def parameters(self):
-        """Yields (layer_index, name, array) for in-place updates."""
-        for i, layer in enumerate(self.layers):
-            yield i, "weight_base", layer.weight_base
-            yield i, "bias", layer.bias
 
 
 def forward_trace(net: Network, x: np.ndarray):

@@ -247,11 +247,6 @@ class GradedMatrix:
         object.__setattr__(self, "entries", arr)
 
 
-def require_same_grading(x: GradedVector, y: GradedVector) -> None:
-    if x.grading != y.grading:
-        raise GradingMismatchError("operands carry different gradings")
-
-
 def stack_values(vectors: Sequence[GradedVector], grading: GradingVector) -> np.ndarray:
     """Values of graded vectors carrying `grading`, one per row of an array.
 

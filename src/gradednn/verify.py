@@ -18,19 +18,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .losses import (
-    graded_huber,
-    graded_mse,
-    graded_norm_loss,
-    homogeneous_loss,
-    max_graded_loss,
-)
+from .losses import LossKind, loss_value
 from .network import (
     ActivationKind,
     Layer,
     Network,
-    graded_exp,
-    graded_relu,
+    activation_value,
     log_domain_forward,
     network_forward,
 )
@@ -158,25 +151,23 @@ OUT_OF_SCOPE_CLAIMS = (
 
 def verify_examples() -> VerifyReport:
     rep = VerifyReport()
-    x_relu = GradedVector(RELU_INPUT, Q7)
     x_norm = GradedVector(NORM_INPUT, Q7)
-    y = GradedVector(LOSS_Y, Q7)
-    yhat = GradedVector(LOSS_YHAT, Q7)
+    relu, q = ActivationKind.GRADED_RELU, Q7.floats
 
     relu_closed = (
         math.sqrt(2), math.sqrt(3), 1.0, 1.0, 2.0 ** (1.0 / 3.0), 1.0, 1.0)
     rep.add("graded relu vector (closed forms)",
-            graded_relu(x_relu).values, relu_closed, 1e-12)
+            activation_value(relu, RELU_INPUT, q), relu_closed, 1e-12)
     rep.add("graded relu vector (printed 3-decimal)",
-            graded_relu(x_relu).values,
+            activation_value(relu, RELU_INPUT, q),
             (1.414, 1.732, 1.0, 1.0, 1.260, 1.0, 1.0), 1e-3)
 
-    exp_vec = graded_exp(x_relu)
-    rep.add("graded exp at x0=2 (e-1)", exp_vec.values[0], math.e - 1.0, 1e-12)
+    exp_vec = activation_value(ActivationKind.GRADED_EXP, RELU_INPUT, q)
+    rep.add("graded exp at x0=2 (e-1)", exp_vec[0], math.e - 1.0, 1e-12)
     rep.add("graded exp at x1=-3 (e^-1.5 - 1)",
-            exp_vec.values[1], math.exp(-1.5) - 1.0, 1e-12)
+            exp_vec[1], math.exp(-1.5) - 1.0, 1e-12)
     rep.add("graded exp at x3=1 (e^{1/3} - 1)",
-            exp_vec.values[3], math.exp(1.0 / 3.0) - 1.0, 1e-12)
+            exp_vec[3], math.exp(1.0 / 3.0) - 1.0, 1e-12)
 
     rep.add("graded euclidean norm", graded_euclidean_norm(x_norm),
             math.sqrt(13), 1e-12)
@@ -198,18 +189,22 @@ def verify_examples() -> VerifyReport:
     # loss block: the printed 13/7 and 13 restate ||y||_q^2 = 13 from the norm
     # example; the definitions give 15/7 and 15 on these vectors (the huber
     # half-sum 15/2 and the group norms behind sqrt(12) both confirm 15)
-    rep.add("graded mse worked vectors", graded_mse(y, yhat), 15.0 / 7.0, 1e-12,
+    y, yhat = [LOSS_Y], [LOSS_YHAT]
+    rep.add("graded mse worked vectors",
+            loss_value(LossKind.graded_mse(), y, yhat, Q7), 15.0 / 7.0, 1e-12,
             note="printed literal 13/7 follows a mis-summed total")
-    rep.add("graded norm loss worked vectors", graded_norm_loss(y, yhat), 15.0,
-            1e-12, note="printed literal 13 restates the norm example")
+    rep.add("graded norm loss worked vectors",
+            loss_value(LossKind.graded_norm(), y, yhat, Q7), 15.0, 1e-12,
+            note="printed literal 13 restates the norm example")
     rep.add("homogeneous loss worked vectors",
-            homogeneous_loss(y, yhat, ExponentScheme.BY_DISTINCT_COUNT),
+            loss_value(LossKind.homogeneous(ExponentScheme.BY_DISTINCT_COUNT), y, yhat, Q7),
             math.sqrt(12), 1e-12)
-    rep.add("max graded loss worked vectors", max_graded_loss(y, yhat), 3.0, 1e-12)
+    rep.add("max graded loss worked vectors",
+            loss_value(LossKind.max_graded(), y, yhat, Q7), 3.0, 1e-12)
 
     # flag 1: huber at unit differences is half the (correct) norm total
     rep.add("graded huber worked vectors (delta=1)",
-            graded_huber(y, yhat, 1.0), 7.5, 1e-12, printed=(6.5,))
+            loss_value(LossKind.huber(1.0), y, yhat, Q7), 7.5, 1e-12, printed=(6.5,))
 
     # flag 2: single-term neuron magnitudes, direct and log-domain
     neuron = Layer([[1.5]], [0.0], ActivationKind.IDENTITY, GradingVector([10]),
@@ -223,11 +218,10 @@ def verify_examples() -> VerifyReport:
             1e-12, printed=(5.7e5, 4.05))
 
     # flag 3: activation stability norms on the worked pair
-    xs = GradedVector((1.0, -2.0, 0.0, 1.0, 0.0, 1.0, 1.0), Q7)
-    ys = GradedVector((0.0, -1.0, 1.0, 1.0, -1.0, 0.0, 1.0), Q7)
-    drelu = GradedVector(
-        graded_relu(xs).values - graded_relu(ys).values, Q7)
-    dxy = GradedVector(xs.values - ys.values, Q7)
+    xs = np.array((1.0, -2.0, 0.0, 1.0, 0.0, 1.0, 1.0))
+    ys = np.array((0.0, -1.0, 1.0, 1.0, -1.0, 0.0, 1.0))
+    drelu = GradedVector(activation_value(relu, xs, q) - activation_value(relu, ys, q), Q7)
+    dxy = GradedVector(xs - ys, Q7)
     rep.add("activation stability norms (relu diff^2, input diff^2)",
             (graded_euclidean_norm(drelu) ** 2, graded_euclidean_norm(dxy) ** 2),
             (16.0 - 4.0 * math.sqrt(2), 12.0),

@@ -17,19 +17,12 @@ from gradednn.bench import approx_bench, bench_config_from_dict
 from gradednn.classical import classical_mlp_forward, mlp_train
 from gradednn.datasets import gen_linear_map_dataset
 from gradednn.gradients import grad_check_suite
-from gradednn.losses import (
-    LossKind,
-    graded_huber,
-    graded_mse,
-    graded_norm_loss,
-    homogeneous_loss,
-    max_graded_loss,
-)
+from gradednn.losses import LossKind, loss_value
 from gradednn.network import (
     ActivationKind,
     Layer,
     Network,
-    graded_relu,
+    activation_value,
     log_domain_forward,
     network_forward,
     random_network,
@@ -54,6 +47,10 @@ from gradednn.verify import (
     verify_examples,
 )
 
+def _row(v):
+    return v.values[np.newaxis]
+
+
 GRADE_POOL = [Fraction(1), Fraction(2), Fraction(3), Fraction(4),
               Fraction(1, 2), Fraction(3, 2)]
 
@@ -75,16 +72,18 @@ def test_01_worked_loss_values_match_closed_forms():
     y = GradedVector(LOSS_Y, Q7)
     yhat = GradedVector(LOSS_YHAT, Q7)
     # termwise q_i (y_i - yhat_i)^2 = (2,2,2,0,3,3,3): total 15
-    assert abs(graded_norm_loss(y, yhat) - 15.0) <= 1e-12
-    assert abs(graded_mse(y, yhat) - 15.0 / 7.0) <= 1e-12
+    assert abs(loss_value(LossKind.graded_norm(), _row(y), _row(yhat), Q7) - 15.0) <= 1e-12
     assert abs(
-        homogeneous_loss(y, yhat, ExponentScheme.BY_DISTINCT_COUNT)
+        loss_value(LossKind.graded_mse(), _row(y), _row(yhat), Q7) - 15.0 / 7.0) <= 1e-12
+    assert abs(
+        loss_value(LossKind.homogeneous(ExponentScheme.BY_DISTINCT_COUNT),
+                   _row(y), _row(yhat), Q7)
         - math.sqrt(12.0)
     ) <= 1e-12
-    assert abs(max_graded_loss(y, yhat) - 3.0) <= 1e-12
+    assert abs(loss_value(LossKind.max_graded(), _row(y), _row(yhat), Q7) - 3.0) <= 1e-12
     # delta=1: every nonzero term has |d|=1 inside the quadratic branch,
     # so huber = half the norm total
-    assert abs(graded_huber(y, yhat, 1.0) - 7.5) <= 1e-12
+    assert abs(loss_value(LossKind.huber(1.0), _row(y), _row(yhat), Q7) - 7.5) <= 1e-12
     # the reference totals 13/7 and 13 mis-sum those terms; the report says so
     assert "mis-summed" in rows["graded mse worked vectors"].note
     assert "norm example" in rows["graded norm loss worked vectors"].note
@@ -153,8 +152,9 @@ def test_04_homogeneity_invariants_hold():
         rhs = scalar_action(lam * mu, x)
         worst_act = max(worst_act, rel(lhs.values, rhs.values))
         # graded relu is 1-homogeneous for the action: relu(lam*x) = lam relu(x)
-        lhs = graded_relu(scalar_action(lam, x)).values
-        rhs = lam * graded_relu(x).values
+        lhs = activation_value(ActivationKind.GRADED_RELU, scalar_action(lam, x).values,
+                               x.grading.floats)
+        rhs = lam * activation_value(ActivationKind.GRADED_RELU, x.values, x.grading.floats)
         worst_relu = max(worst_relu, rel(lhs, rhs))
     assert worst_act < 1e-9, worst_act
     assert worst_relu < 1e-9, worst_relu

@@ -21,7 +21,7 @@ from gradednn.network import (
     random_network,
 )
 from gradednn.optimizer import TrainingDivergenceError, batch_gradient
-from gradednn.spaces import GradedVector, GradingVector
+from gradednn.spaces import GradingVector
 
 TOL = 1e-12
 BATCH_SIZES = (1, 7, 64)
@@ -31,8 +31,7 @@ def _per_sample_backward(net, xs, ys, kind):
     """Mean loss and gradients from one network_backward call per sample,
     plus the largest magnitude of any per-sample loss or gradient entry."""
     bundles = [
-        network_backward(net, GradedVector(x, net.in_grading),
-                         GradedVector(y, net.out_grading), kind)
+        network_backward(net, x[np.newaxis], y[np.newaxis], kind)
         for x, y in zip(xs, ys)
     ]
     n = len(bundles)
@@ -109,9 +108,9 @@ def test_batched_loss_is_the_mean_of_per_sample_losses(kind, n):
     g = GradingVector([1, 2, 2, 3])
     ys = rng.uniform(0.1, 1.0, size=(n, 4))
     yhats = rng.uniform(0.2, 2.0, size=(n, 4))
-    rows = [(GradedVector(y, g), GradedVector(yh, g)) for y, yh in zip(ys, yhats)]
-    values = [loss_value(kind, y, yh) for y, yh in rows]
-    grads = np.array([loss_grad(kind, y, yh).values for y, yh in rows])
+    rows = [(y[np.newaxis], yh[np.newaxis]) for y, yh in zip(ys, yhats)]
+    values = [loss_value(kind, y, yh, g) for y, yh in rows]
+    grads = np.array([loss_grad(kind, y, yh, g)[0] for y, yh in rows])
     scale = max(1.0, max(abs(v) for v in values), float(np.max(np.abs(grads))))
     assert abs(loss_value(kind, ys, yhats, g) - sum(values) / n) <= TOL * scale
     assert np.max(np.abs(loss_grad(kind, ys, yhats, g) - grads / n)) <= TOL * scale
@@ -128,3 +127,18 @@ def test_non_finite_batch_names_the_layer(bad_layer):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergenceError, match="layer %d" % bad_layer):
             batch_gradient(net, xs, ys, _CHECK_KINDS[0])
+
+
+@pytest.mark.parametrize("kind", _CHECK_KINDS, ids=lambda k: k.as_text())
+def test_an_empty_batch_is_refused(kind):
+    """N = 0 has no mean: a loss, its gradient and a backward pass raise
+    instead of returning nan under the suite's error::RuntimeWarning filter."""
+    g = GradingVector([1, 2])
+    net = Network([Layer(np.ones((1, 2)), np.zeros(1), ActivationKind.IDENTITY,
+                         g, GradingVector([1]))])
+    empty = np.zeros((0, 2))
+    for call in (lambda: loss_value(kind, empty, empty, g),
+                 lambda: loss_grad(kind, empty, empty, g),
+                 lambda: network_backward(net, empty, np.zeros((0, 1)), kind)):
+        with pytest.raises(ValueError, match="^an empty batch has no mean loss$"):
+            call()

@@ -472,6 +472,8 @@ def _per_restart_rows(cfg):
                 continue
             err = float(np.max(np.abs(_ref_forward(w, b, grid, acts)[:, 0] - y_grid)))
             mse = float(np.mean((_ref_forward(w, b, x, acts)[:, 0] - y) ** 2))
+            if not (math.isfinite(err) and math.isfinite(mse)):
+                continue
             if best is None or err < best[0]:
                 best = (err, mse, (w, b))
         rows.append(bench.BenchRow("classical", m, best[0], best[1]))
@@ -581,6 +583,22 @@ def test_approx_bench_diverging_restarts_warn_nothing(doc, cpus, fork_counter):
     assert len(forks) == (cpus > 1 and len(doc["hidden_sizes"]) > 1)
     if "classical_learning_rate" in doc:
         assert [r.status for r in rows] == ["ok", "diverged", "diverged"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "forked"])
+def test_approx_bench_drops_a_restart_whose_mse_overflows(cpus, fork_counter, tmp_path):
+    """At learning rate 5 the classical restarts end with finite weights
+    whose squared training residuals overflow; such a restart is dropped,
+    so both widths read diverged instead of ok with an infinite mse."""
+    forks = fork_counter(cpus)
+    cfg = bench.bench_config_from_dict({
+        "classical_learning_rate": 5.0, "classical_iters": 200, "graded_iters": 5,
+        "hidden_sizes": [1, 4]})
+    rows = bench.approx_bench(cfg)
+    assert len(forks) == (cpus > 1)
+    bench.write_bench_csv(rows, tmp_path / "bench.csv")
+    lines = (tmp_path / "bench.csv").read_text().splitlines()
+    assert lines[2:] == ["classical,1,inf,inf,diverged", "classical,4,inf,inf,diverged"]
 
 
 def _time_out(signum, frame):

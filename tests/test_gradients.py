@@ -44,36 +44,40 @@ Y = GradedVector([1, 0, 1, 1, -1, 0, 1], Q7)
 YHAT = GradedVector([0, 1, 0, 1, 0, -1, 0], Q7)
 
 
+def _row(v):
+    return v.values[np.newaxis]
+
+
 def test_norm_loss_grad_worked_vector():
     # 2 q_i (yhat_i - y_i) on the worked pair
-    g = loss_grad(LossKind.graded_norm(), Y, YHAT)
-    assert np.allclose(g.values, [-4, 4, -4, 0, 6, -6, -6], atol=1e-12)
-    m = loss_grad(LossKind.graded_mse(), Y, YHAT)
-    assert np.allclose(m.values, np.array([-4, 4, -4, 0, 6, -6, -6]) / 7.0,
+    g = loss_grad(LossKind.graded_norm(), _row(Y), _row(YHAT), Q7)
+    assert np.allclose(g[0], [-4, 4, -4, 0, 6, -6, -6], atol=1e-12)
+    m = loss_grad(LossKind.graded_mse(), _row(Y), _row(YHAT), Q7)
+    assert np.allclose(m[0], np.array([-4, 4, -4, 0, 6, -6, -6]) / 7.0,
                        atol=1e-12)
 
 
 def test_max_loss_grad_single_support():
-    g = loss_grad(LossKind.max_graded(), Y, YHAT)
+    g = loss_grad(LossKind.max_graded(), _row(Y), _row(YHAT), Q7)
     # the largest q_i d_i^2 is 3 at coordinates 4,5,6; ties resolve low
     expect = np.zeros(7)
     expect[4] = 2.0 * 3.0 * 1.0
-    assert np.allclose(g.values, expect, atol=1e-12)
+    assert np.allclose(g[0], expect, atol=1e-12)
 
 
 def test_homogeneous_grad_zero_at_zero_residual():
     for scheme in ExponentScheme:
-        g = loss_grad(LossKind.homogeneous(scheme), Y, Y)
-        assert np.all(g.values == 0.0)
+        g = loss_grad(LossKind.homogeneous(scheme), _row(Y), _row(Y), Q7)
+        assert np.all(g[0] == 0.0)
 
 
 def test_cross_entropy_grad_clamped_region():
     g = GradingVector([2])
     y = GradedVector([1.0], g)
     below = GradedVector([0.0], g)
-    assert loss_grad(LossKind.cross_entropy(), y, below).values[0] == 0.0
+    assert loss_grad(LossKind.cross_entropy(), _row(y), _row(below), g)[0][0] == 0.0
     above = GradedVector([0.5], g)
-    assert loss_grad(LossKind.cross_entropy(), y, above).values[0] == (
+    assert loss_grad(LossKind.cross_entropy(), _row(y), _row(above), g)[0][0] == (
         pytest.approx(-2.0 * 1.0 / 0.5, abs=1e-12))
 
 
@@ -85,8 +89,8 @@ def _loss_grad_fd(kind, y, yhat, eps=1e-6):
         dn = yhat.values.copy()
         dn[i] -= eps
         from gradednn.losses import loss_value
-        out[i] = (loss_value(kind, y, y.with_values(up))
-                  - loss_value(kind, y, y.with_values(dn))) / (2 * eps)
+        out[i] = (loss_value(kind, _row(y), _row(y.with_values(up)), y.grading)
+                  - loss_value(kind, _row(y), _row(y.with_values(dn)), y.grading)) / (2 * eps)
     return out
 
 
@@ -112,7 +116,7 @@ def test_loss_grad_matches_fd(kind):
             scores = np.sort(g.floats * d * d)[::-1]
             if scores[0] - scores[1] < 1e-3:
                 continue
-        an = loss_grad(kind, y, yhat).values
+        an = loss_grad(kind, _row(y), _row(yhat), g)[0]
         fd = _loss_grad_fd(kind, y, yhat)
         assert np.allclose(an, fd, rtol=1e-5, atol=1e-6)
 
@@ -123,8 +127,8 @@ def test_backward_single_weight_worked_value():
     g = GradingVector([2])
     net = Network([Layer(np.array([[1.0]]), np.zeros(1),
                          ActivationKind.IDENTITY, g, g)])
-    bundle = network_backward(net, GradedVector([2.0], g),
-                              GradedVector([0.0], g), LossKind.graded_norm())
+    bundle = network_backward(net, _row(GradedVector([2.0], g)),
+                              _row(GradedVector([0.0], g)), LossKind.graded_norm())
     assert bundle.loss == pytest.approx(8.0, abs=1e-12)
     assert bundle.weight_grads[0][0, 0] == pytest.approx(32.0, abs=1e-10)
     assert bundle.bias_grads[0][0] == pytest.approx(8.0, abs=1e-10)
@@ -141,7 +145,7 @@ def test_backward_respects_block_mask():
                          gio, gio, blocks)])
     x = GradedVector([1.0, 1.0], gio)
     y = GradedVector([0.0, 0.0], gio)
-    bundle = network_backward(net, x, y, LossKind.graded_norm())
+    bundle = network_backward(net, _row(x), _row(y), LossKind.graded_norm())
     off = ~np.eye(2, dtype=bool)
     assert np.all(bundle.weight_grads[0][off] == 0.0)
 
@@ -150,12 +154,33 @@ def test_finite_diff_check_eps_validated():
     g = GradingVector([1])
     net = Network([Layer(np.array([[0.5]]), np.zeros(1),
                          ActivationKind.IDENTITY, g, g)])
-    x, y = GradedVector([1.0], g), GradedVector([0.0], g)
+    x, y = _row(GradedVector([1.0], g)), _row(GradedVector([0.0], g))
     with pytest.raises(ValueError):
         finite_diff_check(net, x, y, LossKind.graded_norm(), eps=1e-2)
     with pytest.raises(ValueError):
         finite_diff_check(net, x, y, LossKind.graded_norm(), eps=1e-9)
     assert finite_diff_check(net, x, y, LossKind.graded_norm(), eps=1e-5) < 1e-9
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.ones((2, 2)), np.ones((2, 1))),
+    (np.ones((6, 2)), np.ones((6, 1))),
+    (np.ones(2), np.ones(1)),
+    (np.ones((1, 2)), np.ones(1)),
+    (np.ones(2), np.ones((1, 1))),
+    (np.ones((1, 3)), np.ones((1, 1))),
+], ids=["two_rows", "six_rows", "one_d", "one_d_target", "one_d_input", "wide_input"])
+def test_finite_diff_check_takes_one_sample(x, y, monkeypatch):
+    g = GradingVector([1, 2])
+    net = Network([Layer(np.full((1, 2), 0.5), np.zeros(1), ActivationKind.IDENTITY,
+                         g, ones_grading(1))])
+    kind = LossKind.graded_norm()
+    assert finite_diff_check(net, np.ones((1, 2)), np.ones((1, 1)), kind) < 1e-9
+    # the shape is refused before any pass runs
+    monkeypatch.setattr(gradients, "network_backward", None)
+    with pytest.raises(ValueError, match=re.escape(
+            "need one sample as (1, n_in) and (1, n_out) arrays")):
+        finite_diff_check(net, x, y, kind)
 
 
 def test_linear_model_fd_is_tight():
@@ -166,7 +191,7 @@ def test_linear_model_fd_is_tight():
                          ActivationKind.IDENTITY, g_in, g_out)])
     x = GradedVector(rng.uniform(0.5, 1.5, 3), g_in)
     y = GradedVector(rng.uniform(0.1, 0.9, 2), g_out)
-    assert finite_diff_check(net, x, y, LossKind.graded_norm(), 1e-5) < 1e-9
+    assert finite_diff_check(net, _row(x), _row(y), LossKind.graded_norm(), 1e-5) < 1e-9
 
 
 def _neuron(w, exponents, bias, grading):
@@ -249,18 +274,16 @@ def test_grad_check_suite_deterministic():
 def _reference_fd_check(net, x, y, kind, eps=1e-5):
     """One full forward pass per perturbed parameter entry, changed in
     place: the loop the stacked finite_diff_check replaces.  x and y are
-    graded vectors, or (N, n) arrays of N samples whose mean loss counts."""
-    xs, ys = x, y
-    if isinstance(x, GradedVector):
-        xs, ys = x.values[np.newaxis], y.values[np.newaxis]
-    bundle = network_backward(net, xs, ys, kind)
+    (N, n) arrays of N samples whose mean loss counts."""
+    bundle = network_backward(net, x, y, kind)
     analytic = [g for pair in zip(bundle.weight_grads, bundle.bias_grads) for g in pair]
 
     def current_loss():
-        return loss_value(kind, ys, forward_trace(net, xs)[1], net.out_grading)
+        return loss_value(kind, y, forward_trace(net, x)[1], net.out_grading)
 
     worst = 0.0
-    for (_, _, param), grads in zip(net.parameters(), analytic):
+    params = [p for layer in net.layers for p in (layer.weight_base, layer.bias)]
+    for param, grads in zip(params, analytic):
         for idx in np.ndindex(param.shape):
             keep = param[idx]
             param[idx] = keep + eps
@@ -282,8 +305,8 @@ def test_fd_check_passes_on_a_multiplicative_first_layer(kind):
     net = random_network([g0, g1, g2], [ActivationKind.GRADED_EXP, ActivationKind.IDENTITY],
                          rng, low=0.2, high=1.5, exponents=(2, 1, "1/2"))
     net.layers[0].bias[:] = [0.1, -0.2]
-    x = GradedVector(rng.uniform(0.5, 1.5, 3), g0)
-    y = GradedVector(rng.uniform(0.1, 1.0, 1), g2)
+    x = _row(GradedVector(rng.uniform(0.5, 1.5, 3), g0))
+    y = _row(GradedVector(rng.uniform(0.1, 1.0, 1), g2))
     err = finite_diff_check(net, x, y, kind)
     assert err < GRAD_CHECK_TOL
     assert err == _reference_fd_check(net, x, y, kind)
@@ -297,7 +320,7 @@ def _random_case(rng, activations):
         layer.bias[:] = rng.uniform(-0.3, 0.3, layer.n_out)
     x = GradedVector(rng.uniform(0.5, 1.5, len(gradings[0])), gradings[0])
     y = GradedVector(rng.uniform(0.1, 1.0, len(gradings[-1])), gradings[-1])
-    return net, x, y
+    return net, _row(x), _row(y)
 
 
 @pytest.mark.parametrize("act", list(ActivationKind), ids=lambda a: a.value)
@@ -337,8 +360,8 @@ def test_stacked_fd_check_equals_loop_through_block_mask(kind):
     for layers in ([masked(ActivationKind.SIGNED_GRADED_RELU), other],
                    [other, masked(ActivationKind.IDENTITY)]):
         net = Network(layers)
-        x = GradedVector(rng.uniform(0.5, 1.5, 3), g)
-        y = GradedVector(rng.uniform(0.1, 1.0, 3), g)
+        x = _row(GradedVector(rng.uniform(0.5, 1.5, 3), g))
+        y = _row(GradedVector(rng.uniform(0.1, 1.0, 3), g))
         assert finite_diff_check(net, x, y, kind) == _reference_fd_check(net, x, y, kind)
 
 
@@ -370,7 +393,7 @@ def test_fd_check_names_the_layer_a_perturbed_pass_overflows():
     exp_layer = Layer(np.array([[709.7827]]), np.zeros(1),
                       ActivationKind.GRADED_EXP, g, g)
     ident = Layer(np.array([[1.0]]), np.zeros(1), ActivationKind.IDENTITY, g, g)
-    x, y = GradedVector([1.0], g), GradedVector([1.0], g)
+    x, y = _row(GradedVector([1.0], g)), _row(GradedVector([1.0], g))
     kind = LossKind.cross_entropy()  # log keeps the unperturbed loss finite
     for layers, name in (([exp_layer], "layer 0"), ([ident, exp_layer], "layer 1")):
         net = Network(layers)
@@ -392,8 +415,6 @@ def test_loss_value_is_the_mean_of_loss_rows(kind):
     for k in range(9):
         # a row's loss does not depend on the rows stacked with it
         assert rows[k] == loss_value(kind, y[k:k + 1], yhat[k:k + 1], g)
-    one = loss_rows(kind, GradedVector(y[0], g), GradedVector(yhat[0], g))
-    assert one.shape == (1,) and one[0] == rows[0]
 
 
 def test_known_rounding_limited_seed_passes():
@@ -406,8 +427,8 @@ def test_known_rounding_limited_seed_passes():
     for i in range(75):
         kind = _CHECK_KINDS[i % len(_CHECK_KINDS)]
         net, x, y = _random_check_case(rng, kind)
-        out = forward_trace(net, x.values)[1]
-        assert abs(loss_value(kind, y, y.with_values(out))) <= _MAX_CHECK_LOSS
+        out = forward_trace(net, x[0])[1]
+        assert abs(loss_value(kind, y, out[np.newaxis], net.out_grading)) <= _MAX_CHECK_LOSS
 
 
 def test_grad_check_suite_rejects_empty_count():
@@ -634,5 +655,5 @@ def test_check_case_sampler_keeps_its_rng_stream():
         net, xv, yv = _random_check_case(rng, _CHECK_KINDS[i % len(_CHECK_KINDS)])
         assert (net.layers[0].n_in,) + tuple(l.n_out for l in net.layers) == widths
         assert tuple(l.activation.value for l in net.layers) == acts
-        assert tuple(xv.values.tolist()) == x and tuple(yv.values.tolist()) == y
+        assert tuple(xv[0].tolist()) == x and tuple(yv[0].tolist()) == y
     assert rng.integers(0, 2 ** 63) == _SEED0_NEXT

@@ -140,6 +140,22 @@ def test_csv_errors(tmp_path):
         read_dataset_csv(path, Q23, ones_grading(1))
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1,2,3\n1,a,3\n", "line 3 column x1: could not convert string to float: 'a'"),
+    ("1,2,3\n\n1,2\n", "line 4 column y0: row has 2 fields, expected 3"),
+    ("1,2,3,4\n", "line 2: row has 4 fields, expected 3"),
+    ("1,nan,3\n", "line 2 column x1: dataset entries must be finite"),
+], ids=["not_a_number", "short_row", "long_row", "nan"])
+def test_cli_train_csv_error_names_the_file_line_and_column(tmp_path, capsys, body, message):
+    data = tmp_path / "data.csv"
+    data.write_text("x0,x1,y0\n" + body)
+    doc = _base_train_doc()
+    doc["dataset"] = {"source": "csv", "path": str(data)}
+    assert main(["train", "--config", _write_config(tmp_path / "cfg.json", doc)]) == 2
+    assert capsys.readouterr().err == "error: dataset file %s %s\n" % (data, message)
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_parses_round():
     cfg = experiment_config_from_dict(_base_train_doc())
     assert cfg.grading == Q23

@@ -11,14 +11,8 @@ from gradednn.gradients import _CHECK_KINDS
 from gradednn.losses import (
     CROSS_ENTROPY_CLAMP,
     LossKind,
-    graded_cross_entropy,
-    graded_huber,
-    graded_mse,
-    graded_norm_loss,
-    homogeneous_loss,
     _loss_part,
     loss_value,
-    max_graded_loss,
     parse_loss,
 )
 from gradednn.spaces import (
@@ -36,20 +30,28 @@ Y = GradedVector([1, 0, 1, 1, -1, 0, 1], Q7)
 YHAT = GradedVector([0, 1, 0, 1, 0, -1, 0], Q7)
 
 
+def _row(v):
+    return v.values[np.newaxis]
+
+
 def test_worked_example_values():
     # per-coordinate q*d^2 terms are 2,2,2,0,3,3,3 -> total 15
-    assert graded_norm_loss(Y, YHAT) == pytest.approx(15.0, abs=1e-12)
-    assert graded_mse(Y, YHAT) == pytest.approx(15.0 / 7.0, abs=1e-12)
-    assert homogeneous_loss(Y, YHAT, ExponentScheme.BY_DISTINCT_COUNT) == (
-        pytest.approx(math.sqrt(12.0), abs=1e-12))
-    assert max_graded_loss(Y, YHAT) == pytest.approx(3.0, abs=1e-12)
+    assert loss_value(LossKind.graded_norm(), _row(Y), _row(YHAT), Q7) == (
+        pytest.approx(15.0, abs=1e-12))
+    assert loss_value(LossKind.graded_mse(), _row(Y), _row(YHAT), Q7) == (
+        pytest.approx(15.0 / 7.0, abs=1e-12))
+    assert loss_value(LossKind.homogeneous(ExponentScheme.BY_DISTINCT_COUNT),
+                      _row(Y), _row(YHAT), Q7) == pytest.approx(math.sqrt(12.0), abs=1e-12)
+    assert loss_value(LossKind.max_graded(), _row(Y), _row(YHAT), Q7) == (
+        pytest.approx(3.0, abs=1e-12))
     # all residuals sit in the quadratic huber branch at delta=1
-    assert graded_huber(Y, YHAT, 1.0) == pytest.approx(7.5, abs=1e-12)
+    assert loss_value(LossKind.huber(1.0), _row(Y), _row(YHAT), Q7) == (
+        pytest.approx(7.5, abs=1e-12))
 
 
 def test_norm_loss_is_squared_norm():
     d = Y.with_values(YHAT.values - Y.values)
-    assert graded_norm_loss(Y, YHAT) == pytest.approx(
+    assert loss_value(LossKind.graded_norm(), _row(Y), _row(YHAT), Q7) == pytest.approx(
         graded_euclidean_norm(d) ** 2, abs=1e-12)
 
 
@@ -133,15 +135,10 @@ def test_max_graded_has_no_kink_on_one_entry():
     assert flags.tolist() == [False, False]
 
 
-def test_loss_value_dispatch():
-    assert loss_value(LossKind.graded_norm(), Y, YHAT) == graded_norm_loss(Y, YHAT)
-    assert loss_value(LossKind.huber(1.0), Y, YHAT) == graded_huber(Y, YHAT, 1.0)
-
-
 def test_huber_matches_norm_for_large_delta():
     # with delta above every residual the huber sum is half the norm loss
-    assert graded_huber(Y, YHAT, 10.0) == pytest.approx(
-        0.5 * graded_norm_loss(Y, YHAT), abs=1e-12)
+    assert loss_value(LossKind.huber(10.0), _row(Y), _row(YHAT), Q7) == pytest.approx(
+        0.5 * loss_value(LossKind.graded_norm(), _row(Y), _row(YHAT), Q7), abs=1e-12)
 
 
 def test_huber_linear_branch():
@@ -149,9 +146,10 @@ def test_huber_linear_branch():
     y = GradedVector([0.0], g)
     yhat = GradedVector([3.0], g)
     # rho_1(3) = 1*(3 - 0.5) = 2.5, weighted by q=2
-    assert graded_huber(y, yhat, 1.0) == pytest.approx(5.0, abs=1e-12)
+    assert loss_value(LossKind.huber(1.0), _row(y), _row(yhat), g) == (
+        pytest.approx(5.0, abs=1e-12))
     with pytest.raises(ValueError):
-        graded_huber(y, yhat, 0.0)
+        loss_value(LossKind.huber(0.0), _row(y), _row(yhat), g)
 
 
 def test_cross_entropy_values_and_domain():
@@ -159,18 +157,18 @@ def test_cross_entropy_values_and_domain():
     y = GradedVector([1.0, 0.5], g)
     yhat = GradedVector([0.5, 0.25], g)
     expect = -(2 * 1.0 * math.log(0.5) + 3 * 0.5 * math.log(0.25))
-    assert graded_cross_entropy(y, yhat) == pytest.approx(expect, abs=1e-12)
+    ce = LossKind.cross_entropy()
+    assert loss_value(ce, _row(y), _row(yhat), g) == pytest.approx(expect, abs=1e-12)
     with pytest.raises(GradedDomainError):
-        graded_cross_entropy(GradedVector([-1.0, 0.0], g), yhat)
+        loss_value(ce, _row(GradedVector([-1.0, 0.0], g)), _row(yhat), g)
     # clamped below: finite even at zero prediction
-    at_zero = graded_cross_entropy(y, GradedVector([0.0, 1.0], g))
+    at_zero = loss_value(ce, _row(y), _row(GradedVector([0.0, 1.0], g)), g)
     assert at_zero == pytest.approx(-2.0 * math.log(CROSS_ENTROPY_CLAMP), abs=1e-9)
 
 
 def test_mismatched_gradings_rejected():
-    other = GradedVector([1.0] * 7, GradingVector([1] * 7))
     with pytest.raises(GradingMismatchError):
-        graded_mse(Y, other)
+        loss_value(LossKind.graded_mse(), _row(Y), np.ones((1, 6)), Q7)
 
 
 coords = st.floats(-5.0, 5.0, allow_nan=False)
@@ -192,8 +190,8 @@ def test_losses_nonnegative_and_zero_at_match(pair):
                  LossKind.huber(0.5),
                  LossKind.homogeneous(ExponentScheme.BY_MAX_GRADE),
                  LossKind.max_graded()):
-        assert loss_value(kind, y, yhat) >= 0.0
-        assert loss_value(kind, y, y) == 0.0
+        assert loss_value(kind, _row(y), _row(yhat), y.grading) >= 0.0
+        assert loss_value(kind, _row(y), _row(y), y.grading) == 0.0
 
 
 @given(pairs(), st.floats(0.25, 4.0))
@@ -202,10 +200,10 @@ def test_homogeneous_loss_dilation(pair, lam):
     # scaling both arguments by the graded dilation multiplies the loss by
     # lam^2 under the max-grade scheme
     y, yhat = pair
-    base = homogeneous_loss(y, yhat, ExponentScheme.BY_MAX_GRADE)
-    scaled = homogeneous_loss(
-        scalar_action(lam, y), scalar_action(lam, yhat),
-        ExponentScheme.BY_MAX_GRADE)
+    kind = LossKind.homogeneous(ExponentScheme.BY_MAX_GRADE)
+    base = loss_value(kind, _row(y), _row(yhat), y.grading)
+    scaled = loss_value(kind, _row(scalar_action(lam, y)), _row(scalar_action(lam, yhat)),
+                        y.grading)
     assert scaled == pytest.approx(lam ** 2 * base, rel=1e-8, abs=1e-12)
 
 
@@ -213,10 +211,12 @@ def test_homogeneous_loss_dilation(pair, lam):
 @settings(max_examples=60)
 def test_mse_is_norm_over_n(pair):
     y, yhat = pair
-    assert graded_mse(y, yhat) == pytest.approx(
-        graded_norm_loss(y, yhat) / len(y), rel=1e-12, abs=1e-12)
+    assert loss_value(LossKind.graded_mse(), _row(y), _row(yhat), y.grading) == pytest.approx(
+        loss_value(LossKind.graded_norm(), _row(y), _row(yhat), y.grading) / len(y),
+        rel=1e-12, abs=1e-12)
 
 
 def test_max_loss_bounds_norm_terms():
     # max term <= sum of terms
-    assert max_graded_loss(Y, YHAT) <= graded_norm_loss(Y, YHAT) + 1e-15
+    assert loss_value(LossKind.max_graded(), _row(Y), _row(YHAT), Q7) <= (
+        loss_value(LossKind.graded_norm(), _row(Y), _row(YHAT), Q7) + 1e-15)
