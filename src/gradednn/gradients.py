@@ -87,23 +87,19 @@ def network_backward(net: Network, x, y, kind: LossKind) -> GradientBundle:
     g = loss_grad(kind, y, out, net.out_grading)
     weight_grads, bias_grads = [], []
     for l in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[l]
-        x_in, z, _ = trace[l]
-        dz = g * activation_slope(layer.activation, z, layer.out_grading.floats)
+        layer, rec = net.layers[l], trace[l]
+        dz = g * activation_slope(layer.activation, rec.z, layer.out_grading.floats)
         if layer.exponents is None:
-            dw = (dz.T @ x_in) * weight_base_slope(layer.weight_base, layer.in_grading)
+            dw = (dz.T @ rec.x) * weight_base_slope(layer.weight_base, layer.in_grading)
         else:
-            # from the recomputed core, not z - bias, which cancels to 0
-            # when |core| << |bias|
-            core = layer.pre_activation(x_in).T
-            slope = multiplicative_slope(layer.weight_base, layer.exponent_floats, core)
+            slope = multiplicative_slope(layer.weight_base, layer.exponent_floats, rec.w)
             dw = (dz.T[..., np.newaxis] * slope).sum(axis=-2)
         if layer.mask is not None:
             dw = np.where(layer.mask, dw, 0.0)
         weight_grads.insert(0, dw)
         bias_grads.insert(0, dz.sum(axis=0))
         if l:
-            g = dz @ layer.effective()
+            g = dz @ rec.w
     return GradientBundle(weight_grads, bias_grads, loss)
 
 
@@ -154,12 +150,10 @@ def _perturbed_losses(net, trace, l, idx, ys, kind, eps):
     copies = np.arange(k)
     stack[copies, idx] += eps
     stack[copies + k, idx] -= eps
-    x_in = trace[l][0]
     w = stack[:, :n_w].reshape(2 * k, layer.n_out, layer.n_in)
-    z = layer.pre_activation(x_in, w) + stack[:, np.newaxis, n_w:]
-    y = activation_value(layer.activation, z, layer.out_grading.floats)
-    tail, out = forward_trace(Network(net.layers[l + 1:]), y)
-    raise_if_non_finite(trace[:l] + [(x_in, z, y)] + tail, out)
+    rec = layer.forward(trace[l].x, w, stack[:, n_w:])
+    tail, out = forward_trace(Network(net.layers[l + 1:]), rec.y)
+    raise_if_non_finite(trace[:l] + [rec] + tail, out)
     out = out.reshape(2 * k, -1)
     losses = loss_rows(kind, np.broadcast_to(ys, out.shape), out, net.out_grading)
     return losses[:k], losses[k:]
@@ -210,20 +204,19 @@ def _random_check_case(rng: np.random.Generator, kind: LossKind):
             activations.append(act)
             bound = float(np.max(activation_value(act, z_bound, gradings[l + 1].floats)))
         net = random_network(gradings, activations, rng, low=0.2, high=1.5)
-        x = rng.uniform(0.5, 1.5, widths[0])
-        trace, out = forward_trace(net, x)
+        x = rng.uniform(0.5, 1.5, (1, widths[0]))
+        trace, yhat = forward_trace(net, x)
         # positive weights keep every z positive; require it to clear the
         # relu clamp band by more than any finite-difference step
-        if min(float(np.min(np.abs(z))) for _, z, _ in trace) < 2e-2:
+        if min(float(np.min(np.abs(rec.z))) for rec in trace) < 2e-2:
             continue
-        yhat = out[np.newaxis]
         for _ in range(50):
             y = rng.uniform(0.1, 1.0, (1, widths[-1]))
             if _loss_part(kind, "kink", gradings[-1], y, yhat)[0]:
                 continue
             if abs(loss_value(kind, y, yhat, gradings[-1])) > _MAX_CHECK_LOSS:
                 break  # the outputs, not a target in (0.1, 1), make it large
-            return net, x[np.newaxis], y
+            return net, x, y
         # targets kept colliding with a kink or the loss was too large;
         # rebuild the net instead
     raise RuntimeError("could not sample a kink-free gradient-check case")

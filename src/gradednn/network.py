@@ -8,7 +8,8 @@ prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b, graded-homogeneous of degree
 sum_i q_i k_i; every caller takes its value and weight gradient from the
 batched multiplicative_sign/_core/_slope kernel.  A Layer with exponents is
 a layer of such neurons, allowed only as a network's first layer.
-log_domain_forward evaluates a whole layer as signs and log-magnitudes.
+Layer.forward evaluates a layer on rows (..., N, n) into the LayerRecord that
+backward reads.  log_domain_forward evaluates a layer as signs and log-magnitudes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -192,6 +193,17 @@ class GradeBlock:
     cols: tuple
 
 
+class LayerRecord(NamedTuple):
+    """What Layer.forward formed from rows x: the weights w it applied, the
+    pre-activation z and output y.  w is the masked effective weights, or for
+    a multiplicative layer the bias-free core (..., n_out, N), which backward
+    reads here because z - bias cancels to 0 when |core| << |bias|."""
+    x: np.ndarray
+    w: np.ndarray
+    z: np.ndarray
+    y: np.ndarray
+
+
 class Layer:
     """Dense graded layer: y_j = g_j(sum_i sgn(w_ji)|w_ji|**q_i x_i + b_j).
 
@@ -275,29 +287,25 @@ class Layer:
     def n_out(self) -> int:
         return len(self.out_grading)
 
-    def effective(self, weight_base: Optional[np.ndarray] = None) -> np.ndarray:
-        """Masked effective weights of the layer's base weights, or of a
-        stack (..., n_out, n_in) of other base weights for this layer."""
+    def forward(self, x: np.ndarray, weight_base: Optional[np.ndarray] = None,
+                bias: Optional[np.ndarray] = None) -> LayerRecord:
+        """The LayerRecord of rows x (..., N, n_in).  A stack (..., n_out,
+        n_in) of other base weights and (..., n_out) of biases adds its leading
+        axes in front; each slice gives the floats of a Layer built from it."""
         w = self.weight_base if weight_base is None else weight_base
-        eff = effective_weights(w, self.in_grading)
-        if self._mask is not None:
-            eff = np.where(self._mask, eff, 0.0)
-        return eff
-
-    def pre_activation(self, x: np.ndarray,
-                       weight_base: Optional[np.ndarray] = None) -> np.ndarray:
-        """The pre-activation without the bias: x @ effective(w).T, or the
-        multiplicative core.  One sample (n_in,) gives (n_out,), rows
-        (..., N, n_in) give (..., N, n_out); a stack (..., n_out, n_in) of
-        other base weights for this layer adds its leading axes in front."""
+        b = self.bias if bias is None else bias[..., np.newaxis, :]
         if self.exponents is None:
-            return x @ self.effective(weight_base).swapaxes(-1, -2)
-        w = self.weight_base if weight_base is None else weight_base
-        k = self.exponent_floats
-        rows = np.atleast_2d(x)[..., np.newaxis, :, :]
-        z = np.swapaxes(
-            multiplicative_core(w, k, rows, multiplicative_sign(k, rows)), -1, -2)
-        return z if x.ndim > 1 else z[..., 0, :]
+            w = effective_weights(w, self.in_grading)
+            if self._mask is not None:
+                w = np.where(self._mask, w, 0.0)
+            z = x @ w.swapaxes(-1, -2) + b
+        else:
+            k = self.exponent_floats
+            rows = x[..., np.newaxis, :, :]
+            w = multiplicative_core(w, k, rows, multiplicative_sign(k, rows))
+            z = w.swapaxes(-1, -2) + b
+        return LayerRecord(x, w, z, activation_value(self.activation, z,
+                                                     self.out_grading.floats))
 
     def copy(self) -> "Layer":
         return Layer(
@@ -339,27 +347,34 @@ class Network:
         return Network([l.copy() for l in self.layers])
 
 
+def _rows(x, n: int) -> np.ndarray:
+    """x as float rows (..., N, n), or GradingMismatchError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2 or x.shape[-1] != n:
+        raise GradingMismatchError("need (N, %d) rows, got shape %s" % (n, x.shape))
+    return x
+
+
 def forward_trace(net: Network, x: np.ndarray):
-    """Unchecked per-layer (input, pre-activation, output) triples and the
-    output, for one sample x of shape (n,), a batch (N, n) with one sample
-    per row, or a stack (..., N, n) of batches."""
+    """Per-layer LayerRecords and the output, not checked for finiteness, for
+    rows x (N, n), one sample per row, or a stack (..., N, n) of them."""
     trace = []
-    cur = np.asarray(x, dtype=float)
+    cur = _rows(x, net.layers[0].n_in) if net.layers else np.asarray(x, dtype=float)
     for layer in net.layers:
-        z = layer.pre_activation(cur) + layer.bias
-        y = activation_value(layer.activation, z, layer.out_grading.floats)
-        trace.append((cur, z, y))
-        cur = y
+        trace.append(layer.forward(cur))
+        cur = trace[-1].y
     return trace, cur
 
 
 def raise_if_non_finite(trace, out: np.ndarray) -> None:
-    """Raise NonFiniteForwardError naming the first offending layer."""
+    """Raise NonFiniteForwardError naming the first non-finite layer and quantity."""
     if np.isfinite(out).all():
         return
-    for i, (_, z, y) in enumerate(trace):
-        if not (np.isfinite(z).all() and np.isfinite(y).all()):
-            raise NonFiniteForwardError("layer %d produced non-finite values" % i)
+    for i, rec in enumerate(trace):
+        for name, values in (("pre-activation", rec.z), ("output", rec.y)):
+            if not np.isfinite(values).all():
+                raise NonFiniteForwardError(
+                    "layer %d produced non-finite values in its %s" % (i, name))
     raise NonFiniteForwardError("forward pass produced non-finite values")
 
 
@@ -369,9 +384,9 @@ def network_forward(net: Network, x: GradedVector) -> GradedVector:
         return x
     if x.grading != net.in_grading:
         raise GradingMismatchError("input grading does not match the first layer")
-    trace, out = forward_trace(net, x.values)
+    trace, out = forward_trace(net, x.values[np.newaxis])
     raise_if_non_finite(trace, out)
-    return GradedVector(out, net.out_grading)
+    return GradedVector(out[0], net.out_grading)
 
 
 def _signed_logsumexp(sign: np.ndarray, log: np.ndarray):
@@ -388,8 +403,8 @@ def _signed_logsumexp(sign: np.ndarray, log: np.ndarray):
 
 
 def log_domain_forward(layer: Layer, x: np.ndarray):
-    """The layer's pre-activation plus bias as (sign, log|z|), two arrays of
-    shape (n_out,) for one sample x (n_in,) or (N, n_out) for rows (N, n_in).
+    """The layer's pre-activation plus bias as (sign, log|z|), two arrays
+    (..., N, n_out) for rows x (..., N, n_in).
 
     An additive term has sign sgn(w_ji) sgn(x_i), 0 outside the blocks, and
     log-magnitude q_i log|w_ji| + log|x_i|; a multiplicative core has
@@ -398,7 +413,7 @@ def log_domain_forward(layer: Layer, x: np.ndarray):
     log-sum-exp.  Neither |w|**q nor the core is formed, so the result stays
     finite where direct evaluation overflows.
     """
-    rows = np.atleast_2d(np.asarray(x, dtype=float))[:, np.newaxis, :]
+    rows = _rows(x, layer.n_in)[..., np.newaxis, :]
     w, bias = layer.weight_base, layer.bias[:, np.newaxis]
     with np.errstate(divide="ignore"):  # log 0 = -inf: a term of sign 0
         log_w, log_x, log_b = (np.log(np.abs(a)) for a in (w, rows, bias))
@@ -411,13 +426,12 @@ def log_domain_forward(layer: Layer, x: np.ndarray):
         k = layer.exponent_floats
         on = k != 0.0
         log = np.sum(k[on] * (log_w[:, on] + log_x[..., on]), axis=-1, keepdims=True)
-        core_sign = np.prod(multiplicative_sign(k, rows[:, 0]), axis=-1)
-        sign = np.where(log > -np.inf, core_sign[:, np.newaxis, np.newaxis], 0.0)
+        core_sign = np.prod(multiplicative_sign(k, rows[..., 0, :]), axis=-1)
+        sign = np.where(log > -np.inf, core_sign[..., np.newaxis, np.newaxis], 0.0)
     shape = sign.shape[:-1] + (1,)
     sign = np.concatenate([sign, np.broadcast_to(np.sign(bias), shape)], axis=-1)
     log = np.concatenate([log, np.broadcast_to(log_b, shape)], axis=-1)
-    out_sign, out_log = _signed_logsumexp(sign, log)
-    return (out_sign, out_log) if np.ndim(x) > 1 else (out_sign[0], out_log[0])
+    return _signed_logsumexp(sign, log)
 
 
 def random_network(

@@ -209,11 +209,10 @@ def verify_examples() -> VerifyReport:
     # flag 2: single-term neuron magnitudes, direct and log-domain
     neuron = Layer([[1.5]], [0.0], ActivationKind.IDENTITY, GradingVector([10]),
                    ones_grading(1))
-    x_small = np.array([0.1])
-    direct = neuron.pre_activation(x_small) + neuron.bias
+    x_small = np.array([[0.1]])
     _, log_magnitude = log_domain_forward(neuron, x_small)
     rep.add("log-stabilization example (value, log-magnitude)",
-            (direct[0], log_magnitude[0]),
+            (neuron.forward(x_small).z[0, 0], log_magnitude[0, 0]),
             (1.5 ** 10 * 0.1, 10.0 * math.log(1.5) + math.log(0.1)),
             1e-12, printed=(5.7e5, 4.05))
 

@@ -169,8 +169,8 @@ def test_04_homogeneity_invariants_hold():
         deg = float(sum(k * q for k, q in zip(neuron.exponents, g.grades)))
         xv = GradedVector(rng.uniform(0.3, 2.0, size=dim), g)
         scaled = np.array([scalar_action(lam, xv).values for lam in lams])
-        lhs = neuron.pre_activation(scaled)[:, 0] + neuron.bias[0]
-        rhs = lams ** deg * (neuron.pre_activation(xv.values)[0] + neuron.bias[0])
+        lhs = neuron.forward(scaled).z[:, 0]
+        rhs = lams ** deg * neuron.forward(xv.values[np.newaxis]).z[0, 0]
         worst_mult = max(
             worst_mult, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
     assert worst_mult < 1e-9, worst_mult
@@ -329,21 +329,21 @@ def test_10_log_domain_evaluation_survives_overflow():
         weights = rng.uniform(0.2, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
         neuron = _neuron(weights, None, g)
         x = rng.uniform(0.1, 3.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
-        direct = (neuron.pre_activation(x) + neuron.bias)[0]
-        sign, log_magnitude = log_domain_forward(neuron, x)
-        back = sign[0] * math.exp(log_magnitude[0])
+        direct = neuron.forward(x[np.newaxis]).z[0, 0]
+        sign, log_magnitude = log_domain_forward(neuron, x[np.newaxis])
+        back = sign[0, 0] * math.exp(log_magnitude[0, 0])
         worst = max(worst, abs(back - direct) / max(1.0, abs(direct)))
     assert worst < 1e-12, worst
 
     # |w x|^k = 4^600 = 2^1200 overflows float64 but not its log magnitude
     big = _neuron(np.array([2.0]), (600,), GradingVector([2]))
-    x1 = np.array([2.0])
+    x1 = np.array([[2.0]])
     with np.errstate(over="ignore"):
-        assert not np.isfinite(big.pre_activation(x1) + big.bias).any()
+        assert not np.isfinite(big.forward(x1).z).any()
     sign, log_magnitude = log_domain_forward(big, x1)
-    assert sign[0] == 1.0
-    assert math.isfinite(log_magnitude[0])
-    assert log_magnitude[0] == pytest.approx(1200.0 * math.log(2.0), rel=1e-15)
+    assert sign[0, 0] == 1.0
+    assert math.isfinite(log_magnitude[0, 0])
+    assert log_magnitude[0, 0] == pytest.approx(1200.0 * math.log(2.0), rel=1e-15)
 
 
 def test_11_one_graded_neuron_beats_relu_widths_on_the_monomial():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gradednn import gradients
+from gradednn import gradients, network
 from gradednn.gradients import (
     _CHECK_KINDS,
     _MAX_CHECK_LOSS,
@@ -35,6 +35,7 @@ from gradednn.network import (
 from gradednn.spaces import (
     ExponentScheme,
     GradedVector,
+    GradingMismatchError,
     GradingVector,
     ones_grading,
 )
@@ -201,13 +202,43 @@ def _neuron(w, exponents, bias, grading):
 
 
 def _value(n: Layer, x: GradedVector) -> float:
-    return (n.pre_activation(x.values) + n.bias)[0]
+    return n.forward(x.values[np.newaxis]).z[0, 0]
 
 
 def _core_and_slope(n: Layer, x: GradedVector):
     k, w, xs = n.exponent_floats, n.weight_base[0], x.values[np.newaxis]
     core = multiplicative_core(w, k, xs, multiplicative_sign(k, xs))
     return core, multiplicative_slope(w, k, core)[0]
+
+
+def test_backward_forms_weights_and_cores_only_in_the_forward_pass(monkeypatch):
+    """network_backward reads each layer's effective weights and its
+    multiplicative core from the forward records instead of forming them
+    again."""
+    calls = dict.fromkeys(("effective_weights", "multiplicative_core"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(network, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(network, name, counted)
+    gradings = [GradingVector([1, 2]), GradingVector([1, 1, 2]), GradingVector([1])]
+    acts = [ActivationKind.SIGNED_GRADED_RELU, ActivationKind.IDENTITY]
+    x, y = np.full((3, 2), 0.7), np.ones((3, 1))
+    for exponents, expected in ((None, (2, 0)), ((1, 2), (1, 1))):
+        net = random_network(gradings, acts, np.random.default_rng(0), exponents=exponents)
+        calls.update(dict.fromkeys(calls, 0))
+        network_backward(net, x, y, LossKind.graded_mse())
+        assert (calls["effective_weights"], calls["multiplicative_core"]) == expected
+
+
+def test_a_wrong_operand_is_refused_by_network_backward():
+    for exponents in (None, (2, 1)):
+        net = random_network([GradingVector([1, 2]), GradingVector([1])],
+                             [ActivationKind.IDENTITY], np.random.default_rng(1),
+                             exponents=exponents)
+        for x in (np.array([1.0, 2.0]), np.ones((1, 3))):
+            with pytest.raises(GradingMismatchError, match=r"need \(N, 2\) rows"):
+                network_backward(net, x, np.ones((1, 1)), LossKind.graded_mse())
 
 
 def test_multiplicative_slope_matches_fd():
@@ -427,8 +458,8 @@ def test_known_rounding_limited_seed_passes():
     for i in range(75):
         kind = _CHECK_KINDS[i % len(_CHECK_KINDS)]
         net, x, y = _random_check_case(rng, kind)
-        out = forward_trace(net, x[0])[1]
-        assert abs(loss_value(kind, y, out[np.newaxis], net.out_grading)) <= _MAX_CHECK_LOSS
+        out = forward_trace(net, x)[1]
+        assert abs(loss_value(kind, y, out, net.out_grading)) <= _MAX_CHECK_LOSS
 
 
 def test_grad_check_suite_rejects_empty_count():
@@ -549,7 +580,7 @@ def test_backward_matches_central_differences_on_rational_batches(data):
     x = rng.uniform(0.5, 1.5, (n, widths[0]))
     y = rng.uniform(0.1, 1.0, (n, widths[-1]))
     trace, out = forward_trace(net, x)
-    assume(min(float(np.min(np.abs(z))) for _, z, _ in trace) >= 0.05)
+    assume(min(float(np.min(np.abs(rec.z))) for rec in trace) >= 0.05)
     assume(not np.any(_loss_part(kind, "kink", gradings[-1], y, out)))
     assume(abs(loss_value(kind, y, out, gradings[-1])) <= _MAX_CHECK_LOSS)
     assert _reference_fd_check(net, x, y, kind, eps=1e-6) < GRAD_CHECK_TOL

@@ -110,14 +110,14 @@ def _neuron(w, b, grading, exponents=None):
 
 
 def _value(neuron, x):
-    return (neuron.pre_activation(np.asarray(x, dtype=float)) + neuron.bias)[0]
+    return neuron.forward(np.array([x], dtype=float)).z[0, 0]
 
 
 def _log_form(neuron, x):
     """(sign, log|z|) of a one-output layer at one sample."""
-    sign, log = log_domain_forward(neuron, np.asarray(x, dtype=float))
-    assert sign.shape == log.shape == (1,)
-    return float(sign[0]), float(log[0])
+    sign, log = log_domain_forward(neuron, np.array([x], dtype=float))
+    assert sign.shape == log.shape == (1, 1)
+    return float(sign[0, 0]), float(log[0, 0])
 
 
 def test_additive_neuron_forward():
@@ -242,17 +242,55 @@ def test_log_domain_layer_matches_direct_evaluation(kind):
         for _ in range(20):
             layer = _random_layer(rng, kind, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
             x = rng.uniform(-2.0, 2.0, (n_rows, layer.n_in)) * (rng.random((n_rows, layer.n_in)) > 0.1)
-            direct = layer.pre_activation(x) + layer.bias
+            direct = layer.forward(x).z
             sign, log = log_domain_forward(layer, x)
             assert sign.shape == log.shape == direct.shape == (n_rows, layer.n_out)
             assert np.array_equal(sign == 0.0, log == -np.inf)
             back = sign * np.exp(log)
             # the scale of the largest term bounds the error of either sum
-            terms = np.abs(layer.pre_activation(np.abs(x))) + np.abs(layer.bias)
+            terms = np.abs(layer.forward(np.abs(x)).z - layer.bias) + np.abs(layer.bias)
             assert np.all(np.abs(back - direct) <= 1e-12 * np.maximum(terms, 1e-300))
-            one = log_domain_forward(layer, x[0])
-            assert one[0].shape == (layer.n_out,)
-            assert np.array_equal(one[0], sign[0]) and np.array_equal(one[1], log[0])
+            one = log_domain_forward(layer, x[:1])
+            assert one[0].shape == (1, layer.n_out)
+            assert np.array_equal(one[0], sign[:1]) and np.array_equal(one[1], log[:1])
+
+
+@pytest.mark.parametrize("kind", ["additive", "blocked", "multiplicative"])
+def test_a_weight_stack_gives_each_slice_the_floats_of_its_own_layer(kind):
+    """The contract finite_diff_check's stacked passes rely on, bit for bit."""
+    rng = np.random.default_rng(23)
+    layer = _random_layer(rng, kind, 3, 4)
+    layer.activation = ActivationKind.SIGNED_GRADED_RELU
+    ws = layer.weight_base + rng.uniform(-0.5, 0.5, (5, 3, 4))
+    bs = layer.bias + rng.uniform(-0.5, 0.5, (5, 3))
+    x = rng.uniform(-2.0, 2.0, (6, 4))
+    stacked = layer.forward(x, ws, bs)
+    for s in range(5):
+        w = ws[s] if layer.mask is None else np.where(layer.mask, ws[s], 0.0)
+        one = Layer(w, bs[s], layer.activation, layer.in_grading, layer.out_grading,
+                    layer.blocks, layer.exponents).forward(x)
+        for name in ("w", "z", "y"):
+            assert np.array_equal(getattr(stacked, name)[s], getattr(one, name)), name
+
+
+@pytest.mark.parametrize("exponents", [None, (2, 1)], ids=["additive", "multiplicative"])
+def test_a_wrong_operand_is_refused(exponents):
+    layer = _neuron([0.5, 1.5], 0.25, GradingVector([1, 2]), exponents=exponents)
+    net = Network([layer])
+    for x in (np.array([1.0, 2.0]), np.ones((1, 3)), np.ones((4, 1)), np.float64(1.0)):
+        for evaluate, operator in ((forward_trace, net), (log_domain_forward, layer)):
+            with pytest.raises(GradingMismatchError, match=r"need \(N, 2\) rows"):
+                evaluate(operator, x)
+    # a stack of row batches gives each batch's own rows
+    x = np.arange(1.0, 13.0).reshape(3, 2, 2)
+    out = forward_trace(net, x)[1]
+    sign, log = log_domain_forward(layer, x)
+    for s in range(3):
+        assert np.array_equal(out[s], forward_trace(net, x[s])[1])
+        assert np.array_equal(sign[s], log_domain_forward(layer, x[s])[0])
+        assert np.array_equal(log[s], log_domain_forward(layer, x[s])[1])
+    # the empty network checks nothing: it is the identity on any operand
+    assert forward_trace(Network([]), x[0, 0])[1].shape == (2,)
 
 
 def test_log_domain_multiplicative_survives_overflow_and_checks_its_domain():
@@ -281,10 +319,10 @@ def _simple_net():
 
 def test_forward_trace_shapes():
     net = _simple_net()
-    trace, out = forward_trace(net, np.array([1.0, 1.0]))
-    assert len(trace) == 2 and out.shape == (1,)
-    x_in, z, y = trace[0]
-    assert x_in.shape == (2,) and z.shape == (3,) and y.shape == (3,)
+    trace, out = forward_trace(net, np.array([[1.0, 1.0]]))
+    assert len(trace) == 2 and out.shape == (1, 1)
+    rec = trace[0]
+    assert rec.x.shape == (1, 2) and rec.z.shape == (1, 3) and rec.y.shape == (1, 3)
 
 
 def test_network_grading_chain_enforced():
@@ -308,7 +346,14 @@ def test_non_finite_forward_names_layer():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteForwardError) as err:
             network_forward(net, GradedVector([400.0], g))
-    assert "layer 1" in str(err.value)
+    assert "layer 1" in str(err.value) and str(err.value).endswith("in its output")
+    # 2**1200 overflows the effective weight, so layer 0's pre-activation goes first
+    wide = Layer(np.array([[2.0]]), np.zeros(1), ActivationKind.IDENTITY,
+                 GradingVector([1200]), g)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteForwardError) as err:
+            network_forward(Network([wide, l2]), GradedVector([1.0], GradingVector([1200])))
+    assert str(err.value) == "layer 0 produced non-finite values in its pre-activation"
 
 
 def _mult_net():
@@ -331,9 +376,9 @@ def test_multiplicative_layer_computes_one_neuron_per_output():
         for s in range(2):
             # exponents (1/2, 3): the odd cube keeps the sign of x_1
             closed = math.sqrt(w[j, 0] * x[s, 0]) * (w[j, 1] * x[s, 1]) ** 3 + b[j]
-            assert trace[0][1][s, j] == pytest.approx(closed, rel=1e-15, abs=1e-15)
-    one, _ = forward_trace(net, x[1])
-    assert one[0][1].shape == (2,) and np.array_equal(one[0][1], trace[0][1][1])
+            assert trace[0].z[s, j] == pytest.approx(closed, rel=1e-15, abs=1e-15)
+    one, _ = forward_trace(net, x[1:])
+    assert one[0].z.shape == (1, 2) and np.array_equal(one[0].z[0], trace[0].z[1])
     with pytest.raises(GradedDomainError):
         forward_trace(net, -x)  # the exponent 1/2 needs positive inputs
 
