@@ -19,14 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import approx_bench, bench_config_from_dict, write_bench_csv
-from .config import ConfigError, ExperimentConfig, load_experiment_config
-from .datasets import (
-    Dataset,
-    gen_invariant_proxy_dataset,
-    gen_linear_map_dataset,
-    gen_monomial_dataset,
-    read_dataset_csv,
-)
+from .config import build_dataset, load_experiment_config
 from .gradients import DEFAULT_EPS, GRAD_CHECK_TOL, grad_check_suite
 from .ioutil import fmt17
 from .network import random_network, save_network
@@ -62,40 +55,6 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _build_dataset(cfg: ExperimentConfig) -> Dataset:
-    src = cfg.dataset.source
-    p = cfg.dataset.params
-    out_g = cfg.model.layers[-1][0]
-    # a multiplicative model's one output is scalar, so only a feedforward
-    # model's last layer can break a scalar-target rule
-    out_key = "model.layers[%d].grading" % (len(cfg.model.layers) - 1)
-    if src == "csv":
-        return read_dataset_csv(p["path"], cfg.grading, out_g)
-    seed = p.get("seed", cfg.seed)
-    count = p.get("count", 256)
-    if src == "monomial":
-        if "box" in p:
-            box = [(lo, hi) for lo, hi in p["box"]]
-        else:
-            lo, hi = p.get("low", 0.1), p.get("high", 2.0)
-            box = [(lo, hi)] * len(cfg.grading)
-        if len(out_g) != 1:
-            raise ConfigError("%s: monomial targets are scalar; model output must be "
-                              "1-dim" % out_key)
-        return gen_monomial_dataset(
-            cfg.grading, p["exponents"], p.get("coefficient", 1.0),
-            box, count, seed)
-    if src == "linear_map":
-        if any(g != 1 for g in cfg.grading.grades):
-            raise ConfigError("grading: linear_map datasets use the all-ones input grading")
-        return gen_linear_map_dataset(len(cfg.grading), out_g, count, seed)[0]
-    if src == "invariant_proxy":
-        if len(out_g) != 1:
-            raise ConfigError("%s: invariant_proxy targets are scalar" % out_key)
-        return gen_invariant_proxy_dataset(cfg.grading, count, seed)
-    raise ConfigError("unknown dataset source %r" % src)
-
-
 def _write_metrics(path: Path, losses, grad_norms) -> None:
     lines = [
         json.dumps({"iter": i, "loss": float(loss), "grad_norm": float(gn)},
@@ -110,10 +69,7 @@ def _write_metrics(path: Path, losses, grad_norms) -> None:
 def _cmd_train(args: argparse.Namespace) -> int:
     try:
         cfg = load_experiment_config(args.config)
-        ds = _build_dataset(cfg)
-        if ds.in_grading != cfg.grading:
-            raise ConfigError("dataset.source: dataset grading does not match the config "
-                              "grading")
+        ds = build_dataset(cfg)
         net = random_network([cfg.grading] + [g for g, _ in cfg.model.layers],
                              [a for _, a in cfg.model.layers],
                              np.random.default_rng(cfg.optimizer.seed),

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from .datasets import (Dataset, gen_invariant_proxy_dataset, gen_linear_map_dataset,
+                       gen_monomial_dataset, read_dataset_csv)
 from .ioutil import (
     ConfigError,
     grading_value,
@@ -33,7 +35,7 @@ class ModelSpec:
 @dataclass
 class DatasetSpec:
     source: str  # "csv" | "monomial" | "linear_map" | "invariant_proxy"
-    params: dict = field(default_factory=dict)
+    params: dict  # exactly the arguments its generator takes
 
 
 @dataclass
@@ -44,10 +46,9 @@ class ExperimentConfig:
     optimizer: OptimizerConfig
     dataset: DatasetSpec
     out_dir: Path
-    seed: int = 0
 
 
-_nonnegative = functools.partial(int_value, low=0)  # seeds and counts
+_nonnegative = functools.partial(int_value, low=0)  # seeds
 
 
 def _key_table(doc, key: str, tables: dict, path: str) -> dict:
@@ -86,7 +87,7 @@ _MODEL_KEYS = {"feedforward": {"type": (True, None), "layers": (True, _layers)},
 _OPTIMIZER_KEYS = {"learning_rate": (True, number_value), "momentum": (False, number_value),
                    "max_iters": (True, int_value), "stop_threshold": (False, number_value),
                    "stop_window": (False, int_value), "seed": (False, _nonnegative)}
-_SAMPLES = {"source": (True, None), "count": (False, _nonnegative),
+_SAMPLES = {"source": (True, None), "count": (False, functools.partial(int_value, low=1)),
             "seed": (False, _nonnegative)}
 _DATASET_KEYS = {
     "csv": {"source": (True, None), "path": (True, str_value)},
@@ -126,9 +127,57 @@ def _dataset_exponents(value, n: int) -> Tuple[Fraction, ...]:
     return ks
 
 
+def _dataset_spec(params: dict, grading: GradingVector, model: ModelSpec, seed: int,
+                  base_dir: Path) -> DatasetSpec:
+    """The dataset section as exactly the arguments its generator takes, with
+    every default filled in and every cross-key rule checked."""
+    source, n = params["source"], len(grading)
+    if source == "csv":
+        return DatasetSpec(source, {"path": str(base_dir / params["path"])})
+    resolved = {"count": params.get("count", 256), "seed": params.get("seed", seed)}
+    # a multiplicative model's one output is scalar, so only a feedforward
+    # model's last layer can break a scalar-target rule
+    scalar = len(model.layers[-1][0]) == 1
+    out_key = "model.layers[%d].grading" % (len(model.layers) - 1)
+    if source == "linear_map" and any(g != 1 for g in grading.grades):
+        raise ConfigError("grading: linear_map datasets use the all-ones input grading")
+    if source == "invariant_proxy" and not scalar:
+        raise ConfigError("%s: invariant_proxy targets are scalar" % out_key)
+    if source != "monomial":
+        return DatasetSpec(source, resolved)
+    if "box" in params:
+        if "low" in params or "high" in params:
+            raise ConfigError("dataset.box cannot be given with dataset.low or dataset.high")
+        if len(params["box"]) != n:
+            raise ConfigError("dataset.box must hold %d [low, high] pairs, one per "
+                              "coordinate" % n)
+        box, keys = params["box"], ["dataset.box[%d]" % i for i in range(n)]
+        for key, (lo, hi) in zip(keys, box):
+            if lo >= hi:
+                raise ConfigError("%s must have low < high" % key)
+    else:
+        lo, hi = params.get("low", 0.1), params.get("high", 2.0)
+        if lo >= hi:
+            raise ConfigError("dataset.low must be below dataset.high")
+        box, keys = [[lo, hi]] * n, ["dataset.low"] * n
+    if "exponents" not in params:
+        raise ConfigError("monomial dataset needs exponents")
+    exponents = _dataset_exponents(params["exponents"], n)
+    for k, (lo, _), key in zip(exponents, box, keys):
+        if k.denominator != 1 and lo <= 0:
+            raise ConfigError("%s: fractional exponent %s needs a positive sampling box"
+                              % (key, k))
+    if not scalar:
+        raise ConfigError("%s: monomial targets are scalar; model output must be "
+                          "1-dim" % out_key)
+    return DatasetSpec(source, {"exponents": exponents,
+                                "coefficient": params.get("coefficient", 1.0),
+                                "box": box, **resolved})
+
+
 def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     top = read_object(doc, _CONFIG_KEYS, "", "config root")
-    grading, mdoc, params = top["grading"], top["model"], top["dataset"]
+    grading, mdoc = top["grading"], top["model"]
     if mdoc["type"] == "feedforward":
         if not mdoc["layers"]:
             raise ConfigError("model.layers must hold at least one layer")
@@ -141,31 +190,14 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
 
     seed = top.get("seed", 0)
     optimizer = parsed("optimizer", OptimizerConfig, **{"seed": seed, **top["optimizer"]})
-
-    source = params.pop("source")
-    if "box" in params and len(params["box"]) != len(grading):
-        raise ConfigError("dataset.box must hold %d [low, high] pairs, one per "
-                          "coordinate" % len(grading))
-    if source == "monomial":
-        if "exponents" not in params:
-            raise ConfigError("monomial dataset needs exponents")
-        params["exponents"] = _dataset_exponents(params["exponents"], len(grading))
-    if source == "csv":
-        params["path"] = str(base_dir / params["path"])
+    dataset = _dataset_spec(top["dataset"], grading, model, seed, base_dir)
 
     out_dir = Path(top.get("out_dir", "."))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
 
-    return ExperimentConfig(
-        grading=grading,
-        model=model,
-        loss=top["loss"],
-        optimizer=optimizer,
-        dataset=DatasetSpec(source=source, params=params),
-        out_dir=out_dir,
-        seed=seed,
-    )
+    return ExperimentConfig(grading=grading, model=model, loss=top["loss"],
+                            optimizer=optimizer, dataset=dataset, out_dir=out_dir)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -178,3 +210,15 @@ def load_experiment_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from None
     return experiment_config_from_dict(doc, base_dir=path.parent)
+
+
+def build_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The Dataset of cfg: its source's generator called on the resolved params."""
+    p, out_grading = cfg.dataset.params, cfg.model.layers[-1][0]
+    if cfg.dataset.source == "csv":
+        return read_dataset_csv(in_grading=cfg.grading, out_grading=out_grading, **p)
+    if cfg.dataset.source == "monomial":
+        return gen_monomial_dataset(cfg.grading, **p)
+    if cfg.dataset.source == "linear_map":
+        return gen_linear_map_dataset(len(cfg.grading), out_grading, **p)[0]
+    return gen_invariant_proxy_dataset(cfg.grading, **p)

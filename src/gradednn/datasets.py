@@ -31,7 +31,6 @@ class Dataset:
     targets: np.ndarray
     in_grading: GradingVector
     out_grading: GradingVector
-    note: str = ""
 
     def __post_init__(self):
         self.inputs = np.atleast_2d(np.array(self.inputs, dtype=float))
@@ -87,6 +86,11 @@ def gen_monomial_dataset(
     exponents = tuple(Fraction(k) for k in exponents)
     if len(exponents) != len(grading) or len(box) != len(grading):
         raise GradingMismatchError("exponents/box must match the grading length")
+    for i, k in enumerate(exponents):
+        try:
+            float(k)
+        except OverflowError:  # an integer such as 10**400
+            raise GradedDomainError("exponents[%d] does not fit a float64" % i) from None
     if count < 1:
         raise ValueError("count must be >= 1")
     lows = np.array([b[0] for b in box], dtype=float)
@@ -101,13 +105,7 @@ def gen_monomial_dataset(
     rng = np.random.default_rng(seed)
     x = rng.uniform(lows, highs, size=(count, len(grading)))
     y = monomial_value(x, exponents, coefficient)
-    return Dataset(
-        x,
-        y[:, np.newaxis],
-        grading,
-        ones_grading(1),
-        note="monomial c=%g k=(%s)" % (coefficient, ",".join(str(k) for k in exponents)),
-    )
+    return Dataset(x, y[:, np.newaxis], grading, ones_grading(1))
 
 
 def gen_linear_map_dataset(
@@ -130,7 +128,7 @@ def gen_linear_map_dataset(
     w_true = rng.uniform(-1.0, 1.0, size=(len(out_grading), in_dim))
     b_true = rng.uniform(-0.5, 0.5, size=len(out_grading))
     y = x @ w_true.T + b_true
-    ds = Dataset(x, y, ones_grading(in_dim), out_grading, note="linear map, noiseless")
+    ds = Dataset(x, y, ones_grading(in_dim), out_grading)
     return ds, w_true, b_true
 
 
@@ -151,13 +149,7 @@ def gen_invariant_proxy_dataset(
     coeff = u ** grading.floats
     intercept = rng.uniform(0.0, 0.2)
     y = x @ coeff + intercept
-    return Dataset(
-        x,
-        y[:, np.newaxis],
-        grading,
-        ones_grading(1),
-        note="invariant-style proxy, linear in graded inputs",
-    )
+    return Dataset(x, y[:, np.newaxis], grading, ones_grading(1))
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:
@@ -205,4 +197,4 @@ def read_dataset_csv(path, in_grading: GradingVector, out_grading: GradingVector
             ys.append(vals[n:])
     if not xs:
         raise ValueError("dataset file %s has no samples" % path)
-    return Dataset(np.array(xs), np.array(ys), in_grading, out_grading, note=str(path))
+    return Dataset(np.array(xs), np.array(ys), in_grading, out_grading)

@@ -289,9 +289,11 @@ class Layer:
 
     def forward(self, x: np.ndarray, weight_base: Optional[np.ndarray] = None,
                 bias: Optional[np.ndarray] = None) -> LayerRecord:
-        """The LayerRecord of rows x (..., N, n_in).  A stack (..., n_out,
-        n_in) of other base weights and (..., n_out) of biases adds its leading
-        axes in front; each slice gives the floats of a Layer built from it."""
+        """The LayerRecord of rows x (..., N, n_in), or GradingMismatchError.
+        A stack (..., n_out, n_in) of other base weights and (..., n_out) of
+        biases adds its leading axes in front; each slice gives the floats of
+        a Layer built from it."""
+        x = _rows(x, self.n_in)
         w = self.weight_base if weight_base is None else weight_base
         b = self.bias if bias is None else bias[..., np.newaxis, :]
         if self.exponents is None:
@@ -358,8 +360,7 @@ def _rows(x, n: int) -> np.ndarray:
 def forward_trace(net: Network, x: np.ndarray):
     """Per-layer LayerRecords and the output, not checked for finiteness, for
     rows x (N, n), one sample per row, or a stack (..., N, n) of them."""
-    trace = []
-    cur = _rows(x, net.layers[0].n_in) if net.layers else np.asarray(x, dtype=float)
+    trace, cur = [], x
     for layer in net.layers:
         trace.append(layer.forward(cur))
         cur = trace[-1].y

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradednn import bench
-from gradednn.cli import _build_dataset, main
+from gradednn.cli import main
 from gradednn.config import (
     ConfigError,
+    build_dataset,
     experiment_config_from_dict,
     load_experiment_config,
 )
@@ -89,6 +90,16 @@ def test_gen_monomial_dataset():
     assert np.array_equal(ds.targets[:, 0], expect)
     again = gen_monomial_dataset(Q23, [2, 3], 1.5, box, 50, seed=3)
     assert np.array_equal(ds.inputs, again.inputs)
+
+
+@pytest.mark.parametrize("exponents, index", [([10 ** 400, 2], 0),
+                                               ([2, Fraction(10 ** 400, 3)], 1)])
+def test_gen_monomial_dataset_refuses_an_exponent_beyond_float64(exponents, index):
+    from gradednn.spaces import GradedDomainError
+
+    with pytest.raises(GradedDomainError,
+                       match=r"^exponents\[%d\] does not fit a float64$" % index):
+        gen_monomial_dataset(Q23, exponents, 1.0, [(0.1, 2.0)] * 2, 8, seed=0)
 
 
 def test_gen_linear_map_dataset_is_noiseless():
@@ -265,6 +276,25 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     (lambda d: d["dataset"].update(low=-math.inf), "dataset.low must be a number"),
     (lambda d: d["optimizer"].update(learning_rate=10 ** 400),
      "optimizer.learning_rate must be a number"),
+    # dataset rules checked at load, before any file is read or sample drawn
+    (lambda d: d["dataset"].update(box=[[0.5, 1.5], [0.5, 1.5]], low=7.0, high=3.0),
+     "dataset.box cannot be given with dataset.low or dataset.high"),
+    (lambda d: d["dataset"].update(box=[[0.5, 1.5], [0.5, 1.5]], high=3.0),
+     "dataset.box cannot be given with dataset.low or dataset.high"),
+    (lambda d: d["dataset"].update(low=7.0, high=3.0), "dataset.low must be below dataset.high"),
+    (lambda d: d["dataset"].update(low=1.0, high=1.0), "dataset.low must be below dataset.high"),
+    (lambda d: d["dataset"].update(high=0.05), "dataset.low must be below dataset.high"),
+    (lambda d: d["dataset"].update(box=[[0.5, 1.5], [1.5, 0.5]]),
+     "dataset.box[1] must have low < high"),
+    (lambda d: d["dataset"].update(count=0), "dataset.count must be >= 1"),
+    (lambda d: d.update(grading="1,1", dataset={"source": "linear_map", "count": 0}),
+     "dataset.count must be >= 1"),
+    (lambda d: d.update(dataset={"source": "invariant_proxy", "count": 0}),
+     "dataset.count must be >= 1"),
+    (lambda d: d["dataset"].update(exponents=[2, "1/2"], low=0.0, high=1.0),
+     "dataset.low: fractional exponent 1/2 needs a positive sampling box"),
+    (lambda d: d["dataset"].update(exponents=["3/2", 3], box=[[-1.0, 1.0], [0.5, 1.5]]),
+     "dataset.box[0]: fractional exponent 3/2 needs a positive sampling box"),
 ])
 def test_config_rejects_wrong_value_types(tmp_path, capsys, mutate, message):
     doc = _base_train_doc()
@@ -280,10 +310,26 @@ def test_config_rejects_wrong_value_types(tmp_path, capsys, mutate, message):
 def test_config_numbers_accept_integers():
     doc = _base_train_doc()
     doc["optimizer"].update(learning_rate=1, momentum=0, stop_threshold=0)
-    doc["dataset"].update(low=1, high=2, coefficient=3, box=[[1, 2], [1, 2.5]])
+    doc["dataset"].update(low=1, high=2, coefficient=3)
     cfg = experiment_config_from_dict(doc)
-    assert cfg.optimizer.learning_rate == 1.0 and cfg.dataset.params["low"] == 1.0
+    assert cfg.optimizer.learning_rate == 1.0
+    assert cfg.dataset.params["box"] == [[1.0, 2.0], [1.0, 2.0]]
+    assert cfg.dataset.params["coefficient"] == 3.0
+    doc = _base_train_doc()
+    doc["dataset"].update(box=[[1, 2], [1, 2.5]])
+    cfg = experiment_config_from_dict(doc)
     assert cfg.dataset.params["box"] == [[1.0, 2.0], [1.0, 2.5]]
+
+
+def test_config_resolves_dataset_defaults_at_load():
+    """DatasetSpec.params holds exactly the arguments its generator takes."""
+    doc = _base_train_doc()
+    doc.update(seed=11, dataset={"source": "invariant_proxy"})
+    assert experiment_config_from_dict(doc).dataset.params == {"count": 256, "seed": 11}
+    doc["dataset"] = {"source": "monomial", "exponents": [2, "1/2"], "seed": 4}
+    assert experiment_config_from_dict(doc).dataset.params == {
+        "exponents": (2, Fraction(1, 2)), "coefficient": 1.0,
+        "box": [[0.1, 2.0], [0.1, 2.0]], "count": 256, "seed": 4}
 
 
 def test_config_sub_documents_must_be_objects():
@@ -525,7 +571,7 @@ def test_cli_train_multiplicative_matches_the_reference_trainer(tmp_path, case):
     (layer,) = load_network(tmp_path / case / "model.json").layers
 
     cfg = load_experiment_config(cfg_path)
-    ds = _build_dataset(cfg)
+    ds = build_dataset(cfg)
     k = np.array([float(v) for v in cfg.model.exponents])
     w0 = np.random.default_rng(cfg.optimizer.seed).uniform(0.2, 0.9, size=2)
     w, b, losses, grad_norms = _ref_train_multiplicative(

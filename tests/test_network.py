@@ -278,7 +278,8 @@ def test_a_wrong_operand_is_refused(exponents):
     layer = _neuron([0.5, 1.5], 0.25, GradingVector([1, 2]), exponents=exponents)
     net = Network([layer])
     for x in (np.array([1.0, 2.0]), np.ones((1, 3)), np.ones((4, 1)), np.float64(1.0)):
-        for evaluate, operator in ((forward_trace, net), (log_domain_forward, layer)):
+        for evaluate, operator in ((forward_trace, net), (log_domain_forward, layer),
+                                   (Layer.forward, layer)):
             with pytest.raises(GradingMismatchError, match=r"need \(N, 2\) rows"):
                 evaluate(operator, x)
     # a stack of row batches gives each batch's own rows
