@@ -40,7 +40,7 @@ from .ioutil import (
     fmt17,
     grading_value,
     int_value,
-    is_int,
+    list_value,
     number_value,
     read_object,
     str_value,
@@ -69,19 +69,20 @@ class BenchConfig:
 
     def __post_init__(self):
         if len(self.grading) != 2:
-            raise ValueError("the benchmark target is bivariate")
-        if not (0.0 < self.sample_low < self.sample_high <= 1.0):
-            raise ValueError("sampling range must sit inside (0, 1]")
-        if self.grid_points < 2 or self.restarts < 1:
-            raise ValueError("grid_points >= 2 and restarts >= 1 required")
-        if min(self.hidden_sizes, default=1) < 1 or self.train_count < 1:
-            raise ValueError("hidden sizes and train_count must be positive")
+            raise ValueError("grading must have 2 coordinates: the benchmark target "
+                             "is bivariate")
+        if not 0.0 < self.sample_high <= 1.0:
+            raise ValueError("sample_high must lie in (0, 1]")
+        if not 0.0 < self.sample_low < self.sample_high:
+            raise ValueError("sample_low must be positive and below sample_high")
+        for name, low in (("grid_points", 2), ("restarts", 1), ("train_count", 1),
+                          ("classical_iters", 0), ("graded_iters", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError("%s must be >= %d" % (name, low))
+        if min(self.hidden_sizes, default=1) < 1:
+            raise ValueError("hidden_sizes must all be >= 1")
         if list(self.hidden_sizes) != sorted(self.hidden_sizes):
             raise ValueError("hidden_sizes must be non-decreasing")
-        if min(self.classical_iters, self.graded_iters) < 0:
-            raise ValueError("iteration counts must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if not 0.0 < self.grid_low < self.grid_high:
             raise ValueError("grid_low must be positive and below grid_high")
         for name in ("classical_learning_rate", "graded_learning_rate"):
@@ -91,14 +92,9 @@ class BenchConfig:
             raise ValueError("classical_momentum must lie in [0, 1)")
 
 
-def _int_list(value, path: str) -> tuple:
-    if isinstance(value, list) and all(is_int(m) for m in value):
-        return tuple(value)
-    raise ConfigError("%s must be a list of integers" % path)
-
-
 # every setting is optional and takes the type of its default
-_CHECKERS = {tuple: _int_list, int: int_value, float: number_value}
+_CHECKERS = {tuple: lambda v, path: tuple(list_value(v, path, int_value)),
+             int: int_value, float: number_value}
 _BENCH_KEYS = {f.name: (False, _CHECKERS.get(type(f.default))) for f in fields(BenchConfig)}
 _BENCH_KEYS["grading"] = (False, lambda v, path: grading_value(str_value(v, path), path))
 

@@ -15,6 +15,7 @@ from .ioutil import (
     ConfigError,
     grading_value,
     int_value,
+    list_value,
     number_value,
     parsed,
     read_object,
@@ -65,24 +66,25 @@ _LAYER_KEYS = {"grading": (True, lambda v, path: grading_value(v, path.rpartitio
                "activation": (True, activation_kind)}
 
 
-def _layers(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError("%s must be a list of layer objects" % path)
-    layers = [read_object(doc, _LAYER_KEYS, "%s[%d]" % (path, i))
-              for i, doc in enumerate(value)]
-    return [(layer["grading"], layer["activation"]) for layer in layers]
+def _layer(doc, path: str) -> Tuple[GradingVector, ActivationKind]:
+    layer = read_object(doc, _LAYER_KEYS, path)
+    return layer["grading"], layer["activation"]
 
 
-def _box(value, path: str) -> list:
-    if not (isinstance(value, list)
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in value)):
-        raise ConfigError("%s must be a list of [low, high] pairs" % path)
-    return [[number_value(v, "%s[%d]" % (path, i)) for v in pair]
-            for i, pair in enumerate(value)]
+def _rational(value, path: str) -> Fraction:
+    """A JSON number or a string such as "1/2", as a Fraction that fits a
+    float64; the text of true, null, a list or an object is no rational."""
+    try:
+        k = _as_fraction(str(value))
+        float(k)  # an integer such as 10**400 raises only here
+        return k
+    except (ValueError, OverflowError, GradedError):
+        raise ConfigError('%s must be a rational such as 2 or "1/2"' % path) from None
 
 
 # model.exponents and dataset.exponents are counted against the grading
-_MODEL_KEYS = {"feedforward": {"type": (True, None), "layers": (True, _layers)},
+_MODEL_KEYS = {"feedforward": {"type": (True, None),
+                               "layers": (True, lambda v, path: list_value(v, path, _layer))},
                "multiplicative": {"type": (True, None), "exponents": (True, None)}}
 _OPTIMIZER_KEYS = {"learning_rate": (True, number_value), "momentum": (False, number_value),
                    "max_iters": (True, int_value), "stop_threshold": (False, number_value),
@@ -91,7 +93,9 @@ _SAMPLES = {"source": (True, None), "count": (False, functools.partial(int_value
             "seed": (False, _nonnegative)}
 _DATASET_KEYS = {
     "csv": {"source": (True, None), "path": (True, str_value)},
-    "monomial": {**_SAMPLES, "exponents": (False, None), "box": (False, _box),
+    "monomial": {**_SAMPLES, "exponents": (True, None),
+                 "box": (False, lambda v, path: list_value(
+                     v, path, lambda pair, p: list_value(pair, p, number_value, 2))),
                  "low": (False, number_value), "high": (False, number_value),
                  "coefficient": (False, number_value)},
     "linear_map": _SAMPLES,
@@ -108,23 +112,6 @@ _CONFIG_KEYS = {
     "out_dir": (False, str_value),
     "seed": (False, _nonnegative),
 }
-
-
-def _dataset_exponents(value, n: int) -> Tuple[Fraction, ...]:
-    """dataset.exponents: a list of n rationals that fit a float64, each a
-    JSON number or a string such as "1/2"."""
-    ks = ()
-    if isinstance(value, list) and not any(isinstance(v, bool) for v in value):
-        try:
-            ks = tuple(_as_fraction(str(v)) for v in value)
-            for k in ks:
-                float(k)  # an integer such as 10**400 raises only here
-        except (ValueError, OverflowError, GradedError):
-            ks = ()
-    if len(ks) != n:
-        raise ConfigError("dataset.exponents must be a list of %d rationals such as %s"
-                          % (n, list(range(2, n + 2))))
-    return ks
 
 
 def _dataset_spec(params: dict, grading: GradingVector, model: ModelSpec, seed: int,
@@ -160,9 +147,7 @@ def _dataset_spec(params: dict, grading: GradingVector, model: ModelSpec, seed: 
         if lo >= hi:
             raise ConfigError("dataset.low must be below dataset.high")
         box, keys = [[lo, hi]] * n, ["dataset.low"] * n
-    if "exponents" not in params:
-        raise ConfigError("monomial dataset needs exponents")
-    exponents = _dataset_exponents(params["exponents"], n)
+    exponents = tuple(list_value(params["exponents"], "dataset.exponents", _rational, n))
     for k, (lo, _), key in zip(exponents, box, keys):
         if k.denominator != 1 and lo <= 0:
             raise ConfigError("%s: fractional exponent %s needs a positive sampling box"

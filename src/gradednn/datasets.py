@@ -122,6 +122,8 @@ def gen_linear_map_dataset(
     sample Gram matrix well conditioned.  Returns (dataset, true_weights,
     true_bias); the optimum has zero loss.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=(count, in_dim))
     x = signs * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=(count, in_dim)))
@@ -143,6 +145,8 @@ def gen_invariant_proxy_dataset(
     a single-layer identity model realizes them exactly with base weights
     u_i inside the usual init range, and full-batch descent converges.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.5, 1.5, size=(count, len(grading)))
     u = rng.uniform(0.3, 0.8, size=len(grading))

@@ -1,6 +1,11 @@
 """Serialization helpers, the one JSON reader behind every file format, and
 the fork helper that approx-bench and grad-check split their work with.
 
+The one JSON reader: read_object walks every JSON object and list_value
+every JSON list, and a checker(value, path) such as int_value or
+number_value parses each value, so a fault names its path down to the key
+or the [i] of a list entry.
+
 JSON artifacts are written by the stdlib: a float's repr is the shortest text
 that reads back as the same double, so saving and reloading is bit-exact,
 -0.0 included, and a non-finite value is refused.  CSV cells and stdout lines
@@ -42,6 +47,15 @@ def read_object(doc, table: dict, path: str, name: str = "") -> dict:
         raise ConfigError("unknown key %s" % ", ".join(prefix + k for k in unknown))
     return {k: doc[k] if check is None else check(doc[k], prefix + k)
             for k, (_, check) in table.items() if k in doc}
+
+
+def list_value(value, path: str, item: Callable, n: Optional[int] = None) -> list:
+    """[item(v, "path[i]") for each entry v] if value is a JSON list, of
+    exactly n entries when n is given, else a ConfigError naming path."""
+    if not isinstance(value, list) or (n is not None and len(value) != n):
+        raise ConfigError("%s must be a list%s" % (path, "" if n is None else
+                                                   " of %d entries" % n))
+    return [item(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
 
 
 def parsed(where: str, parse: Callable, *args, **kwargs):

@@ -26,7 +26,8 @@ from .ioutil import (
     ConfigError,
     grading_value,
     int_value,
-    is_int,
+    list_value,
+    number_value,
     parsed,
     read_object,
     str_value,
@@ -486,79 +487,49 @@ def network_to_dict(net: Network) -> dict:
     return {"gradings": gradings, "layers": layers}
 
 
-def _load_numbers(value, n: int, where: str) -> np.ndarray:
-    """A flat JSON list of n finite numbers as a float64 array."""
-    arr = None
-    if isinstance(value, list) and all(is_int(v) or isinstance(v, float) for v in value):
-        try:
-            arr = np.array(value, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if arr is None or arr.shape != (n,) or not np.isfinite(arr).all():
-        raise ConfigError("%s must be a list of %d finite numbers" % (where, n))
-    return arr
-
-
-def _load_range(value, where: str) -> tuple:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError("%s must be a [start, stop] pair of integers" % where)
-    return tuple(int_value(v, where) for v in value)
-
-
-def _load_gradings(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError("%s must be a list of grading strings" % where)
-    return [grading_value(t, "%s[%d]" % (where, i)) for i, t in enumerate(value)]
-
-
-_BLOCK_KEYS = {"rows": (True, _load_range), "cols": (True, _load_range),
+_RANGE = (True, lambda v, path: tuple(list_value(v, path, int_value, 2)))  # [start, stop]
+_BLOCK_KEYS = {"rows": _RANGE, "cols": _RANGE,
                "grade": (True, lambda v, path: parsed(path, _as_fraction,
                                                       str_value(v, path)))}
-
-
-def _load_blocks(value, where: str):
-    if value is None:
-        return None
-    if not isinstance(value, list):
-        raise ConfigError("%s must be a list" % where)
-    return [GradeBlock(**read_object(b, _BLOCK_KEYS, "%s[%d]" % (where, k)))
-            for k, b in enumerate(value)]
-
-
 # weight_base, bias and exponents are counted against the gradings
 _LAYER_KEYS = {"rows": (True, int_value), "cols": (True, int_value),
                "weight_base": (True, None), "bias": (True, None),
-               "activation": (True, activation_kind), "blocks": (False, _load_blocks),
+               "activation": (True, activation_kind),
+               "blocks": (False, lambda v, path: list_value(
+                   v, path, lambda b, p: GradeBlock(**read_object(b, _BLOCK_KEYS, p)))),
                "exponents": (False, None)}
-_NETWORK_KEYS = {"gradings": (True, _load_gradings), "layers": (True, None)}
+# the gradings are counted against the layers
+_NETWORK_KEYS = {"gradings": (True, None),
+                 "layers": (True, lambda v, path: list_value(
+                     v, path, lambda spec, p: read_object(spec, _LAYER_KEYS, p)))}
 
 
 def network_from_dict(doc: dict) -> Network:
     """The network network_to_dict wrote.  A missing or unknown key, or a
     value of the wrong type or size, is a ConfigError naming its path."""
     top = read_object(doc, _NETWORK_KEYS, "", "a saved network")
-    gradings, specs = top["gradings"], top["layers"]
-    if not isinstance(specs, list) or len(gradings) != (len(specs) + 1 if specs else 0):
-        raise ConfigError("need a list of layers and one grading per layer boundary")
+    specs = top["layers"]
+    gradings = list_value(top["gradings"], "gradings", grading_value,
+                          len(specs) + 1 if specs else 0)
     layers = []
     for l, spec in enumerate(specs):
         where = "layers[%d]" % l
-        spec = read_object(spec, _LAYER_KEYS, where)
         rows, cols = spec["rows"], spec["cols"]
         for key, n, g in (("rows", rows, l + 1), ("cols", cols, l)):
             if n != len(gradings[g]):
                 raise ConfigError("%s.%s is %d but gradings[%d] has %d coordinates"
                                   % (where, key, n, g, len(gradings[g])))
-        w = _load_numbers(spec["weight_base"], rows * cols, where + ".weight_base")
-        bias = _load_numbers(spec["bias"], rows, where + ".bias")
+        w = list_value(spec["weight_base"], where + ".weight_base", number_value, rows * cols)
+        bias = list_value(spec["bias"], where + ".bias", number_value, rows)
         exponents = None
         if "exponents" in spec:
             if l:
                 raise ConfigError("%s.exponents: only the first layer may be multiplicative"
                                   % where)
             exponents = parse_exponents(spec["exponents"], cols, where + ".exponents")
-        layers.append(parsed(where, Layer, w.reshape(rows, cols), bias, spec["activation"],
-                             gradings[l], gradings[l + 1], spec.get("blocks"), exponents))
+        layers.append(parsed(where, Layer, np.reshape(w, (rows, cols)), bias,
+                             spec["activation"], gradings[l], gradings[l + 1],
+                             spec.get("blocks"), exponents))
     return Network(layers)
 
 

@@ -241,6 +241,12 @@ def test_a_wrong_operand_is_refused_by_network_backward():
                 network_backward(net, x, np.ones((1, 1)), LossKind.graded_mse())
 
 
+def test_network_backward_refuses_the_empty_network():
+    with pytest.raises(ValueError, match="^an empty network has no parameters"):
+        network_backward(Network([]), np.ones((1, 2)), np.ones((1, 2)),
+                         LossKind.graded_mse())
+
+
 def test_multiplicative_slope_matches_fd():
     rng = np.random.default_rng(5)
     g = GradingVector([2, 3, 1])

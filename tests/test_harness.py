@@ -41,7 +41,14 @@ from gradednn.network import (
     save_network,
 )
 from gradednn.ioutil import int_value, read_object, str_value
-from gradednn.spaces import GradedError, GradedVector, GradingVector, ones_grading
+from gradednn.spaces import (
+    GradedDomainError,
+    GradedError,
+    GradedVector,
+    GradingMismatchError,
+    GradingVector,
+    ones_grading,
+)
 from test_classical import _ref_train_multiplicative
 
 Q23 = GradingVector([2, 3])
@@ -102,6 +109,46 @@ def test_gen_monomial_dataset_refuses_an_exponent_beyond_float64(exponents, inde
         gen_monomial_dataset(Q23, exponents, 1.0, [(0.1, 2.0)] * 2, 8, seed=0)
 
 
+@pytest.mark.parametrize("change, error, message", [
+    ({"exponents": [2]}, GradingMismatchError, "exponents/box must match the grading length"),
+    ({"box": [(0.1, 2.0)]}, GradingMismatchError, "exponents/box must match the grading length"),
+    ({"count": 0}, ValueError, "count must be >= 1"),
+    ({"box": [(0.1, 2.0), (2.0, 2.0)]}, ValueError, "box bounds must satisfy low < high"),
+    ({"exponents": [2, "1/2"], "box": [(0.1, 2.0), (0.0, 2.0)]}, GradedDomainError,
+     "fractional exponent 1/2 needs a positive sampling box"),
+], ids=["exponents_length", "box_length", "count", "box_bounds", "fractional_box"])
+def test_gen_monomial_dataset_refuses_bad_arguments(change, error, message):
+    args = {"exponents": [2, 3], "coefficient": 1.0, "box": [(0.1, 2.0)] * 2, "count": 8,
+            "seed": 0, **change}
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        gen_monomial_dataset(Q23, **args)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("generate", [
+    lambda count: gen_invariant_proxy_dataset(Q23, count, seed=0),
+    lambda count: gen_linear_map_dataset(2, Q23, count, seed=0),
+], ids=["invariant_proxy", "linear_map"])
+def test_generators_refuse_a_count_below_one(generate, count):
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        generate(count)
+
+
+@pytest.mark.parametrize("inputs, targets, error, message", [
+    (np.ones((3, 2)), np.ones((2, 1)), GradingMismatchError,
+     "inputs and targets differ in sample count"),
+    (np.ones((2, 3)), np.ones((2, 1)), GradingMismatchError,
+     "input width does not match input grading"),
+    (np.ones((2, 2)), np.ones((2, 2)), GradingMismatchError,
+     "target width does not match output grading"),
+    (np.ones((2, 2)), np.array([[1.0], [np.inf]]), GradedDomainError,
+     "dataset entries must be finite"),
+], ids=["sample_count", "input_width", "target_width", "non_finite"])
+def test_dataset_refuses_mismatched_arrays(inputs, targets, error, message):
+    with pytest.raises(error, match="^%s$" % message):
+        Dataset(inputs, targets, Q23, ones_grading(1))
+
+
 def test_gen_linear_map_dataset_is_noiseless():
     ds, w_true, b_true = gen_linear_map_dataset(3, Q23, 40, seed=5)
     assert ds.in_grading == ones_grading(3)
@@ -148,6 +195,9 @@ def test_csv_errors(tmp_path):
         read_dataset_csv(path, Q23, ones_grading(1))
     path.write_text("x0,x1,y0\n")
     with pytest.raises(ValueError, match="no samples"):
+        read_dataset_csv(path, Q23, ones_grading(1))
+    path.write_text("")
+    with pytest.raises(ValueError, match="^dataset file %s is empty$" % re.escape(str(path))):
         read_dataset_csv(path, Q23, ones_grading(1))
 
 
@@ -235,9 +285,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     (lambda d: d["dataset"].update(seed=True), "dataset.seed must be an integer"),
     (lambda d: d["dataset"].update(low="0.1"), "dataset.low must be a number"),
     (lambda d: d["dataset"].update(box=[[0.1, True], [0.1, 1.0]]),
-     "dataset.box[0] must be a number"),
+     "dataset.box[0][1] must be a number"),
     (lambda d: d["dataset"].update(box=[[0.1], [0.1, 1.0]]),
-     "dataset.box must be a list of [low, high] pairs"),
+     "dataset.box[0] must be a list of 2 entries"),
+    (lambda d: d["dataset"].update(box={"0": [0.1, 1.0]}), "dataset.box must be a list"),
     (lambda d: d.update(dataset={"source": "csv", "path": 7}), "dataset.path must be a string"),
     (lambda d: d.update(out_dir=5), "out_dir must be a string"),
     (lambda d: d.update(loss=5), "loss must be a string"),
@@ -258,14 +309,14 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,1e400"}),
      'model.exponents must be 2 nonnegative rationals such as "2,2"'),
     (lambda d: d["dataset"].update(exponents="2,3"),
-     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
+     "dataset.exponents must be a list of 2 entries"),
     (lambda d: d["dataset"].update(exponents=[True, 2.5]),
-     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
+     'dataset.exponents[0] must be a rational such as 2 or "1/2"'),
     (lambda d: d["dataset"].update(exponents=[2]),
-     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
+     "dataset.exponents must be a list of 2 entries"),
     (lambda d: d["dataset"].update(exponents=7),
-     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
-    (lambda d: d["dataset"].pop("exponents"), "monomial dataset needs exponents"),
+     "dataset.exponents must be a list of 2 entries"),
+    (lambda d: d["dataset"].pop("exponents"), "missing key dataset.exponents"),
     (lambda d: d["dataset"].update(box=[[0.1, 1.0]]),
      "dataset.box must hold 2 [low, high] pairs, one per coordinate"),
     # Python's json reads these, but they are not JSON numbers
@@ -732,7 +783,8 @@ def test_cli_approx_bench_rejects_unknown_keys(tmp_path, capsys):
 @pytest.mark.parametrize("doc, key", [
     ({"restarts": "5"}, "restarts"),
     ({"hidden_sizes": 3}, "hidden_sizes"),
-    ({"hidden_sizes": [1, 2.5]}, "hidden_sizes"),
+    ({"hidden_sizes": [1, 2.5]}, "hidden_sizes[1]"),
+    ({"hidden_sizes": [1, 2, "8"]}, "hidden_sizes[2]"),
     ({"classical_learning_rate": "0.1"}, "classical_learning_rate"),
     ({"seed": True}, "seed"),
     ({"grading": 23}, "grading"),
@@ -748,20 +800,38 @@ def test_cli_approx_bench_rejects_wrong_value_types(tmp_path, capsys, doc, key):
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("doc", [
-    {"hidden_sizes": [0]}, {"train_count": 0}, {"classical_iters": -1},
-    {"hidden_sizes": [4, 2]},
-    {"grading": "1/2,1", "grid_low": 0}, {"grading": "1/2,1", "grid_low": -1},
-    {"grid_low": -1}, {"grid_low": 0.5, "grid_high": 0.2},
-    {"classical_learning_rate": -1}, {"graded_learning_rate": -1},
-    {"classical_learning_rate": 0}, {"classical_momentum": 1.5},
-    {"classical_momentum": -0.1},
+@pytest.mark.parametrize("doc, message", [
+    ({"grading": "2,3,4"}, "grading must have 2 coordinates: the benchmark target is bivariate"),
+    ({"sample_high": 1.5}, "sample_high must lie in (0, 1]"),
+    ({"sample_high": 0}, "sample_high must lie in (0, 1]"),
+    ({"sample_low": 0}, "sample_low must be positive and below sample_high"),
+    ({"sample_low": 0.5, "sample_high": 0.5},
+     "sample_low must be positive and below sample_high"),
+    ({"grid_points": 1}, "grid_points must be >= 2"),
+    ({"restarts": 0}, "restarts must be >= 1"),
+    ({"train_count": 0}, "train_count must be >= 1"),
+    ({"classical_iters": -1}, "classical_iters must be >= 0"),
+    ({"graded_iters": -1}, "graded_iters must be >= 0"),
+    ({"hidden_sizes": [0]}, "hidden_sizes must all be >= 1"),
+    ({"hidden_sizes": [0, 1]}, "hidden_sizes must all be >= 1"),
+    ({"hidden_sizes": [4, 2]}, "hidden_sizes must be non-decreasing"),
+    ({"grading": "1/2,1", "grid_low": 0}, "grid_low must be positive and below grid_high"),
+    ({"grading": "1/2,1", "grid_low": -1}, "grid_low must be positive and below grid_high"),
+    ({"grid_low": -1}, "grid_low must be positive and below grid_high"),
+    ({"grid_low": 0.5, "grid_high": 0.2}, "grid_low must be positive and below grid_high"),
+    ({"classical_learning_rate": -1}, "classical_learning_rate must be positive"),
+    ({"graded_learning_rate": -1}, "graded_learning_rate must be positive"),
+    ({"classical_learning_rate": 0}, "classical_learning_rate must be positive"),
+    ({"classical_momentum": 1.5}, "classical_momentum must lie in [0, 1)"),
+    ({"classical_momentum": -0.1}, "classical_momentum must lie in [0, 1)"),
 ])
-def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
+def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc, message):
+    """Each range rule is one error line that starts with its own key."""
     cfg_path = _write_config(tmp_path / "bench.json", doc)
     out_csv = tmp_path / "bench.csv"
     assert main(["approx-bench", "--config", cfg_path, "--out", str(out_csv)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -769,7 +839,10 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
                 "layers": [{"grading": "1", "activation": 1}]}},
      "model.layers[0].activation must be a string"),
     ({"model": {"type": "feedforward", "layers": 0}},
-     "model.layers must be a list of layer objects"),
+     "model.layers must be a list"),
+    ({"model": {"type": "feedforward",
+                "layers": [{"grading": "1,1", "activation": "identity"}, "1"]}},
+     "model.layers[1] must be a JSON object"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"optimizer": {"learning_rate": 0.05, "max_iters": 400, "seed": -1}},
      "optimizer.seed must be >= 0"),
@@ -784,9 +857,14 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
     ({"model": {"type": "multiplicative", "exponents": "1,1,1,1e10000000"}},
      'model.exponents must be 4 nonnegative rationals such as "2,2,2,2"'),
     ({"dataset": {"source": "monomial", "exponents": [1, 1, 1, "1e10000000"]}},
-     "dataset.exponents must be a list of 4 rationals such as [2, 3, 4, 5]"),
+     'dataset.exponents[3] must be a rational such as 2 or "1/2"'),
     ({"grading": "1,2", "dataset": {"source": "monomial", "exponents": [1, 10 ** 400]}},
-     "dataset.exponents must be a list of 2 rationals such as [2, 3]"),
+     'dataset.exponents[1] must be a rational such as 2 or "1/2"'),
+    ({"grading": "1,2", "dataset": {"source": "monomial", "exponents": [1, True]}},
+     'dataset.exponents[1] must be a rational such as 2 or "1/2"'),
+    ({"grading": "1,2", "dataset": {"source": "monomial", "exponents": [1, 1],
+                                    "box": [[0.1, 1.0], ["0.1", 1.0]]}},
+     "dataset.box[1][0] must be a number"),
     ({"loss": "huber:x"}, "loss: huber threshold must be a positive finite number"),
     ({"loss": "huber:1e400"}, "loss: huber threshold must be a positive finite number"),
     ({"loss": "huber:nan"}, "loss: huber threshold must be a positive finite number"),
@@ -800,10 +878,11 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc):
     ({"model": {"type": "feedforward",
                 "layers": [{"grading": "1,1", "activation": "identity"}]}},
      "model.layers[0].grading: invariant_proxy targets are scalar"),
-], ids=["activation_int", "layers_int", "seed", "optimizer_seed", "dataset_seed",
+], ids=["activation_int", "layers_int", "layer_not_object", "seed", "optimizer_seed", "dataset_seed",
         "grading_overflow", "layer_grading_overflow", "grading_huge_exponent",
         "model_exponent_huge_exponent", "dataset_exponent_huge_exponent",
-        "dataset_exponent_huge_integer", "huber_text",
+        "dataset_exponent_huge_integer", "dataset_exponent_bool", "box_entry_string",
+        "huber_text",
         "huber_overflow", "huber_nan", "monomial_output", "linear_map_grading",
         "invariant_proxy_output"])
 def test_cli_train_config_mistake_is_one_error_line_naming_the_key(

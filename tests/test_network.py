@@ -447,6 +447,28 @@ def test_blocks_validated_and_masked():
         Layer(np.zeros((2, 2)), np.zeros(2), ActivationKind.IDENTITY,
               gio, gio, out_of_range)
 
+    swapped = GradingVector([3, 2])
+    with pytest.raises(GradingMismatchError,
+                       match="^block grade 2 does not match input coordinate 0$"):
+        Layer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.zeros(2), ActivationKind.IDENTITY,
+              swapped, gio, [GradeBlock(Fraction(2), (0, 1), (0, 1))])
+
+
+def test_layer_refuses_weight_and_bias_shapes_off_its_gradings():
+    g2, g3 = GradingVector([1, 2]), GradingVector([1, 2, 3])
+    with pytest.raises(GradingMismatchError,
+                       match=r"^weight shape \(2, 3\) does not match \(2, 2\)$"):
+        Layer(np.ones((2, 3)), np.zeros(2), ActivationKind.IDENTITY, g2, g2)
+    with pytest.raises(GradingMismatchError,
+                       match="^bias length does not match output grading$"):
+        Layer(np.ones((3, 2)), np.zeros(2), ActivationKind.IDENTITY, g2, g3)
+
+
+def test_random_network_needs_one_activation_per_layer():
+    with pytest.raises(ValueError, match="^need one activation per layer$"):
+        random_network([ones_grading(2), ones_grading(1)],
+                       [ActivationKind.IDENTITY] * 2, np.random.default_rng(0))
+
 
 def test_serialization_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(42)
@@ -526,11 +548,10 @@ def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
     # a renamed key is both missing and unknown: the missing one is named
     (lambda d: d["layers"][0].update(biases=d["layers"][0].pop("bias")),
      "missing key layers[0].bias"),
-    (lambda d: d.update(layers={}),
-     "need a list of layers and one grading per layer boundary"),
-    (lambda d: d.update(layers=[]),
-     "need a list of layers and one grading per layer boundary"),
-    (lambda d: d.update(gradings=5), "gradings must be a list of grading strings"),
+    (lambda d: d.update(layers={}), "layers must be a list"),
+    (lambda d: d.update(layers=[]), "gradings must be a list of 0 entries"),
+    (lambda d: d.update(gradings=5), "gradings must be a list of 2 entries"),
+    (lambda d: d["gradings"].append("2,3"), "gradings must be a list of 2 entries"),
     (lambda d: d.update(gradings=[2, "2,3"]),
      'gradings[0]: grading must be a string such as "2,3"'),
     (lambda d: d["gradings"].__setitem__(0, "1e400,2"),
@@ -540,11 +561,13 @@ def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
     (lambda d: d["layers"][0].update(rows=3),
      "layers[0].rows is 3 but gradings[1] has 2 coordinates"),
     (lambda d: d["layers"][0].update(weight_base=[1.0]),
-     "layers[0].weight_base must be a list of 4 finite numbers"),
+     "layers[0].weight_base must be a list of 4 entries"),
     (lambda d: d["layers"][0].update(weight_base=[10 ** 400, 0.0, 0.0, 0.0]),
-     "layers[0].weight_base must be a list of 4 finite numbers"),
+     "layers[0].weight_base[0] must be a number"),
+    (lambda d: d["layers"][0]["weight_base"].__setitem__(3, "0.75"),
+     "layers[0].weight_base[3] must be a number"),
     (lambda d: d["layers"][0].update(bias=[0.0, math.nan]),
-     "layers[0].bias must be a list of 2 finite numbers"),
+     "layers[0].bias[1] must be a number"),
     (lambda d: d["layers"][0].update(activation=5), "layers[0].activation must be a string"),
     (lambda d: d["layers"][0].update(activation="tanh"),
      "layers[0].activation: unknown activation 'tanh'"),
@@ -552,7 +575,9 @@ def test_every_saved_network_loads_back_bit_exactly(tmp_path, make):
     (lambda d: d["layers"][0]["blocks"][0].pop("grade"),
      "missing key layers[0].blocks[0].grade"),
     (lambda d: d["layers"][0]["blocks"][1].update(rows=[1]),
-     "layers[0].blocks[1].rows must be a [start, stop] pair of integers"),
+     "layers[0].blocks[1].rows must be a list of 2 entries"),
+    (lambda d: d["layers"][0]["blocks"][0]["rows"].__setitem__(1, 1.0),
+     "layers[0].blocks[0].rows[1] must be an integer"),
     (lambda d: d["layers"][0]["blocks"][0].update(grade="2/0"),
      "layers[0].blocks[0].grade: grade '2/0' has a zero denominator"),
     (lambda d: d["layers"][0]["blocks"][0].update(grade="1e10000000"),

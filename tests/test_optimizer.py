@@ -32,6 +32,8 @@ def test_config_validation():
         OptimizerConfig(learning_rate=0.1, max_iters=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.1, stop_window=0)
+    with pytest.raises(ValueError, match="^stop_threshold must be >= 0$"):
+        OptimizerConfig(learning_rate=0.1, stop_threshold=-1)
 
 
 def test_sgd_step_rate_scaled_by_grade():
@@ -108,6 +110,8 @@ def test_batch_gradient_averages():
     assert bundle.loss == pytest.approx((1.0 + 9.0) / 2.0, abs=1e-12)
     with pytest.raises(ValueError):
         batch_gradient(net, [], [], LossKind.graded_norm())
+    with pytest.raises(ValueError, match="^inputs and targets differ in length$"):
+        batch_gradient(net, xs, ys[:1], LossKind.graded_norm())
 
 
 def test_train_records_initial_and_final():
