@@ -1,11 +1,6 @@
 """Command line harness: example verification, gradient checks, training
-runs, and the approximation benchmark.
-
-Subcommands:
-  verify-examples               recompute the worked examples, report rows
-  grad-check [--eps E]          finite-difference check over random nets
-  train --config PATH           full-batch training run from a JSON config
-  approx-bench --config PATH --out CSV
+runs and the approximation benchmark, each a subcommand of build_parser;
+main turns a command's fault into one error line and exit status 2 or 3.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ import numpy as np
 from .bench import approx_bench, bench_config_from_dict, write_bench_csv
 from .config import build_dataset, load_experiment_config
 from .gradients import DEFAULT_EPS, GRAD_CHECK_TOL, grad_check_suite
-from .ioutil import fmt17
+from .ioutil import fmt17, read_json
 from .network import random_network, save_network
 from .optimizer import TrainingDivergenceError, train
 from .spaces import GradedError
@@ -35,11 +30,7 @@ def _cmd_verify_examples(args: argparse.Namespace) -> int:
 
 
 def _cmd_grad_check(args: argparse.Namespace) -> int:
-    try:
-        results = grad_check_suite(eps=args.eps, count=args.count, seed=args.seed)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    results = grad_check_suite(eps=args.eps, count=args.count, seed=args.seed)
     by_loss = {}
     for name, err in results:
         # np.maximum keeps a NaN error, which then fails the check
@@ -56,36 +47,25 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
 
 
 def _write_metrics(path: Path, losses, grad_norms) -> None:
-    lines = [
-        json.dumps({"iter": i, "loss": float(loss), "grad_norm": float(gn)},
-                   allow_nan=False) + "\n"
-        for i, (loss, gn) in enumerate(zip(losses, grad_norms))
-    ]
+    text = "".join(json.dumps({"iter": i, "loss": float(loss), "grad_norm": float(gn)},
+                              allow_nan=False) + "\n"
+                   for i, (loss, gn) in enumerate(zip(losses, grad_norms)))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.writelines(lines)
+    path.write_text(text)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_experiment_config(args.config)
-        ds = build_dataset(cfg)
-        net = random_network([cfg.grading] + [g for g, _ in cfg.model.layers],
-                             [a for _, a in cfg.model.layers],
-                             np.random.default_rng(cfg.optimizer.seed),
-                             exponents=cfg.model.exponents)
-        result = train(net, ds.graded_inputs(), ds.graded_targets(), cfg.loss,
-                       cfg.optimizer)
-        metrics_path = cfg.out_dir / "metrics.jsonl"
-        model_path = cfg.out_dir / "model.json"
-        _write_metrics(metrics_path, result.losses, result.grad_norms)
-        save_network(result.network, model_path)
-    except TrainingDivergenceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except (OSError, ValueError, GradedError) as exc:  # ConfigError included
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    cfg = load_experiment_config(args.config)
+    ds = build_dataset(cfg)
+    net = random_network([cfg.grading] + [g for g, _ in cfg.model.layers],
+                         [a for _, a in cfg.model.layers],
+                         np.random.default_rng(cfg.optimizer.seed),
+                         exponents=cfg.model.exponents)
+    result = train(net, ds.graded_inputs(), ds.graded_targets(), cfg.loss, cfg.optimizer)
+    metrics_path = cfg.out_dir / "metrics.jsonl"
+    model_path = cfg.out_dir / "model.json"
+    _write_metrics(metrics_path, result.losses, result.grad_norms)
+    save_network(result.network, model_path)
     print(
         "train: %d iterations recorded, initial_loss=%s final_loss=%s "
         "stop=%s metrics=%s model=%s"
@@ -96,13 +76,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx_bench(args: argparse.Namespace) -> int:
-    try:
-        with open(args.config) as fh:
-            cfg = bench_config_from_dict(json.load(fh))
-    except (OSError, ValueError, GradedError) as exc:  # JSONDecodeError included
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    rows = approx_bench(cfg)
+    rows = approx_bench(bench_config_from_dict(read_json(args.config, "benchmark config")))
     write_bench_csv(rows, args.out)
     for r in rows:
         print(
@@ -120,12 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "verify-examples", help="recompute the worked examples and report")
+    p = sub.add_parser("verify-examples", help="recompute the worked examples and report")
     p.set_defaults(func=_cmd_verify_examples)
 
-    p = sub.add_parser(
-        "grad-check", help="finite-difference gradient check on random nets")
+    p = sub.add_parser("grad-check", help="finite-difference gradient check on random nets")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS,
                    help="central-difference step (default 1e-5)")
     p.add_argument("--count", type=int, default=100,
@@ -155,7 +127,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, GradedError) as exc:  # ConfigError included
+        print("error: %s" % exc, file=sys.stderr)
+        return 3 if isinstance(exc, TrainingDivergenceError) else 2
 
 
 if __name__ == "__main__":

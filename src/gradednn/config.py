@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +17,7 @@ from .ioutil import (
     list_value,
     number_value,
     parsed,
+    read_json,
     read_object,
     str_value,
 )
@@ -187,14 +187,7 @@ def experiment_config_from_dict(doc: dict, base_dir: Path = Path(".")) -> Experi
 
 def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from None
-    return experiment_config_from_dict(doc, base_dir=path.parent)
+    return experiment_config_from_dict(read_json(path, "config"), base_dir=path.parent)
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -203,7 +196,7 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.dataset.source == "csv":
         return read_dataset_csv(in_grading=cfg.grading, out_grading=out_grading, **p)
     if cfg.dataset.source == "monomial":
-        return gen_monomial_dataset(cfg.grading, **p)
+        return parsed("dataset.exponents", gen_monomial_dataset, cfg.grading, **p)
     if cfg.dataset.source == "linear_map":
         return gen_linear_map_dataset(len(cfg.grading), out_grading, **p)[0]
     return gen_invariant_proxy_dataset(cfg.grading, **p)

@@ -104,7 +104,10 @@ def gen_monomial_dataset(
             )
     rng = np.random.default_rng(seed)
     x = rng.uniform(lows, highs, size=(count, len(grading)))
-    y = monomial_value(x, exponents, coefficient)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = monomial_value(x, exponents, coefficient)
+    if not np.isfinite(y).all():
+        raise GradedDomainError("the target overflows a float64 on the sampling box")
     return Dataset(x, y[:, np.newaxis], grading, ones_grading(1))
 
 

@@ -47,15 +47,13 @@ def loss_grad(kind: LossKind, y, yhat, grading) -> np.ndarray:
 _SCALE_RANGE = (np.finfo(float).smallest_subnormal, np.finfo(float).max)
 
 
-def _scaled_norm(values: np.ndarray, axis=None):
-    """Euclidean norm of every entry (a float) or along axis, inf or NaN where
-    an entry is; scaled by the largest magnitude so that no square overflows."""
-    keep = axis is not None
+def _scaled_norm(values: np.ndarray) -> float:
+    """Euclidean norm of every entry, inf or NaN where an entry is; scaled by
+    the largest magnitude so that no square overflows."""
     # the ufunc reductions np.max and np.sum call, without their dispatch
-    big = np.maximum.reduce(np.abs(values), axis=axis, initial=0.0, keepdims=keep)
+    big = np.maximum.reduce(np.abs(values), axis=None, initial=0.0)
     scale = np.minimum(np.maximum(big, _SCALE_RANGE[0]), _SCALE_RANGE[1])
-    norm = scale * np.sqrt(np.add.reduce((values / scale) ** 2, axis=axis, keepdims=keep))
-    return norm.squeeze(axis) if keep else float(norm)
+    return float(scale * np.sqrt(np.add.reduce((values / scale) ** 2, axis=None)))
 
 
 @dataclass
@@ -233,6 +231,8 @@ def grad_check_suite(eps: float = DEFAULT_EPS, count: int = 100, seed: int = 0):
     """
     if count < 1:
         raise ValueError("count must be at least 1, got %d" % count)
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %d" % seed)
     _check_eps(eps)
     rng = np.random.default_rng(seed)
 

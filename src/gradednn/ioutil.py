@@ -1,10 +1,11 @@
 """Serialization helpers, the one JSON reader behind every file format, and
 the fork helper that approx-bench and grad-check split their work with.
 
-The one JSON reader: read_object walks every JSON object and list_value
-every JSON list, and a checker(value, path) such as int_value or
-number_value parses each value, so a fault names its path down to the key
-or the [i] of a list entry.
+The one JSON reader: read_json opens every JSON document and refuses a
+repeated key, read_object walks every JSON object and list_value every JSON
+list, and a checker(value, path) such as int_value or number_value parses
+each value, so a fault names its file, then its path down to the key or the
+[i] of a list entry.
 
 JSON artifacts are written by the stdlib: a float's repr is the shortest text
 that reads back as the same double, so saving and reloading is bit-exact,
@@ -26,6 +27,29 @@ from .spaces import GradedError, GradingVector, parse_grading
 
 class ConfigError(ValueError):
     """A configuration file is missing something or contradicts itself."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object as a dict; a repeated key, of which json keeps one value, is refused."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        raise ConfigError("duplicate key %s" % next(
+            k for k, _ in pairs if k in seen or seen.add(k)))
+    return doc
+
+
+def read_json(path, what: str):
+    """The JSON document in the file path, else a ConfigError naming what and path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise ConfigError("cannot read %s %s: %s" % (what, path, exc)) from None
+    except ConfigError as exc:  # a repeated key
+        raise ConfigError("%s %s: %s" % (what, path, exc)) from None
+    except (ValueError, RecursionError) as exc:  # digit and nesting limits included
+        raise ConfigError("%s %s is not valid JSON: %s" % (what, path, exc)) from None
 
 
 def read_object(doc, table: dict, path: str, name: str = "") -> dict:

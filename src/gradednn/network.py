@@ -14,7 +14,6 @@ backward reads.  log_domain_forward evaluates a layer as signs and log-magnitude
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,11 +28,13 @@ from .ioutil import (
     list_value,
     number_value,
     parsed,
+    read_json,
     read_object,
     str_value,
     write_json,
 )
 from .spaces import (
+    FloatRangeError,
     GradedDomainError,
     GradedError,
     GradedVector,
@@ -138,7 +139,7 @@ def _checked_exponents(exponents, n: int) -> tuple:
     try:
         return ks, np.array([float(k) for k in ks])
     except OverflowError:
-        raise GradedDomainError("multiplicative exponents must fit a float64") from None
+        raise FloatRangeError("multiplicative exponents must fit a float64") from None
 
 
 def parse_exponents(value, n: int, where: str) -> tuple:
@@ -147,6 +148,8 @@ def parse_exponents(value, n: int, where: str) -> tuple:
     text = str_value(value, where)
     try:
         return _checked_exponents(text.split(","), n)[0]
+    except FloatRangeError:
+        raise ConfigError("%s: an exponent does not fit a float64" % where) from None
     except (ValueError, GradedError):
         raise ConfigError("%s must be %d nonnegative rationals such as \"%s\""
                           % (where, n, ",".join(["2"] * n))) from None
@@ -463,10 +466,8 @@ def random_network(
 
 
 def network_to_dict(net: Network) -> dict:
-    gradings = []
-    if net.layers:
-        gradings.append(net.layers[0].in_grading.as_text())
-        gradings.extend(l.out_grading.as_text() for l in net.layers)
+    gradings = [l.in_grading.as_text() for l in net.layers[:1]]
+    gradings.extend(l.out_grading.as_text() for l in net.layers)
     layers = []
     for layer in net.layers:
         doc = {
@@ -538,5 +539,4 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    with open(path) as fh:
-        return network_from_dict(json.load(fh))
+    return network_from_dict(read_json(path, "saved network"))

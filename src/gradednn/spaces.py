@@ -32,6 +32,10 @@ class GradedDomainError(GradedError):
     """An input is outside the mathematical domain of an operation."""
 
 
+class FloatRangeError(GradedDomainError):
+    """A rational grade or exponent lies beyond the float64 range."""
+
+
 class IllPosedSystemError(GradedError):
     """A linear system needed by a projection is singular or malformed."""
 
@@ -65,7 +69,7 @@ def _as_fraction(value) -> Fraction:
                 return Fraction(0)
             place = len(whole) - 1 - (len(digits) - len(significant)) + int(m[3])
             if not -325 < place < 309:
-                raise GradedDomainError("grade %s does not fit a float64" % text)
+                raise FloatRangeError("grade %s does not fit a float64" % text)
         try:
             return Fraction(text)
         except ZeroDivisionError:
@@ -91,7 +95,7 @@ def _grade_float(raw, g: Fraction) -> float:
             return f
     except OverflowError:
         pass
-    raise GradedDomainError("grade %s does not fit a float64" % str(raw).strip())
+    raise FloatRangeError("grade %s does not fit a float64" % str(raw).strip())
 
 
 class GradingVector:

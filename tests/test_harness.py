@@ -307,7 +307,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,x"}),
      'model.exponents must be 2 nonnegative rationals such as "2,2"'),
     (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,1e400"}),
-     'model.exponents must be 2 nonnegative rationals such as "2,2"'),
+     "model.exponents: an exponent does not fit a float64"),
+    (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,%d" % 10 ** 400}),
+     "model.exponents: an exponent does not fit a float64"),
     (lambda d: d["dataset"].update(exponents="2,3"),
      "dataset.exponents must be a list of 2 entries"),
     (lambda d: d["dataset"].update(exponents=[True, 2.5]),
@@ -429,6 +431,23 @@ def test_config_file_errors(tmp_path):
     bad.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="object"):
         load_experiment_config(bad)
+    # beyond Python's integer-digit limit: a ValueError that is no JSONDecodeError
+    bad.write_text('{"seed": %s}' % ("1" * 5000))
+    with pytest.raises(ConfigError, match="^config %s is not valid JSON: Exceeds the limit"
+                                          % re.escape(str(bad))):
+        load_experiment_config(bad)
+    bad.write_text("[" * 100000)
+    with pytest.raises(ConfigError, match="^config %s is not valid JSON: maximum recursion"
+                                          % re.escape(str(bad))):
+        load_experiment_config(bad)
+    # json.load keeps the last of a repeated key's values, so each would run
+    text = json.dumps(_base_train_doc())
+    for key, repeated in (("loss", '"loss": "huber:1", '),
+                          ("count", '"count": 3, ')):
+        bad.write_text(text.replace('"%s": ' % key, repeated + '"%s": ' % key, 1))
+        with pytest.raises(ConfigError, match="^config %s: duplicate key %s$"
+                                              % (re.escape(str(bad)), key)):
+            load_experiment_config(bad)
 
 
 def test_cli_verify_examples(capsys):
@@ -447,10 +466,14 @@ def test_cli_grad_check_rejects_eps(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_cli_grad_check_rejects_count_below_one(capsys, count):
-    assert main(["grad-check", "--count", count]) == 2
-    assert "error: count must be at least 1" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["--count", "0"], "count must be at least 1, got 0"),
+    (["--count", "-3"], "count must be at least 1, got -3"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["0", "-3", "seed"])
+def test_cli_grad_check_rejects_count_below_one(capsys, argv, message):
+    assert main(["grad-check"] + argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_cli_train_zero_iters_single_metrics_line(tmp_path, capsys):
@@ -855,7 +878,7 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc, mes
     # Fraction would first build 10**10000000, about 13 s of work
     ({"grading": "2,4,6,1e10000000"}, "bad grading: grade 1e10000000 does not fit a float64"),
     ({"model": {"type": "multiplicative", "exponents": "1,1,1,1e10000000"}},
-     'model.exponents must be 4 nonnegative rationals such as "2,2,2,2"'),
+     "model.exponents: an exponent does not fit a float64"),
     ({"dataset": {"source": "monomial", "exponents": [1, 1, 1, "1e10000000"]}},
      'dataset.exponents[3] must be a rational such as 2 or "1/2"'),
     ({"grading": "1,2", "dataset": {"source": "monomial", "exponents": [1, 10 ** 400]}},
@@ -878,13 +901,19 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc, mes
     ({"model": {"type": "feedforward",
                 "layers": [{"grading": "1,1", "activation": "identity"}]}},
      "model.layers[0].grading: invariant_proxy targets are scalar"),
+    # 0.1**-400 leaves the float range; exponents [2, 400] give finite targets
+    ({"grading": "1,2", "dataset": {"source": "monomial", "exponents": [2, -400]}},
+     "dataset.exponents: the target overflows a float64 on the sampling box"),
+    ({"grading": "1,2", "model": {"type": "multiplicative", "exponents": "2,%d" % 10 ** 400},
+      "dataset": {"source": "monomial", "exponents": [2, 1]}},
+     "model.exponents: an exponent does not fit a float64"),
 ], ids=["activation_int", "layers_int", "layer_not_object", "seed", "optimizer_seed", "dataset_seed",
         "grading_overflow", "layer_grading_overflow", "grading_huge_exponent",
         "model_exponent_huge_exponent", "dataset_exponent_huge_exponent",
         "dataset_exponent_huge_integer", "dataset_exponent_bool", "box_entry_string",
         "huber_text",
         "huber_overflow", "huber_nan", "monomial_output", "linear_map_grading",
-        "invariant_proxy_output"])
+        "invariant_proxy_output", "monomial_target_overflow", "model_exponent_huge_integer"])
 def test_cli_train_config_mistake_is_one_error_line_naming_the_key(
         tmp_path, capsys, doc, message):
     """Repros on the README demo config: each ended in a traceback, or in an
@@ -904,19 +933,40 @@ def test_cli_train_config_mistake_is_one_error_line_naming_the_key(
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("doc, message", [
-    ({"grading": "0,1"}, "grading: grades must be positive, got 0"),
-    ({"seed": -1}, "seed must be >= 0"),
-    ({"grading": "1e400"}, "grading: grade 1e400 does not fit a float64"),
-    ({"grading": "2,1e10000000"}, "grading: grade 1e10000000 does not fit a float64"),
-], ids=["grading_zero", "seed_negative", "grading_overflow", "grading_huge_exponent"])
+# a valid benchmark config that runs in well under a second
+_TINY_BENCH = {"hidden_sizes": [1], "restarts": 1, "classical_iters": 3, "graded_iters": 3}
+
+
+@pytest.mark.parametrize("doc, out, message", [
+    ({"grading": "0,1"}, "bench.csv", "grading: grades must be positive, got 0"),
+    ({"seed": -1}, "bench.csv", "seed must be >= 0"),
+    ({"grading": "1e400"}, "bench.csv", "grading: grade 1e400 does not fit a float64"),
+    ({"grading": "2,1e10000000"}, "bench.csv",
+     "grading: grade 1e10000000 does not fit a float64"),
+    # json.load keeps the last value, so both widths would run
+    ('{"hidden_sizes": [1], "hidden_sizes": [1, 2]}', "bench.csv",
+     "benchmark config {config}: duplicate key hidden_sizes"),
+    ("{not json", "bench.csv", "benchmark config {config} is not valid JSON: Expecting property "
+                               "name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (None, "bench.csv",
+     "cannot read benchmark config {config}: [Errno 2] No such file or directory: '{config}'"),
+    # the output path fails only after the benchmark has run
+    (_TINY_BENCH, ".", "[Errno 21] Is a directory: '{out}'"),
+    (_TINY_BENCH, "missing/bench.csv", "[Errno 2] No such file or directory: '{out}'"),
+], ids=["grading_zero", "seed_negative", "grading_overflow", "grading_huge_exponent",
+        "repeated_key", "not_json", "missing_config", "out_is_a_directory",
+        "out_in_a_missing_directory"])
 def test_cli_approx_bench_config_mistake_is_one_error_line_naming_the_key(
-        tmp_path, capsys, doc, message):
-    cfg_path = _write_config(tmp_path / "bench.json", doc)
-    out_csv = tmp_path / "bench.csv"
-    assert main(["approx-bench", "--config", cfg_path, "--out", str(out_csv)]) == 2
-    assert capsys.readouterr().err == "error: %s\n" % message
-    assert not out_csv.exists()
+        tmp_path, capsys, doc, out, message):
+    cfg_path, out_path = tmp_path / "bench.json", tmp_path / out
+    if isinstance(doc, dict):
+        _write_config(cfg_path, doc)
+    elif doc is not None:
+        cfg_path.write_text(doc)
+    assert main(["approx-bench", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message.format(config=cfg_path,
+                                                                      out=out_path)
+    assert not out_path.is_file()
 
 
 def _saved_model_doc():

@@ -393,6 +393,9 @@ def test_multiplicative_layer_is_checked():
         Layer(w, b, act, g, g, exponents=(2, -1))
     with pytest.raises(GradedDomainError, match="fit a float64"):
         Layer(w, b, act, g, g, exponents=(2, "1e400"))
+    # an integer exponent beyond float64 passes the parse and fails the conversion
+    with pytest.raises(GradedDomainError, match="^multiplicative exponents must fit a float64$"):
+        Layer(w, b, act, g, g, exponents=(10 ** 400, 1))
     blocks = [GradeBlock(Fraction(1), (0, 1), (0, 1)), GradeBlock(Fraction(2), (1, 2), (1, 2))]
     with pytest.raises(GradingMismatchError, match="takes no blocks"):
         Layer(np.eye(2), b, act, g, g, blocks, exponents=(2, 1))
@@ -416,6 +419,9 @@ def test_only_the_first_layer_may_be_multiplicative():
     (5, "layers[0].exponents must be a string"),
     ("3", 'layers[0].exponents must be 2 nonnegative rationals such as "2,2"'),
     ("1/2,-3", 'layers[0].exponents must be 2 nonnegative rationals such as "2,2"'),
+    ("1/2,1e400", "layers[0].exponents: an exponent does not fit a float64"),
+    pytest.param("1/2,%d" % 10 ** 400,
+                 "layers[0].exponents: an exponent does not fit a float64", id="401-digit integer"),
 ])
 def test_network_loader_checks_exponents(exponents, message):
     doc = network_to_dict(_mult_net())
@@ -590,6 +596,23 @@ def test_network_loader_rejects_missing_and_unknown_keys(mutate, message):
     mutate(doc)
     with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
         network_from_dict(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read saved network {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("gradings: []", "saved network {path} is not valid JSON: Expecting value: line 1 "
+                     "column 1 (char 0)"),
+    ('{"gradings": [], "layers": [], "gradings": []}',
+     "saved network {path}: duplicate key gradings"),
+    ('{"gradings": [], "layers": [{"rows": 1, "rows": 1}]}',
+     "saved network {path}: duplicate key rows"),
+], ids=["missing", "not_json", "repeated_key", "repeated_nested_key"])
+def test_load_network_names_the_file(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message.format(path=path))):
+        load_network(path)
 
 
 def test_network_loader_rejects_non_objects():
