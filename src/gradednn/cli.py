@@ -16,7 +16,7 @@ import numpy as np
 from .bench import approx_bench, bench_config_from_dict, write_bench_csv
 from .config import build_dataset, load_experiment_config
 from .gradients import DEFAULT_EPS, GRAD_CHECK_TOL, grad_check_suite
-from .ioutil import fmt17, read_json
+from .ioutil import check_writable, fmt17, read_json
 from .network import random_network, save_network
 from .optimizer import TrainingDivergenceError, train
 from .spaces import GradedError
@@ -76,7 +76,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx_bench(args: argparse.Namespace) -> int:
-    rows = approx_bench(bench_config_from_dict(read_json(args.config, "benchmark config")))
+    cfg = bench_config_from_dict(read_json(args.config, "benchmark config"))
+    check_writable(args.out)  # before any restart trains
+    rows = approx_bench(cfg)
     write_bench_csv(rows, args.out)
     for r in rows:
         print(

@@ -24,7 +24,7 @@ from .ioutil import (
 from .losses import LossKind, parse_loss
 from .network import ActivationKind, activation_kind, parse_exponents
 from .optimizer import OptimizerConfig
-from .spaces import GradedError, GradingVector, _as_fraction, ones_grading
+from .spaces import FloatRangeError, GradedError, GradingVector, _as_fraction, ones_grading
 
 
 @dataclass
@@ -78,7 +78,9 @@ def _rational(value, path: str) -> Fraction:
         k = _as_fraction(str(value))
         float(k)  # an integer such as 10**400 raises only here
         return k
-    except (ValueError, OverflowError, GradedError):
+    except (FloatRangeError, OverflowError):
+        raise ConfigError("%s: an exponent does not fit a float64" % path) from None
+    except (ValueError, GradedError):
         raise ConfigError('%s must be a rational such as 2 or "1/2"' % path) from None
 
 
@@ -194,7 +196,11 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     """The Dataset of cfg: its source's generator called on the resolved params."""
     p, out_grading = cfg.dataset.params, cfg.model.layers[-1][0]
     if cfg.dataset.source == "csv":
-        return read_dataset_csv(in_grading=cfg.grading, out_grading=out_grading, **p)
+        try:
+            return read_dataset_csv(in_grading=cfg.grading, out_grading=out_grading, **p)
+        except OSError as exc:
+            raise ConfigError("dataset.path: cannot read dataset file %s: %s"
+                              % (p["path"], exc)) from None
     if cfg.dataset.source == "monomial":
         return parsed("dataset.exponents", gen_monomial_dataset, cfg.grading, **p)
     if cfg.dataset.source == "linear_map":

@@ -116,44 +116,50 @@ def finite_diff_check(
     """Max over parameters of |analytic - central difference| / max(1, |fd|);
     NaN when any of them is NaN.  x (1, n_in) and y (1, n_out) are one sample.
 
-    The perturbed passes of one layer run as one stack: every copy of the
-    layer with one parameter at keep + eps or keep - eps evaluates from the
-    layer's traced input, and the layers after it run on the (2P, 1, n)
-    stack of activations, which gives the same floats as one pass each.
+    The perturbed passes run as one stack: the network's parameters, each
+    layer's weights in C order then its bias, layer by layer, form a vector
+    of P entries, and its 2P copies with one entry at keep + eps or keep - eps
+    go through every layer at once, which gives the same floats as one pass
+    each.  A network too large for one stack runs in chunks of entries.
     """
     _check_eps(eps)
     if net.layers and (np.shape(x) != (1, len(net.in_grading))
                        or np.shape(y) != (1, len(net.out_grading))):
         raise ValueError("need one sample as (1, n_in) and (1, n_out) arrays")
     bundle = network_backward(net, x, y, kind)
-    trace, _ = forward_trace(net, x)
+    analytic = np.concatenate([np.append(w, b) for w, b in
+                               zip(bundle.weight_grads, bundle.bias_grads)])
+    keep = np.concatenate([np.append(l.weight_base, l.bias) for l in net.layers])
+    step = max(1, _STACK_ENTRIES // (2 * len(keep)))
     errs = []
-    for l in range(len(net.layers)):
-        analytic = np.append(bundle.weight_grads[l], bundle.bias_grads[l])
-        step = max(1, _STACK_ENTRIES // (2 * len(analytic)))
-        for lo in range(0, len(analytic), step):
-            idx = np.arange(lo, min(lo + step, len(analytic)))
-            plus, minus = _perturbed_losses(net, trace, l, idx, y, kind, eps)
-            fd = (plus - minus) / (2.0 * eps)
-            errs.append(np.abs(analytic[idx] - fd) / np.maximum(1.0, np.abs(fd)))
+    for lo in range(0, len(keep), step):
+        idx = np.arange(lo, min(lo + step, len(keep)))
+        plus, minus = _perturbed_losses(net, keep, idx, x, y, kind, eps)
+        fd = (plus - minus) / (2.0 * eps)
+        errs.append(np.abs(analytic[idx] - fd) / np.maximum(1.0, np.abs(fd)))
     return float(np.max(np.concatenate(errs)))
 
 
-def _perturbed_losses(net, trace, l, idx, ys, kind, eps):
-    """Losses with parameter idx[k] of layer l (its weights in C order, then
-    its bias) at keep + eps and at keep - eps, as two (len(idx),) arrays."""
-    layer = net.layers[l]
-    k, n_w = len(idx), layer.weight_base.size
-    stack = np.tile(np.append(layer.weight_base, layer.bias), (2 * k, 1))
+def _perturbed_losses(net, keep, idx, x, y, kind, eps):
+    """Losses with entry idx[j] of the parameter vector keep at keep + eps
+    and at keep - eps, as two (len(idx),) arrays."""
+    k = len(idx)
+    stack = np.tile(keep, (2 * k, 1))
     copies = np.arange(k)
     stack[copies, idx] += eps
     stack[copies + k, idx] -= eps
-    w = stack[:, :n_w].reshape(2 * k, layer.n_out, layer.n_in)
-    rec = layer.forward(trace[l].x, w, stack[:, n_w:])
-    tail, out = forward_trace(Network(net.layers[l + 1:]), rec.y)
-    raise_if_non_finite(trace[:l] + [rec] + tail, out)
-    out = out.reshape(2 * k, -1)
-    losses = loss_rows(kind, np.broadcast_to(ys, out.shape), out, net.out_grading)
+    trace, cur, at = [], x, 0
+    for layer in net.layers:
+        n_w = layer.weight_base.size
+        w = stack[:, at:at + n_w].reshape(2 * k, layer.n_out, layer.n_in)
+        at += n_w + layer.n_out
+        rec = layer.forward(cur, w, stack[:, at - layer.n_out:at])
+        # raise_if_non_finite reads z and y alone; the stacked weights go now
+        trace.append(rec._replace(w=None))
+        cur = rec.y
+    raise_if_non_finite(trace, cur)
+    out = cur.reshape(2 * k, -1)
+    losses = loss_rows(kind, np.broadcast_to(y, out.shape), out, net.out_grading)
     return losses[:k], losses[k:]
 
 
@@ -224,32 +230,26 @@ def grad_check_suite(eps: float = DEFAULT_EPS, count: int = 100, seed: int = 0):
     """Relative analytic-vs-central-difference error for `count` random nets.
 
     Returns a list of (loss name, relative error) pairs, deterministic in
-    the seed; losses cycle so every kind appears.  When a forked child can
-    run alongside (ioutil._can_split), the first 5/8 of the cases are drawn
-    here and checked here, while the child continues the same generator
-    with the rest; checking draws nothing, so the list is the same.
+    the seed; losses cycle so every kind appears.  Case i is drawn from its
+    own generator, default_rng([seed, i]), so no case depends on another.
+    When a forked child can run alongside (ioutil._can_split), this process
+    draws and checks the first (count + 1) // 2 cases and the child the
+    rest; the list is the same either way.
     """
     if count < 1:
         raise ValueError("count must be at least 1, got %d" % count)
     if seed < 0:
         raise ValueError("seed must be >= 0, got %d" % seed)
     _check_eps(eps)
-    rng = np.random.default_rng(seed)
 
-    def draw(i):
+    def case(i):
         kind = _CHECK_KINDS[i % len(_CHECK_KINDS)]
-        return (kind,) + _random_check_case(rng, kind)
-
-    def check(kind, net, x, y):
+        net, x, y = _random_check_case(np.random.default_rng([seed, i]), kind)
         return kind.as_text(), finite_diff_check(net, x, y, kind, eps)
 
-    # drawing a case costs about 2 parts to checking its 3, so after the
-    # fork the parent's 3 k of checking matches the child's 5 (count - k)
-    # of drawing and checking at k = 5 count / 8
-    k = 5 * count // 8
-    if not (1 <= k < count and _can_split()):
-        return [check(*draw(i)) for i in range(count)]
-    head = [draw(i) for i in range(k)]
-    tail, results = _split_run(lambda: [check(*draw(i)) for i in range(k, count)],
-                               lambda: [check(*case) for case in head])
-    return results + tail
+    half = (count + 1) // 2
+    if half == count or not _can_split():
+        return [case(i) for i in range(count)]
+    tail, head = _split_run(lambda: [case(i) for i in range(half, count)],
+                            lambda: [case(i) for i in range(half)])
+    return head + tail

@@ -15,6 +15,7 @@ format floats with fmt17, 17 significant digits, which also round-trips.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -145,6 +146,17 @@ def write_json(path, doc) -> None:
         fh.write(text)
 
 
+def check_writable(path) -> None:
+    """Raise the OSError that writing the file path would raise, leaving an
+    existing file as it was and creating none: a command checks its output
+    path this way before it runs."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -157,6 +169,23 @@ def _can_split() -> bool:
             and threading.active_count() == 1)
 
 
+def _set_blas_threads(n: int) -> Optional[int]:
+    """Set numpy's bundled OpenBLAS to n threads and return its previous
+    count; None, changing nothing, where numpy exports no such calls."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    old = get()
+    put(n)
+    return old
+
+
 def _split_run(child_part: Callable, parent_part: Callable):
     """(child_part(), parent_part()), the first run in a forked child while
     this process runs the second; an exception in the child is raised here.
@@ -166,32 +195,41 @@ def _split_run(child_part: Callable, parent_part: Callable):
     before it waits, since the reply can exceed the pipe buffer, and closes
     it on failure, so that a child blocked on a write ends too; either way
     it waits, so no child outlives the call.
+
+    OpenBLAS runs on one thread in both processes until the call returns:
+    _can_split does not see its worker threads, and this process's would
+    contend with the child for the CPUs the split counts on.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        replied = False
-        try:
-            os.close(read_fd)
-            try:
-                reply = (True, child_part())
-            except BaseException as exc:
-                reply = (False, exc)
-            with open(write_fd, "wb") as fh:
-                pickle.dump(reply, fh, pickle.HIGHEST_PROTOCOL)
-            replied = True
-        finally:
-            os._exit(0 if replied else 1)
-    os.close(write_fd)
+    blas_threads = _set_blas_threads(1)
     try:
-        with open(read_fd, "rb") as fh:
-            mine = parent_part()
-            payload = fh.read()
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            replied = False
+            try:
+                os.close(read_fd)
+                try:
+                    reply = (True, child_part())
+                except BaseException as exc:
+                    reply = (False, exc)
+                with open(write_fd, "wb") as fh:
+                    pickle.dump(reply, fh, pickle.HIGHEST_PROTOCOL)
+                replied = True
+            finally:
+                os._exit(0 if replied else 1)
+        os.close(write_fd)
+        try:
+            with open(read_fd, "rb") as fh:
+                mine = parent_part()
+                payload = fh.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if status != 0:
+            raise RuntimeError("a forked child process exited without a reply")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value, mine
     finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        raise RuntimeError("a forked child process exited without a reply")
-    ok, value = pickle.loads(payload)
-    if not ok:
-        raise value
-    return value, mine
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)

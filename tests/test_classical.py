@@ -617,3 +617,47 @@ def test_split_run_child_reply_larger_than_the_pipe_buffer():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
     assert got == (reply, "parent")
+
+
+def _blas_threads():
+    """numpy's OpenBLAS thread count, left as it was; None without the calls."""
+    count = ioutil._set_blas_threads(1)
+    if count is not None:
+        ioutil._set_blas_threads(count)
+    return count
+
+
+def test_split_run_holds_blas_to_one_thread_in_both_processes():
+    """A threaded OpenBLAS in the parent contends with the child for the
+    CPUs the split counts on; the count comes back when the call returns,
+    also when a part raises."""
+    start = ioutil._set_blas_threads(2)
+    if start is None:
+        pytest.skip("numpy exports no OpenBLAS thread-count calls")
+    try:
+        threaded = _blas_threads()
+        assert ioutil._split_run(_blas_threads, _blas_threads) == (1, 1)
+        assert _blas_threads() == threaded
+
+        def fail():
+            raise FloatingPointError("parent part")
+
+        with pytest.raises(FloatingPointError, match="parent part"):
+            ioutil._split_run(_blas_threads, fail)
+        assert _blas_threads() == threaded
+    finally:
+        ioutil._set_blas_threads(start)
+
+
+@pytest.mark.parametrize("error", [OSError, AttributeError])
+def test_split_run_without_openblas_thread_calls(error, monkeypatch):
+    """Where numpy's library cannot be opened or exports no thread-count
+    calls, the split runs as it would with them and sets nothing."""
+    class NoCalls:
+        def __init__(self, name):
+            if error is OSError:
+                raise OSError("cannot open %s" % name)
+
+    monkeypatch.setattr(ioutil.ctypes, "CDLL", NoCalls)
+    assert ioutil._set_blas_threads(1) is None
+    assert ioutil._split_run(lambda: "child", lambda: "parent") == ("child", "parent")

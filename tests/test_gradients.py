@@ -455,8 +455,11 @@ def test_loss_value_is_the_mean_of_loss_rows(kind):
 
 
 def test_known_rounding_limited_seed_passes():
-    # case 74 of this seed once had a loss near 1e18, where the rounding of
-    # the eps=1e-5 central difference alone exceeded the tolerance
+    # drawn in sequence from one generator of this seed, case 74 had a loss
+    # near 1e18, where the rounding of the eps=1e-5 central difference alone
+    # exceeded the tolerance: the direct draws below still reach that case
+    # and check the large-loss screen, while the suite call checks the
+    # seed's per-case streams
     results = grad_check_suite(count=75, seed=2204877786710033)
     assert max(err for _, err in results) < GRAD_CHECK_TOL
     assert 4e4 < _MAX_CHECK_LOSS < 5e4
@@ -486,9 +489,9 @@ def test_grad_check_suite_rejects_eps_before_drawing(monkeypatch, fork_counter):
 @pytest.mark.parametrize("seed", [0, 12, 2204877786710033])
 @pytest.mark.parametrize("count", [1, 2, 7, 100])
 def test_grad_check_suite_forked_matches_in_process(count, seed, fork_counter):
-    """The parent checks the first 5 count // 8 cases while a forked child
-    continues the generator with the rest; count 1 leaves the parent no
-    case, so it never forks."""
+    """The parent checks the first (count + 1) // 2 cases while a forked
+    child checks the rest; count 1 leaves the child no case, so it never
+    forks."""
     forks = fork_counter(2)
     forked = grad_check_suite(count=count, seed=seed)
     assert len(forks) == (count > 1)
@@ -593,9 +596,10 @@ def test_backward_matches_central_differences_on_rational_batches(data):
 
 
 # widths, activation names, x and y of the first 21 cases the sampler draws
-# from seed 0, three per loss kind, then the stream's next draw: all direct
-# draws of the RNG, so a refactor that changes the stream grad-check output
-# depends on fails here whatever the BLAS
+# in sequence from one generator of seed 0, three per loss kind, then the
+# stream's next draw: all direct draws of the RNG, so a refactor that
+# changes how _random_check_case consumes its generator fails here whatever
+# the BLAS
 _SEED0_CASES = (
     ((6, 5, 3, 3), ("classical_relu", "graded_relu", "signed_graded_relu"),
      (1.4421131105064977, 0.8651101682448286, 0.6054952795702295, 1.1291081515397092,
@@ -694,3 +698,58 @@ def test_check_case_sampler_keeps_its_rng_stream():
         assert tuple(l.activation.value for l in net.layers) == acts
         assert tuple(xv[0].tolist()) == x and tuple(yv[0].tolist()) == y
     assert rng.integers(0, 2 ** 63) == _SEED0_NEXT
+
+
+# the same for the cases grad-check draws for seed 0: case i from its own
+# generator default_rng([0, i]), with loss kind i
+_SEED0_STREAM_CASES = (
+    ((6, 5, 3, 3), ("classical_relu", "graded_relu", "signed_graded_relu"),
+     (1.4421131105064977, 0.8651101682448286, 0.6054952795702295, 1.1291081515397092,
+      1.4271545530678673, 0.940377154715784),
+     (0.9591314443216635, 0.5499062323188824, 0.48270576236416796)),
+    ((8, 8, 5), ("graded_relu", "graded_relu"),
+     (0.6306502572823975, 1.3788162710824703, 1.0731648745745974, 1.2985952968328152,
+      1.1952530335957308, 0.5541976338068855, 0.5702246832464661, 1.3748310125879613),
+     (0.5209561716453472, 0.6194244502443456, 0.5954748970473508, 0.9558032773814734,
+      0.10342870421009771)),
+    ((1, 3, 4, 2), ("signed_graded_relu", "graded_relu", "signed_graded_relu"),
+     (1.414725610891003,),
+     (0.4790571959480383, 0.6492428458326311)),
+    ((8, 8, 7), ("graded_relu", "graded_relu"),
+     (1.0518370500131495, 0.5076799406429385, 0.9753288317682978, 1.2626622859581738,
+      0.6192574239879398, 1.0559596326021519, 1.243584976640505, 1.0607983200728681),
+     (0.49898634728413005, 0.5079595904438456, 0.3174021965583117, 0.7695070436703052,
+      0.8314806418715995, 0.6039931026232017, 0.10803341504672057)),
+    ((8, 4, 2), ("identity", "classical_relu"),
+     (0.5158444831726785, 1.2138980717651269, 1.4346185536344391, 1.0563116840213111,
+      1.2956041726705179, 0.6633822466552184, 0.509828365628525, 1.1960022200030462),
+     (0.6048182130138681, 0.6952544743403395)),
+    ((4, 7, 5, 4), ("identity", "identity", "signed_graded_relu"),
+     (0.9647432041510305, 0.5277527386677273, 0.5930586623200106, 1.115577276880575),
+     (0.2902453331592979, 0.15859838913127772, 0.4283337692457321, 0.15504774934944363)),
+    ((4, 5, 2), ("graded_relu", "classical_relu"),
+     (0.6795234277803678, 1.4137603207013378, 1.1098723867779294, 1.498891189731008),
+     (0.12525280706348152, 0.327620935978485)),
+)
+
+
+def test_grad_check_draws_each_case_from_its_own_stream():
+    for i, (widths, acts, x, y) in enumerate(_SEED0_STREAM_CASES):
+        net, xv, yv = _random_check_case(np.random.default_rng([0, i]), _CHECK_KINDS[i])
+        assert (net.layers[0].n_in,) + tuple(l.n_out for l in net.layers) == widths
+        assert tuple(l.activation.value for l in net.layers) == acts
+        assert tuple(xv[0].tolist()) == x and tuple(yv[0].tolist()) == y
+
+
+@pytest.mark.parametrize("count, seed", [(7, 0), (10, 12), (3, 2204877786710033)])
+def test_grad_check_suite_is_the_list_of_its_cases(count, seed, fork_counter):
+    """Forked or not, the suite reports case i of its own stream, in order."""
+    expected = []
+    for i in range(count):
+        kind = _CHECK_KINDS[i % len(_CHECK_KINDS)]
+        net, x, y = _random_check_case(np.random.default_rng([seed, i]), kind)
+        expected.append((kind.as_text(), finite_diff_check(net, x, y, kind)))
+    for cpus in (2, 1):
+        forks = fork_counter(cpus)
+        assert grad_check_suite(count=count, seed=seed) == expected
+        assert len(forks) == (cpus == 2)

@@ -880,9 +880,9 @@ def test_cli_approx_bench_rejects_out_of_range_values(tmp_path, capsys, doc, mes
     ({"model": {"type": "multiplicative", "exponents": "1,1,1,1e10000000"}},
      "model.exponents: an exponent does not fit a float64"),
     ({"dataset": {"source": "monomial", "exponents": [1, 1, 1, "1e10000000"]}},
-     'dataset.exponents[3] must be a rational such as 2 or "1/2"'),
+     "dataset.exponents[3]: an exponent does not fit a float64"),
     ({"grading": "1,2", "dataset": {"source": "monomial", "exponents": [1, 10 ** 400]}},
-     'dataset.exponents[1] must be a rational such as 2 or "1/2"'),
+     "dataset.exponents[1]: an exponent does not fit a float64"),
     ({"grading": "1,2", "dataset": {"source": "monomial", "exponents": [1, True]}},
      'dataset.exponents[1] must be a rational such as 2 or "1/2"'),
     ({"grading": "1,2", "dataset": {"source": "monomial", "exponents": [1, 1],
@@ -950,7 +950,7 @@ _TINY_BENCH = {"hidden_sizes": [1], "restarts": 1, "classical_iters": 3, "graded
                                "name enclosed in double quotes: line 1 column 2 (char 1)"),
     (None, "bench.csv",
      "cannot read benchmark config {config}: [Errno 2] No such file or directory: '{config}'"),
-    # the output path fails only after the benchmark has run
+    # an unwritable output path fails before any restart trains
     (_TINY_BENCH, ".", "[Errno 21] Is a directory: '{out}'"),
     (_TINY_BENCH, "missing/bench.csv", "[Errno 2] No such file or directory: '{out}'"),
 ], ids=["grading_zero", "seed_negative", "grading_overflow", "grading_huge_exponent",
@@ -967,6 +967,48 @@ def test_cli_approx_bench_config_mistake_is_one_error_line_naming_the_key(
     assert capsys.readouterr().err == "error: %s\n" % message.format(config=cfg_path,
                                                                       out=out_path)
     assert not out_path.is_file()
+
+
+@pytest.mark.parametrize("out", [".", "missing/bench.csv"])
+def test_cli_approx_bench_refuses_an_unwritable_out_before_training(
+        tmp_path, capsys, monkeypatch, out):
+    import gradednn.cli as cli
+    runs = []
+    monkeypatch.setattr(cli, "approx_bench", lambda cfg: runs.append(cfg) or [])
+    cfg_path = _write_config(tmp_path / "bench.json", _TINY_BENCH)
+    assert main(["approx-bench", "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert runs == []
+
+
+@pytest.mark.parametrize("old", [None, "model,hidden_units\nkept\n"], ids=["new", "existing"])
+def test_cli_approx_bench_failing_run_leaves_the_out_file_as_it_was(
+        tmp_path, capsys, monkeypatch, old):
+    import gradednn.cli as cli
+
+    def fail(cfg):
+        raise GradedDomainError("a width failed")
+
+    monkeypatch.setattr(cli, "approx_bench", fail)
+    out = tmp_path / "bench.csv"
+    if old is not None:
+        out.write_text(old)
+    cfg_path = _write_config(tmp_path / "bench.json", _TINY_BENCH)
+    assert main(["approx-bench", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a width failed\n"
+    assert (out.read_text() if out.exists() else None) == old
+
+
+def test_cli_train_missing_csv_dataset_names_the_key(tmp_path, capsys):
+    doc = _base_train_doc()
+    doc["dataset"] = {"source": "csv", "path": "nope.csv"}
+    cfg_path = _write_config(tmp_path / "cfg.json", doc)
+    assert main(["train", "--config", cfg_path]) == 2
+    missing = tmp_path / "nope.csv"
+    assert capsys.readouterr().err == (
+        "error: dataset.path: cannot read dataset file %s: [Errno 2] No such file or "
+        "directory: '%s'\n" % (missing, missing))
+    assert not (tmp_path / "run").exists()
 
 
 def _saved_model_doc():
