@@ -5,7 +5,6 @@ from .spaces import (
     ExponentScheme,
     GradedDomainError,
     GradedError,
-    GradedMatrix,
     GradedVector,
     GradingMismatchError,
     GradingVector,
@@ -13,10 +12,8 @@ from .spaces import (
     IllPosedSystemError,
     decompose,
     dual_grading,
-    entry_degrees,
     graded_euclidean_norm,
     homogeneous_norm,
-    infer_map_degree,
     max_graded_norm,
     ones_grading,
     parse_grading,

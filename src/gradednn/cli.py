@@ -131,7 +131,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, GradedError) as exc:  # ConfigError included
+    except (OSError, ValueError, GradedError, MemoryError) as exc:  # ConfigError included
         print("error: %s" % exc, file=sys.stderr)
         return 3 if isinstance(exc, TrainingDivergenceError) else 2
 

@@ -188,7 +188,8 @@ def _set_blas_threads(n: int) -> Optional[int]:
 
 def _split_run(child_part: Callable, parent_part: Callable):
     """(child_part(), parent_part()), the first run in a forked child while
-    this process runs the second; an exception in the child is raised here.
+    this process runs the second; an exception in the child is raised here,
+    and a child that ends without a reply raises ChildProcessError.
 
     The child sends its result, or its exception, over a pipe as a pickle
     and always leaves through os._exit.  The parent reads the whole pipe
@@ -224,8 +225,10 @@ def _split_run(child_part: Callable, parent_part: Callable):
                 payload = fh.read()
         finally:
             _, status = os.waitpid(pid, 0)
-        if status != 0:
-            raise RuntimeError("a forked child process exited without a reply")
+        if status != 0 or not payload:
+            code = os.waitstatus_to_exitcode(status)
+            how = "exited with code %d" % code if code >= 0 else "ended by signal %d" % -code
+            raise ChildProcessError("a forked child process %s without a reply" % how)
         ok, value = pickle.loads(payload)
         if not ok:
             raise value

@@ -156,11 +156,16 @@ def parse_exponents(value, n: int, where: str) -> tuple:
 
 
 def multiplicative_sign(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sgn(x_i)**k_i for each entry of the inputs x (N, n): -1 where an odd
-    integer k_i meets a negative x_i, else 1.  A fractional k_i needs every
-    x_i > 0 and raises GradedDomainError otherwise; k_i = 0 accepts any x_i."""
-    if np.any((k != np.round(k)) & np.any(x <= 0.0, axis=0)):
-        raise GradedDomainError("fractional exponents need positive inputs")
+    """sgn(x_i)**k_i for each entry of the input rows x (..., N, n): -1 where
+    an odd integer k_i meets a negative x_i, else 1.  A fractional k_i needs
+    every x_i > 0 and otherwise raises GradedDomainError naming the first
+    non-positive entry; k_i = 0 accepts any x_i."""
+    fractional = k != np.round(k)
+    if np.any(fractional & np.any(x <= 0.0, axis=0)):
+        at = tuple(np.argwhere(fractional & (x <= 0.0))[0])
+        raise GradedDomainError(
+            "fractional exponent %g of input %d needs positive inputs, got %g in row %d"
+            % (k[at[-1]], at[-1], x[at], at[-2]))
     return np.where((x < 0.0) & (np.mod(k, 2.0) == 1.0), -1.0, 1.0)
 
 
@@ -253,6 +258,9 @@ class Layer:
             self.exponents, self.exponent_floats = _checked_exponents(exponents, n_in)
 
     def _validate_blocks(self) -> np.ndarray:
+        """The mask of the blocks.  A block's grade is the grade of every
+        output coordinate in its rows and every input coordinate in its
+        columns, so the masked weights are a graded map of degree 0."""
         mask = np.zeros(self.weight_base.shape, dtype=bool)
         for blk in self.blocks:
             r0, r1 = blk.rows
@@ -262,16 +270,12 @@ class Layer:
             if not (0 <= c0 <= c1 <= len(self.in_grading)):
                 raise GradingMismatchError("block column range out of bounds")
             g = _as_fraction(blk.grade)
-            for i in range(r0, r1):
-                if self.out_grading.grades[i] != g:
-                    raise GradingMismatchError(
-                        "block grade %s does not match output coordinate %d" % (g, i)
-                    )
-            for j in range(c0, c1):
-                if self.in_grading.grades[j] != g:
-                    raise GradingMismatchError(
-                        "block grade %s does not match input coordinate %d" % (g, j)
-                    )
+            for side, grades, lo, hi in (("output", self.out_grading.grades, r0, r1),
+                                         ("input", self.in_grading.grades, c0, c1)):
+                off = [i for i in range(lo, hi) if grades[i] != g]
+                if off:
+                    raise GradingMismatchError("block grade %s does not match %s "
+                                               "coordinate %d" % (g, side, off[0]))
             mask[r0:r1, c0:c1] = True
         if np.any(self.weight_base[~mask] != 0.0):
             raise GradingMismatchError(

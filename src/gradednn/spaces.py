@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -228,29 +227,6 @@ class GradedVector:
             np.array2string(self._values, precision=6), self._grading.as_text())
 
 
-@dataclass(frozen=True)
-class GradedMatrix:
-    """Matrix viewed as a map from a column-graded space to a row-graded space."""
-
-    entries: np.ndarray
-    row_grading: GradingVector
-    col_grading: GradingVector
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2:
-            raise GradingMismatchError("matrix entries must be two-dimensional")
-        if arr.shape != (len(self.row_grading), len(self.col_grading)):
-            raise GradingMismatchError(
-                "matrix shape %s does not match gradings (%d, %d)"
-                % (arr.shape, len(self.row_grading), len(self.col_grading))
-            )
-        if not np.isfinite(arr).all():
-            raise GradedDomainError("matrix entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-
 def stack_values(vectors: Sequence[GradedVector], grading: GradingVector) -> np.ndarray:
     """Values of graded vectors carrying `grading`, one per row of an array.
 
@@ -402,28 +378,3 @@ def tensor_grading(q: GradingVector, r: GradingVector) -> GradingVector:
 def dual_grading(q: GradingVector) -> tuple:
     """Grades of the dual space, as a signed tuple (negatives are legal here)."""
     return tuple(-g for g in q.grades)
-
-
-def entry_degrees(a: GradedMatrix):
-    """Implied degree r_i - q_j for every nonzero entry, as [(i, j, degree)]."""
-    rows, cols = np.nonzero(a.entries)
-    return [
-        (int(i), int(j), a.row_grading.grades[i] - a.col_grading.grades[j])
-        for i, j in zip(rows, cols)
-    ]
-
-
-def infer_map_degree(a: GradedMatrix) -> Optional[Fraction]:
-    """The unique degree d with r_i = q_j + d over nonzero entries.
-
-    Returns Fraction(0) for the zero matrix and None when the nonzero entries
-    imply conflicting degrees (see entry_degrees for the offending pairs).
-    """
-    degs = entry_degrees(a)
-    if not degs:
-        return Fraction(0)
-    first = degs[0][2]
-    for _, _, d in degs[1:]:
-        if d != first:
-            return None
-    return first

@@ -401,7 +401,8 @@ def test_stacked_kernel_matches_one_neuron_at_a_time():
     assert pred.shape == (2, 30)
     for r in range(2):
         assert _same(pred[r], _ref_mult_predict(w[r], b[r], k, x))
-    with pytest.raises(GradedDomainError):
+    with pytest.raises(GradedDomainError, match=r"^fractional exponent 0\.5 of input 0 needs "
+                                                r"positive inputs, got -0\.828702 in row 0$"):
         multiplicative_sign(np.array([0.5, 1.0, 1.0]), x)
 
 
@@ -647,6 +648,19 @@ def test_split_run_holds_blas_to_one_thread_in_both_processes():
         assert _blas_threads() == threaded
     finally:
         ioutil._set_blas_threads(start)
+
+
+@pytest.mark.parametrize("child_part, how", [
+    (lambda: os._exit(1), "exited with code 1"),
+    (lambda: os._exit(0), "exited with code 0"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "ended by signal 9"),
+], ids=["exit-1", "exit-0", "killed"])
+def test_split_run_child_ending_without_a_reply(child_part, how):
+    """A ChildProcessError is an OSError, which the CLI reports as one
+    error line and exit 2."""
+    with pytest.raises(ChildProcessError,
+                       match="^a forked child process %s without a reply$" % how):
+        ioutil._split_run(child_part, lambda: "parent")
 
 
 @pytest.mark.parametrize("error", [OSError, AttributeError])

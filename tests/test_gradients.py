@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gradednn import gradients, network
+from gradednn.cli import main
 from gradednn.gradients import (
     _CHECK_KINDS,
     _MAX_CHECK_LOSS,
@@ -522,6 +523,24 @@ def test_grad_check_suite_raises_what_a_case_raises(failing, monkeypatch, fork_c
     fork_counter(1)
     with pytest.raises(FloatingPointError, match="case %d" % failing):
         grad_check_suite(count=7)
+
+
+def test_cli_grad_check_child_ending_without_a_reply_is_one_error_line(
+        monkeypatch, fork_counter, capsys):
+    """The child checks cases 2 and 3 of 4 and ends at its first case."""
+    parent, real_check = os.getpid(), gradients.finite_diff_check
+
+    def finite_diff_check(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_check(*args)
+
+    monkeypatch.setattr(gradients, "finite_diff_check", finite_diff_check)
+    forks = fork_counter(2)
+    assert main(["grad-check", "--count", "4"]) == 2
+    assert len(forks) == 1
+    assert capsys.readouterr() == (
+        "", "error: a forked child process exited with code 1 without a reply\n")
 
 
 # what train can build and grad-check's sampler never draws: rational grades,

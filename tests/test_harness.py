@@ -1011,6 +1011,37 @@ def test_cli_train_missing_csv_dataset_names_the_key(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_train_fractional_exponent_on_a_negative_input_names_the_entry(tmp_path, capsys):
+    x = np.array([[0.5, 1.0], [-1.0, 2.0], [-2.0, 3.0]])
+    write_dataset_csv(Dataset(x, np.ones((3, 1)), GradingVector([1, 2]), ones_grading(1)),
+                      tmp_path / "data.csv")
+    doc = _mult_doc("run")
+    doc.update(grading="1,2", dataset={"source": "csv", "path": "data.csv"})
+    doc["model"]["exponents"] = "1/2,1"
+    assert main(["train", "--config", _write_config(tmp_path / "exp.json", doc)]) == 2
+    assert capsys.readouterr().err == ("error: fractional exponent 0.5 of input 0 needs "
+                                       "positive inputs, got -1 in row 1\n")
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("train", dict(_base_train_doc(), dataset={"source": "monomial", "exponents": [2, 3],
+                                                "count": 10 ** 17})),
+    ("approx-bench", {"grid_points": 10 ** 17}),
+], ids=["train", "approx-bench"])
+def test_cli_allocation_beyond_the_address_space_is_one_error_line(
+        tmp_path, capsys, command, doc):
+    """10**17 entries ask for hundreds of PiB, past the 128 TiB user address
+    space of 4-level paging and the 64 PiB of 5-level paging, so numpy
+    refuses at once whatever the host's overcommit policy."""
+    argv = [command, "--config", _write_config(tmp_path / "cfg.json", doc)]
+    if command == "approx-bench":
+        argv += ["--out", str(tmp_path / "bench.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert "(100000000000000000" in err
+
+
 def _saved_model_doc():
     """A model.json with every optional part: a multiplicative first layer
     and a block-masked second one."""

@@ -159,8 +159,14 @@ def test_multiplicative_kernel_follows_the_sign_rule():
     x = np.array([[-2.0, 1.0]])
     pred = multiplicative_core(np.ones(2), k, x, multiplicative_sign(k, x))
     assert pred[0] == -2.0 == _value(n, [-2.0, 1.0])
-    with pytest.raises(GradedDomainError):
+    with pytest.raises(GradedDomainError, match="^fractional exponent 0.5 of input 0 "
+                                                "needs positive inputs, got 0 in row 1$"):
         multiplicative_sign(np.array([0.5]), np.array([[4.0], [0.0]]))
+    # rows (1, N, n) as Layer.forward passes them: the first entry in row order
+    rows = np.array([[[4.0, 1.0, 2.0], [3.0, 5.0, -2.5], [-1.0, 1.0, -3.0]]])
+    with pytest.raises(GradedDomainError, match="^fractional exponent 0.25 of input 2 "
+                                                "needs positive inputs, got -2.5 in row 1$"):
+        multiplicative_sign(np.array([0.5, 1.0, 0.25]), rows)
 
 
 def test_log_domain_cancellation_is_sign_zero():
@@ -458,6 +464,27 @@ def test_blocks_validated_and_masked():
                        match="^block grade 2 does not match input coordinate 0$"):
         Layer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.zeros(2), ActivationKind.IDENTITY,
               swapped, gio, [GradeBlock(Fraction(2), (0, 1), (0, 1))])
+
+
+@pytest.mark.parametrize("side, out_grades, in_grades", [
+    ("output", [2, 3], [2, 2]),
+    ("input", [2, 2], [2, 3]),
+])
+def test_block_grade_is_checked_on_every_coordinate_it_spans(side, out_grades, in_grades):
+    """A 2x2 block of grade 2 whose second output, or second input,
+    coordinate has grade 3: built directly or loaded, the error names
+    that coordinate, and the loader names the layer."""
+    g_in, g_out = GradingVector(in_grades), GradingVector(out_grades)
+    w = np.full((2, 2), 0.5)
+    message = "block grade 2 does not match %s coordinate 1" % side
+    with pytest.raises(GradingMismatchError, match="^%s$" % message):
+        Layer(w, np.zeros(2), ActivationKind.IDENTITY, g_in, g_out,
+              [GradeBlock(Fraction(2), (0, 2), (0, 2))])
+    doc = network_to_dict(Network([Layer(w, np.zeros(2), ActivationKind.IDENTITY,
+                                         g_in, g_out)]))
+    doc["layers"][0]["blocks"] = [{"grade": "2", "rows": [0, 2], "cols": [0, 2]}]
+    with pytest.raises(ConfigError, match=r"^layers\[0\]: %s$" % message):
+        network_from_dict(doc)
 
 
 def test_layer_refuses_weight_and_bias_shapes_off_its_gradings():

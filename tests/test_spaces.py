@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from gradednn.spaces import (
     ExponentScheme,
     GradedDomainError,
-    GradedMatrix,
     GradedVector,
     GradingMismatchError,
     GradingVector,
@@ -19,11 +18,9 @@ from gradednn.spaces import (
     IllPosedSystemError,
     decompose,
     dual_grading,
-    entry_degrees,
     graded_euclidean_norm,
     homogeneous_norm,
     homogeneous_terms,
-    infer_map_degree,
     max_graded_norm,
     ones_grading,
     parse_grading,
@@ -198,17 +195,6 @@ def test_tensor_grading_shape(q, r):
 
 def test_dual_grading_negates():
     assert dual_grading(GradingVector([2, 3])) == (Fraction(-2), Fraction(-3))
-
-
-def test_entry_degrees_and_inference():
-    rowg, colg = GradingVector([3, 5]), GradingVector([1, 2])
-    a = GradedMatrix([[0.0, 1.0], [0.0, 0.0]], rowg, colg)
-    assert entry_degrees(a) == [(0, 1, Fraction(1))]
-    assert infer_map_degree(a) == Fraction(1)
-    zero = GradedMatrix(np.zeros((2, 2)), rowg, colg)
-    assert infer_map_degree(zero) == Fraction(0)
-    mixed = GradedMatrix([[1.0, 1.0], [0.0, 0.0]], rowg, colg)
-    assert infer_map_degree(mixed) is None
 
 
 def test_vandermonde_worked_example():
