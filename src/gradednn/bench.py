@@ -85,6 +85,12 @@ class BenchConfig:
             raise ValueError("hidden_sizes must be non-decreasing")
         if not 0.0 < self.grid_low < self.grid_high:
             raise ValueError("grid_low must be positive and below grid_high")
+        # the target grows in each coordinate, so the corner is its largest value
+        with np.errstate(over="ignore"):
+            corner = _target(self.grading, np.full((1, 2), self.grid_high))
+        if not np.isfinite(corner).all():
+            raise ValueError("grid_high: the target overflows a float64 at "
+                             "(grid_high, grid_high)")
         for name in ("classical_learning_rate", "graded_learning_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError("%s must be positive" % name)

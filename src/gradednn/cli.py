@@ -6,8 +6,11 @@ main turns a command's fault into one error line and exit status 2 or 3.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import numpy as np
 from .bench import approx_bench, bench_config_from_dict, write_bench_csv
 from .config import build_dataset, load_experiment_config
 from .gradients import DEFAULT_EPS, GRAD_CHECK_TOL, grad_check_suite
-from .ioutil import check_writable, fmt17, read_json
+from .ioutil import ConfigError, check_writable, fmt17, read_json
 from .network import random_network, save_network
 from .optimizer import TrainingDivergenceError, train
 from .spaces import GradedError
@@ -50,8 +53,27 @@ def _write_metrics(path: Path, losses, grad_norms) -> None:
     text = "".join(json.dumps({"iter": i, "loss": float(loss), "grad_norm": float(gn)},
                               allow_nan=False) + "\n"
                    for i, (loss, gn) in enumerate(zip(losses, grad_norms)))
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+@contextlib.contextmanager
+def _out_dir(path: Path):
+    """Create the directory path, and its missing parents, for the run in
+    the with block: a path that cannot be created fails before the run, and
+    a run that fails removes the directories made here."""
+    made = list(itertools.takewhile(lambda d: not os.path.lexists(d), (path, *path.parents)))
+    try:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out_dir: cannot create output directory %s: %s"
+                              % (path, exc)) from None
+        yield
+    except BaseException:
+        for d in made:  # deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -61,7 +83,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
                          [a for _, a in cfg.model.layers],
                          np.random.default_rng(cfg.optimizer.seed),
                          exponents=cfg.model.exponents)
-    result = train(net, ds.graded_inputs(), ds.graded_targets(), cfg.loss, cfg.optimizer)
+    with _out_dir(cfg.out_dir):
+        result = train(net, ds.graded_inputs(), ds.graded_targets(), cfg.loss,
+                       cfg.optimizer)
     metrics_path = cfg.out_dir / "metrics.jsonl"
     model_path = cfg.out_dir / "model.json"
     _write_metrics(metrics_path, result.losses, result.grad_norms)

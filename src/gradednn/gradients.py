@@ -3,6 +3,8 @@
 loss_grad returns dL/d(yhat) from each loss kind's branch in losses.py;
 network_backward chains it through the layers, differentiating with respect
 to the base weights (the trainable parameters), not the effective ones.
+Each layer's backward sits beside its forward in network.Layer, and both
+read the layer's LayerRecord, so this module knows no layer kind.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ from .losses import LossKind, _loss_part, _operands, loss_rows, loss_value
 from .network import (
     ActivationKind,
     Network,
-    activation_slope,
     activation_value,
     forward_trace,
-    multiplicative_slope,
     raise_if_non_finite,
     random_network,
-    weight_base_slope,
 )
 from .spaces import ExponentScheme, GradingVector
 
@@ -85,19 +84,9 @@ def network_backward(net: Network, x, y, kind: LossKind) -> GradientBundle:
     g = loss_grad(kind, y, out, net.out_grading)
     weight_grads, bias_grads = [], []
     for l in range(len(net.layers) - 1, -1, -1):
-        layer, rec = net.layers[l], trace[l]
-        dz = g * activation_slope(layer.activation, rec.z, layer.out_grading.floats)
-        if layer.exponents is None:
-            dw = (dz.T @ rec.x) * weight_base_slope(layer.weight_base, layer.in_grading)
-        else:
-            slope = multiplicative_slope(layer.weight_base, layer.exponent_floats, rec.w)
-            dw = (dz.T[..., np.newaxis] * slope).sum(axis=-2)
-        if layer.mask is not None:
-            dw = np.where(layer.mask, dw, 0.0)
+        dw, db, g = net.layers[l]._backward(trace[l], g, l > 0)
         weight_grads.insert(0, dw)
-        bias_grads.insert(0, dz.sum(axis=0))
-        if l:
-            g = dz @ rec.w
+        bias_grads.insert(0, db)
     return GradientBundle(weight_grads, bias_grads, loss)
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import pickle
+import signal
 import threading
 from typing import Callable, Optional
 
@@ -186,6 +187,23 @@ def _set_blas_threads(n: int) -> Optional[int]:
     return old
 
 
+_PR_SET_PDEATHSIG = 1  # from <sys/prctl.h>
+
+
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel send this forked process SIGKILL when its parent
+    ends, and leave at once if the parent, pid parent, has already ended.
+    Where libc has no prctl (outside Linux) this changes nothing."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _split_run(child_part: Callable, parent_part: Callable):
     """(child_part(), parent_part()), the first run in a forked child while
     this process runs the second; an exception in the child is raised here,
@@ -195,7 +213,9 @@ def _split_run(child_part: Callable, parent_part: Callable):
     and always leaves through os._exit.  The parent reads the whole pipe
     before it waits, since the reply can exceed the pipe buffer, and closes
     it on failure, so that a child blocked on a write ends too; either way
-    it waits, so no child outlives the call.
+    it waits, so no child outlives the call.  A parent killed outright takes
+    its child with it (_die_with_parent): the signal is tied to the thread
+    that forked, which is this process's only one (_can_split).
 
     OpenBLAS runs on one thread in both processes until the call returns:
     _can_split does not see its worker threads, and this process's would
@@ -204,10 +224,12 @@ def _split_run(child_part: Callable, parent_part: Callable):
     blas_threads = _set_blas_threads(1)
     try:
         read_fd, write_fd = os.pipe()
+        parent = os.getpid()
         pid = os.fork()
         if pid == 0:
             replied = False
             try:
+                _die_with_parent(parent)
                 os.close(read_fd)
                 try:
                     reply = (True, child_part())

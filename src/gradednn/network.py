@@ -8,8 +8,10 @@ prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b, graded-homogeneous of degree
 sum_i q_i k_i; every caller takes its value and weight gradient from the
 batched multiplicative_sign/_core/_slope kernel.  A Layer with exponents is
 a layer of such neurons, allowed only as a network's first layer.
-Layer.forward evaluates a layer on rows (..., N, n) into the LayerRecord that
-backward reads.  log_domain_forward evaluates a layer as signs and log-magnitudes.
+Layer.forward evaluates a layer on rows (..., N, n) into a LayerRecord, and
+Layer._backward reads it back: each layer kind's backward sits beside its
+forward, so gradients.network_backward is one loop over the layers.
+log_domain_forward evaluates a layer as signs and log-magnitudes.
 """
 
 from __future__ import annotations
@@ -205,8 +207,9 @@ class GradeBlock:
 class LayerRecord(NamedTuple):
     """What Layer.forward formed from rows x: the weights w it applied, the
     pre-activation z and output y.  w is the masked effective weights, or for
-    a multiplicative layer the bias-free core (..., n_out, N), which backward
-    reads here because z - bias cancels to 0 when |core| << |bias|."""
+    a multiplicative layer the bias-free core (..., n_out, N), which
+    Layer._backward reads here because z - bias cancels to 0 when
+    |core| << |bias|."""
     x: np.ndarray
     w: np.ndarray
     z: np.ndarray
@@ -316,6 +319,24 @@ class Layer:
             z = w.swapaxes(-1, -2) + b
         return LayerRecord(x, w, z, activation_value(self.activation, z,
                                                      self.out_grading.floats))
+
+    def _backward(self, rec: LayerRecord, g: np.ndarray, input_grad: bool):
+        """(weight gradient, bias gradient, input gradient) of a loss whose
+        gradient at this layer's output rows rec.y is g, with rec the
+        LayerRecord that forward formed.  The weight gradient is with respect
+        to the base weights and 0 outside the blocks.  The input gradient
+        dz @ rec.w is formed when input_grad is set and the layer is
+        additive, else it is None: a multiplicative layer comes first."""
+        dz = g * activation_slope(self.activation, rec.z, self.out_grading.floats)
+        if self.exponents is None:
+            dw = (dz.T @ rec.x) * weight_base_slope(self.weight_base, self.in_grading)
+        else:
+            slope = multiplicative_slope(self.weight_base, self.exponent_floats, rec.w)
+            dw = (dz.T[..., np.newaxis] * slope).sum(axis=-2)
+        if self._mask is not None:
+            dw = np.where(self._mask, dw, 0.0)
+        db = dz.sum(axis=0)
+        return dw, db, dz @ rec.w if input_grad and self.exponents is None else None
 
     def copy(self) -> "Layer":
         return Layer(

@@ -7,6 +7,9 @@ what one training run per restart reports."""
 import math
 import os
 import signal
+import subprocess
+import sys
+import time
 import zlib
 
 import numpy as np
@@ -661,6 +664,76 @@ def test_split_run_child_ending_without_a_reply(child_part, how):
     with pytest.raises(ChildProcessError,
                        match="^a forked child process %s without a reply$" % how):
         ioutil._split_run(child_part, lambda: "parent")
+
+
+# a parent whose forked child writes its pid to argv[1]; both parts sleep
+_ORPHANING_PARENT = """
+import os, sys, time
+from gradednn import ioutil
+
+def child():
+    with open(sys.argv[1] + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(120)
+
+ioutil._split_run(child, lambda: time.sleep(120))
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid runs; a zombie, which only waits to be reaped, does not."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="PR_SET_PDEATHSIG and /proc are Linux's")
+def test_split_run_child_ends_when_its_parent_is_killed(tmp_path):
+    """A parent killed by SIGKILL never waits for its child: the child used
+    to run its whole part, reparented to pid 1."""
+    pid_file = tmp_path / "child.pid"
+    src = os.path.dirname(os.path.dirname(ioutil.__file__))
+    parent = subprocess.Popen([sys.executable, "-c", _ORPHANING_PARENT, str(pid_file)],
+                              env={**os.environ, "PYTHONPATH": src})
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert parent.poll() is None, "the parent ended before its child wrote"
+            assert time.monotonic() < deadline, "the child wrote no pid"
+            time.sleep(0.02)
+        child = int(pid_file.read_text())
+        assert _running(child)
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 5
+        while _running(child) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _running(child), "the child outlived its killed parent"
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        if child is not None and _running(child):
+            os.kill(child, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
+def test_die_with_parent_leaves_at_once_when_the_parent_has_ended():
+    """A parent that ended before the child's prctl call sends no signal;
+    the child sees another parent pid and exits with code 1."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            ioutil._die_with_parent(os.getpid())  # never this process's parent
+        finally:
+            os._exit(0)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 1
 
 
 @pytest.mark.parametrize("error", [OSError, AttributeError])

@@ -41,6 +41,7 @@ from gradednn.network import (
     save_network,
 )
 from gradednn.ioutil import int_value, read_object, str_value
+from gradednn.optimizer import TrainingDivergenceError
 from gradednn.spaces import (
     GradedDomainError,
     GradedError,
@@ -997,6 +998,69 @@ def test_cli_approx_bench_failing_run_leaves_the_out_file_as_it_was(
     assert main(["approx-bench", "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: a width failed\n"
     assert (out.read_text() if out.exists() else None) == old
+
+
+@pytest.mark.parametrize("grading, grid_high", [("2,3", 1e300), ("1/2,1", 1e300),
+                                               ("2,3", 1e62)])
+def test_cli_approx_bench_refuses_a_grid_on_which_the_target_overflows(
+        tmp_path, capsys, monkeypatch, grading, grid_high):
+    """The refusal comes before anything trains, with no numpy warning: it
+    used to come from the parent's nanargmin after a whole run."""
+    import gradednn.cli as cli
+    runs = []
+    monkeypatch.setattr(cli, "approx_bench", lambda cfg: runs.append(cfg) or [])
+    cfg_path = _write_config(tmp_path / "bench.json",
+                             {"grading": grading, "grid_high": grid_high})
+    out = tmp_path / "bench.csv"
+    assert main(["approx-bench", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: grid_high: the target overflows a float64 at (grid_high, grid_high)\n")
+    assert runs == [] and not out.exists()
+
+
+def test_approx_bench_accepts_a_large_grid_on_which_the_target_is_finite():
+    # 1e61**5 is 1e305, below the largest float64
+    cfg = bench.bench_config_from_dict({"grading": "2,3", "grid_high": 1e61})
+    assert cfg.grid_high == 1e61
+
+
+@pytest.mark.parametrize("out_dir, reason", [
+    ("afile/out", "[Errno 20] Not a directory"),
+    ("afile", "[Errno 17] File exists"),
+], ids=["under_a_file", "a_file"])
+def test_cli_train_refuses_an_out_dir_it_cannot_create_before_training(
+        tmp_path, capsys, monkeypatch, out_dir, reason):
+    """The error used to come after the whole run, from writing metrics.jsonl,
+    and named neither the key nor the directory."""
+    import gradednn.cli as cli
+    runs = []
+    monkeypatch.setattr(cli, "train", lambda *args: runs.append(args))
+    (tmp_path / "afile").write_text("kept\n")
+    cfg_path = _write_config(tmp_path / "cfg.json", _base_train_doc(out_dir=out_dir))
+    assert main(["train", "--config", cfg_path]) == 2
+    path = tmp_path / out_dir
+    assert capsys.readouterr().err == (
+        "error: out_dir: cannot create output directory %s: %s: '%s'\n"
+        % (path, reason, path))
+    assert runs == []
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_cli_train_failing_run_removes_the_directories_it_made(tmp_path, capsys, monkeypatch):
+    """out_dir is created before the first iteration; a run that then fails
+    leaves no directory behind, and a parent that was there stays."""
+    import gradednn.cli as cli
+
+    def diverge(*args):
+        raise TrainingDivergenceError("loss became non-finite at iteration 0")
+
+    monkeypatch.setattr(cli, "train", diverge)
+    (tmp_path / "kept").mkdir()
+    cfg_path = _write_config(tmp_path / "cfg.json", _base_train_doc(out_dir="kept/a/b"))
+    assert main(["train", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == "error: loss became non-finite at iteration 0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 def test_cli_train_missing_csv_dataset_names_the_key(tmp_path, capsys):
