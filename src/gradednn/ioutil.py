@@ -191,8 +191,8 @@ _PR_SET_PDEATHSIG = 1  # from <sys/prctl.h>
 
 
 def _die_with_parent(parent: int) -> None:
-    """Have the kernel send this forked process SIGKILL when its parent
-    ends, and leave at once if the parent, pid parent, has already ended.
+    """Have the kernel send this forked process SIGKILL when its parent,
+    whose pid is parent, ends, and leave at once if it has already ended.
     Where libc has no prctl (outside Linux) this changes nothing."""
     try:
         prctl = ctypes.CDLL(None).prctl
