@@ -16,11 +16,13 @@ net being scored again at the wider width, where a different summation
 order could raise the error by an ulp; that makes the error column
 non-increasing.
 
-The widths train and score independently, and only their (error, mse)
-pairs reach the rows.  With two or more usable CPUs, one thread and two or
-more distinct widths, a forked child trains and scores every other width
-from the largest down while this process runs the graded cell and the
-other widths; the CSV is the same either way.
+The cells train and score independently, and only the graded row and the
+widths' (error, mse) pairs reach the rows.  They go through
+ioutil._split_map as the graded cell then the distinct widths from the
+largest down: with two or more usable CPUs and one thread, a forked child
+runs the odd positions (the largest width and every other one after it)
+while this process runs the graded cell and the other widths; the CSV is
+the same either way.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .classical import mlp_batch_forward, mlp_init, mlp_train
 from .datasets import monomial_value
 from .ioutil import (
     ConfigError,
-    _can_split,
-    _split_run,
+    _split_map,
     fmt17,
     grading_value,
     int_value,
@@ -206,27 +207,24 @@ def _score_classical(weights, biases, x_train, y_train, grid, y_grid) -> Tuple[f
             float(np.mean((pred_train - y_train) ** 2)))
 
 
-def _fit_widths(cfg: BenchConfig, widths, data) -> dict:
-    """Per width m: the (error, mse) of its restarts in restart order,
-    trained as one stacked run and scored one net at a time, keeping a
-    restart when its weights and both scores are finite."""
+def _fit_width(cfg: BenchConfig, m: int, data) -> list:
+    """The (error, mse) of width m's restarts in restart order, trained as
+    one stacked run and scored one net at a time, keeping a restart when
+    its weights and both scores are finite."""
     x_train, y_train = data[:2]
-    fits = {}
-    for m in widths:
-        rng = _cell_rng(cfg.seed, "classical-%d" % m)
-        # Training draws nothing from rng, so drawing every init first keeps
-        # the draw order of one init-then-train pass per restart.
-        init_w, init_b = zip(*[mlp_init([2, m, 1], rng) for _ in range(cfg.restarts)])
-        weights, biases, _ = mlp_train(
-            [2, m, 1], [np.stack(ws) for ws in zip(*init_w)],
-            [np.stack(bs) for bs in zip(*init_b)], x_train, y_train[:, None], _ACTS,
-            cfg.classical_learning_rate, cfg.classical_iters,
-            momentum=cfg.classical_momentum)
-        scores = (_score_classical([w[r] for w in weights], [b[r] for b in biases], *data)
-                  for r in range(cfg.restarts)
-                  if all(np.all(np.isfinite(w[r])) for w in weights))
-        fits[m] = [s for s in scores if np.isfinite(s).all()]
-    return fits
+    rng = _cell_rng(cfg.seed, "classical-%d" % m)
+    # Training draws nothing from rng, so drawing every init first keeps
+    # the draw order of one init-then-train pass per restart.
+    init_w, init_b = zip(*[mlp_init([2, m, 1], rng) for _ in range(cfg.restarts)])
+    weights, biases, _ = mlp_train(
+        [2, m, 1], [np.stack(ws) for ws in zip(*init_w)],
+        [np.stack(bs) for bs in zip(*init_b)], x_train, y_train[:, None], _ACTS,
+        cfg.classical_learning_rate, cfg.classical_iters,
+        momentum=cfg.classical_momentum)
+    scores = (_score_classical([w[r] for w in weights], [b[r] for b in biases], *data)
+              for r in range(cfg.restarts)
+              if all(np.all(np.isfinite(w[r])) for w in weights))
+    return [s for s in scores if np.isfinite(s).all()]
 
 
 def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
@@ -238,18 +236,16 @@ def approx_bench(cfg: BenchConfig) -> List[BenchRow]:
     y_grid = _target(cfg.grading, grid)
     data = (x_train, y_train, grid, y_grid)
 
-    widths = sorted(set(cfg.hidden_sizes), reverse=True)
+    def cell(m):  # None is the graded cell
+        return _graded_cell(cfg, *data) if m is None else _fit_width(cfg, m, data)
+
+    cells = [None] + sorted(set(cfg.hidden_sizes), reverse=True)
     # A diverging restart overflows or turns nan, and `finite` and the
     # finite-weight test drop it, so numpy's warning would only repeat that;
     # a forked child inherits the setting.
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(widths) >= 2 and _can_split():
-            fits, (graded, ours) = _split_run(
-                lambda: _fit_widths(cfg, widths[0::2], data),
-                lambda: (_graded_cell(cfg, *data), _fit_widths(cfg, widths[1::2], data)))
-            fits.update(ours)
-        else:
-            graded, fits = _graded_cell(cfg, *data), _fit_widths(cfg, widths, data)
+        graded, *scores = _split_map(cell, cells)
+    fits = dict(zip(cells[1:], scores))
 
     rows, best = [graded], None
     for m in cfg.hidden_sizes:

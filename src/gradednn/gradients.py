@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from .ioutil import _can_split, _split_run
+from .ioutil import _split_map
 from .losses import LossKind, _loss_part, _operands, loss_rows, loss_value
 from .network import (
     ActivationKind,
@@ -116,9 +116,9 @@ def finite_diff_check(
                        or np.shape(y) != (1, len(net.out_grading))):
         raise ValueError("need one sample as (1, n_in) and (1, n_out) arrays")
     bundle = network_backward(net, x, y, kind)
-    analytic = np.concatenate([np.append(w, b) for w, b in
-                               zip(bundle.weight_grads, bundle.bias_grads)])
-    keep = np.concatenate([np.append(l.weight_base, l.bias) for l in net.layers])
+    analytic = np.concatenate([a.ravel() for pair in
+                               zip(bundle.weight_grads, bundle.bias_grads) for a in pair])
+    keep = np.concatenate([a.ravel() for l in net.layers for a in (l.weight_base, l.bias)])
     step = max(1, _STACK_ENTRIES // (2 * len(keep)))
     errs = []
     for lo in range(0, len(keep), step):
@@ -172,27 +172,24 @@ _CHECK_KINDS = (
     LossKind.max_graded(),
 )
 
+# a second exponential on an already-amplified signal can overflow, so a
+# layer whose incoming range passes 6 draws from the second pool, without exp
+_CHECK_ACTIVATIONS = (tuple(ActivationKind),
+                      tuple(k for k in ActivationKind if k is not ActivationKind.GRADED_EXP))
+
 
 def _random_check_case(rng: np.random.Generator, kind: LossKind):
     """A net of <= 3 layers, widths <= 8, weights in (0.2, 1.5), plus inputs
     and targets keeping every unit away from activation and loss kinks."""
     for _ in range(200):
         depth = int(rng.integers(1, 4))
-        widths = [int(rng.integers(1, 9)) for _ in range(depth + 1)]
-        gradings = [
-            GradingVector([int(rng.integers(1, 5)) for _ in range(w)])
-            for w in widths
-        ]
+        widths = rng.integers(1, 9, size=depth + 1).tolist()
+        gradings = [GradingVector(rng.integers(1, 5, size=w).tolist()) for w in widths]
         activations = []
         bound = 1.5
         for l in range(depth):
-            max_eff = float(np.max(1.5 ** gradings[l].floats))
-            z_bound = widths[l] * max_eff * bound
-            pool = list(ActivationKind)
-            if z_bound > 6.0:
-                # a second exponential on an already-amplified signal can
-                # overflow; keep exp for layers with a small incoming range
-                pool = [k for k in pool if k is not ActivationKind.GRADED_EXP]
+            z_bound = widths[l] * 1.5 ** max(gradings[l].grades) * bound
+            pool = _CHECK_ACTIVATIONS[z_bound > 6.0]
             act = pool[int(rng.integers(0, len(pool)))]
             activations.append(act)
             bound = float(np.max(activation_value(act, z_bound, gradings[l + 1].floats)))
@@ -221,9 +218,9 @@ def grad_check_suite(eps: float = DEFAULT_EPS, count: int = 100, seed: int = 0):
     Returns a list of (loss name, relative error) pairs, deterministic in
     the seed; losses cycle so every kind appears.  Case i is drawn from its
     own generator, default_rng([seed, i]), so no case depends on another.
-    When a forked child can run alongside (ioutil._can_split), this process
-    draws and checks the first (count + 1) // 2 cases and the child the
-    rest; the list is the same either way.
+    The cases go through ioutil._split_map: where a forked child can run
+    alongside, this process draws and checks the even-numbered cases and
+    the child the odd ones; the list is the same either way.
     """
     if count < 1:
         raise ValueError("count must be at least 1, got %d" % count)
@@ -236,9 +233,4 @@ def grad_check_suite(eps: float = DEFAULT_EPS, count: int = 100, seed: int = 0):
         net, x, y = _random_check_case(np.random.default_rng([seed, i]), kind)
         return kind.as_text(), finite_diff_check(net, x, y, kind, eps)
 
-    half = (count + 1) // 2
-    if half == count or not _can_split():
-        return [case(i) for i in range(count)]
-    tail, head = _split_run(lambda: [case(i) for i in range(half, count)],
-                            lambda: [case(i) for i in range(half)])
-    return head + tail
+    return _split_map(case, range(count))

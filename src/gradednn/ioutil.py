@@ -1,5 +1,7 @@
 """Serialization helpers, the one JSON reader behind every file format, and
-the fork helper that approx-bench and grad-check split their work with.
+_split_map, the one fork helper: approx-bench maps its cells and grad-check
+its cases through it, a forked child taking the odd positions while this
+process takes the even ones.
 
 The one JSON reader: read_json opens every JSON document and refuses a
 repeated key, read_object walks every JSON object and list_value every JSON
@@ -22,7 +24,7 @@ import os
 import pickle
 import signal
 import threading
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .spaces import GradedError, GradingVector, parse_grading
 
@@ -204,12 +206,14 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _split_run(child_part: Callable, parent_part: Callable):
-    """(child_part(), parent_part()), the first run in a forked child while
-    this process runs the second; an exception in the child is raised here,
-    and a child that ends without a reply raises ChildProcessError.
+def _split_map(fn: Callable, items: Sequence) -> list:
+    """[fn(x) for x in items].  When _can_split holds and there are two or
+    more items, a forked child maps the odd positions while this process
+    maps the even ones; otherwise this process maps them all.  An exception
+    in the child is raised here, and a child that ends without a reply
+    raises ChildProcessError.
 
-    The child sends its result, or its exception, over a pipe as a pickle
+    The child sends its results, or its exception, over a pipe as a pickle
     and always leaves through os._exit.  The parent reads the whole pipe
     before it waits, since the reply can exceed the pipe buffer, and closes
     it on failure, so that a child blocked on a write ends too; either way
@@ -221,6 +225,8 @@ def _split_run(child_part: Callable, parent_part: Callable):
     _can_split does not see its worker threads, and this process's would
     contend with the child for the CPUs the split counts on.
     """
+    if len(items) < 2 or not _can_split():
+        return [fn(x) for x in items]
     blas_threads = _set_blas_threads(1)
     try:
         read_fd, write_fd = os.pipe()
@@ -232,7 +238,7 @@ def _split_run(child_part: Callable, parent_part: Callable):
                 _die_with_parent(parent)
                 os.close(read_fd)
                 try:
-                    reply = (True, child_part())
+                    reply = (True, [fn(x) for x in items[1::2]])
                 except BaseException as exc:
                     reply = (False, exc)
                 with open(write_fd, "wb") as fh:
@@ -243,7 +249,7 @@ def _split_run(child_part: Callable, parent_part: Callable):
         os.close(write_fd)
         try:
             with open(read_fd, "rb") as fh:
-                mine = parent_part()
+                mine = [fn(x) for x in items[0::2]]
                 payload = fh.read()
         finally:
             _, status = os.waitpid(pid, 0)
@@ -254,7 +260,9 @@ def _split_run(child_part: Callable, parent_part: Callable):
         ok, value = pickle.loads(payload)
         if not ok:
             raise value
-        return value, mine
+        out = [None] * len(items)
+        out[0::2], out[1::2] = mine, value
+        return out
     finally:
         if blas_threads is not None:
             _set_blas_threads(blas_threads)

@@ -534,11 +534,13 @@ def test_approx_bench_raises_what_a_width_raises(failing, monkeypatch, fork_coun
 
 
 @pytest.mark.parametrize("hidden_sizes", [[4], [4, 4]], ids=["one", "repeated"])
-def test_approx_bench_with_one_width_never_forks(hidden_sizes, fork_counter):
+def test_approx_bench_with_one_width_forks_once(hidden_sizes, fork_counter):
+    """The graded cell and the one distinct width are two cells, so the
+    width trains in the child beside the graded cell."""
     forks = fork_counter(2)
     cfg = _small_bench(hidden_sizes=hidden_sizes)
     assert bench.approx_bench(cfg) == _per_restart_rows(cfg)
-    assert forks == []
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "forked"])
@@ -584,7 +586,7 @@ def test_approx_bench_diverging_restarts_warn_nothing(doc, cpus, fork_counter):
     this process or in the child."""
     forks = fork_counter(cpus)
     rows = bench.approx_bench(bench.bench_config_from_dict(doc))
-    assert len(forks) == (cpus > 1 and len(doc["hidden_sizes"]) > 1)
+    assert len(forks) == (cpus > 1)
     if "classical_learning_rate" in doc:
         assert [r.status for r in rows] == ["ok", "diverged", "diverged"]
 
@@ -605,22 +607,57 @@ def test_approx_bench_drops_a_restart_whose_mse_overflows(cpus, fork_counter, tm
     assert lines[2:] == ["classical,1,inf,inf,diverged", "classical,4,inf,inf,diverged"]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+def test_split_map_is_the_map_of_its_items(n, cpus, fork_counter):
+    """It forks exactly when there are 2 or more items and 2 CPUs; then
+    this process maps the even positions and the child the odd ones.  An
+    item's exception is raised from either process, and no child is left."""
+    forks = fork_counter(cpus)
+    parent = os.getpid()
+    forked = n >= 2 and cpus == 2
+
+    def fn(x):
+        return 3 * x - 1, os.getpid() == parent
+
+    items = range(10, 10 + n)
+    assert ioutil._split_map(fn, items) == [(3 * x - 1, i % 2 == 0 or not forked)
+                                            for i, x in enumerate(items)]
+    assert len(forks) == forked
+    if n == 0:
+        return
+
+    def fail_last(x):
+        if x == items[-1]:
+            raise KeyError("in parent: %s" % (os.getpid() == parent))
+        return x
+
+    mapped_here = (n - 1) % 2 == 0 or not forked
+    with pytest.raises(KeyError, match="in parent: %s" % mapped_here):
+        ioutil._split_map(fail_last, items)
+    assert len(forks) == 2 * forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _time_out(signum, frame):
-    raise TimeoutError("_split_run did not return")
+    raise TimeoutError("_split_map did not return")
 
 
-def test_split_run_child_reply_larger_than_the_pipe_buffer():
+def test_split_map_child_reply_larger_than_the_pipe_buffer(fork_counter):
     """A 204,800-byte reply is past a 64 KiB pipe: a parent that waited for
     the child before reading would never return."""
+    forks = fork_counter(2)
     reply = bytes(range(256)) * 800
     handler = signal.signal(signal.SIGALRM, _time_out)
     signal.alarm(60)
     try:
-        got = ioutil._split_run(lambda: reply, lambda: "parent")
+        got = ioutil._split_map(lambda i: reply if i else "parent", [0, 1])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
-    assert got == (reply, "parent")
+    assert got == ["parent", reply]
+    assert len(forks) == 1
 
 
 def _blas_threads():
@@ -631,53 +668,61 @@ def _blas_threads():
     return count
 
 
-def test_split_run_holds_blas_to_one_thread_in_both_processes():
+def test_split_map_holds_blas_to_one_thread_in_both_processes(fork_counter):
     """A threaded OpenBLAS in the parent contends with the child for the
     CPUs the split counts on; the count comes back when the call returns,
-    also when a part raises."""
+    also when an item raises."""
     start = ioutil._set_blas_threads(2)
     if start is None:
         pytest.skip("numpy exports no OpenBLAS thread-count calls")
+    forks = fork_counter(2)
     try:
         threaded = _blas_threads()
-        assert ioutil._split_run(_blas_threads, _blas_threads) == (1, 1)
+        assert ioutil._split_map(lambda i: _blas_threads(), [0, 1]) == [1, 1]
         assert _blas_threads() == threaded
 
-        def fail():
-            raise FloatingPointError("parent part")
+        def fail_in_parent(i):
+            if i == 0:
+                raise FloatingPointError("parent item")
+            return _blas_threads()
 
-        with pytest.raises(FloatingPointError, match="parent part"):
-            ioutil._split_run(_blas_threads, fail)
+        with pytest.raises(FloatingPointError, match="parent item"):
+            ioutil._split_map(fail_in_parent, [0, 1])
         assert _blas_threads() == threaded
+        assert len(forks) == 2
     finally:
         ioutil._set_blas_threads(start)
 
 
-@pytest.mark.parametrize("child_part, how", [
+@pytest.mark.parametrize("child_item, how", [
     (lambda: os._exit(1), "exited with code 1"),
     (lambda: os._exit(0), "exited with code 0"),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "ended by signal 9"),
 ], ids=["exit-1", "exit-0", "killed"])
-def test_split_run_child_ending_without_a_reply(child_part, how):
+def test_split_map_child_ending_without_a_reply(child_item, how, fork_counter):
     """A ChildProcessError is an OSError, which the CLI reports as one
     error line and exit 2."""
+    forks = fork_counter(2)
     with pytest.raises(ChildProcessError,
                        match="^a forked child process %s without a reply$" % how):
-        ioutil._split_run(child_part, lambda: "parent")
+        ioutil._split_map(lambda i: child_item() if i else "parent", [0, 1])
+    assert len(forks) == 1
 
 
-# a parent whose forked child writes its pid to argv[1]; both parts sleep
+# a parent whose forked child writes its pid to argv[1]; both items sleep
 _ORPHANING_PARENT = """
 import os, sys, time
 from gradednn import ioutil
 
-def child():
-    with open(sys.argv[1] + ".tmp", "w") as fh:
-        fh.write(str(os.getpid()))
-    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+def item(i):
+    if i:
+        with open(sys.argv[1] + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(sys.argv[1] + ".tmp", sys.argv[1])
     time.sleep(120)
 
-ioutil._split_run(child, lambda: time.sleep(120))
+ioutil._usable_cpus = lambda: 2
+ioutil._split_map(item, [0, 1])
 """
 
 
@@ -692,9 +737,9 @@ def _running(pid: int) -> bool:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="PR_SET_PDEATHSIG and /proc are Linux's")
-def test_split_run_child_ends_when_its_parent_is_killed(tmp_path):
+def test_split_map_child_ends_when_its_parent_is_killed(tmp_path):
     """A parent killed by SIGKILL never waits for its child: the child used
-    to run its whole part, reparented to pid 1."""
+    to run its whole share, reparented to pid 1."""
     pid_file = tmp_path / "child.pid"
     src = os.path.dirname(os.path.dirname(ioutil.__file__))
     parent = subprocess.Popen([sys.executable, "-c", _ORPHANING_PARENT, str(pid_file)],
@@ -737,7 +782,7 @@ def test_die_with_parent_leaves_at_once_when_the_parent_has_ended():
 
 
 @pytest.mark.parametrize("error", [OSError, AttributeError])
-def test_split_run_without_openblas_thread_calls(error, monkeypatch):
+def test_split_map_without_openblas_thread_calls(error, monkeypatch, fork_counter):
     """Where numpy's library cannot be opened or exports no thread-count
     calls, the split runs as it would with them and sets nothing."""
     class NoCalls:
@@ -746,5 +791,7 @@ def test_split_run_without_openblas_thread_calls(error, monkeypatch):
                 raise OSError("cannot open %s" % name)
 
     monkeypatch.setattr(ioutil.ctypes, "CDLL", NoCalls)
+    forks = fork_counter(2)
     assert ioutil._set_blas_threads(1) is None
-    assert ioutil._split_run(lambda: "child", lambda: "parent") == ("child", "parent")
+    assert ioutil._split_map(lambda i: ("parent", "child")[i], [0, 1]) == ["parent", "child"]
+    assert len(forks) == 1

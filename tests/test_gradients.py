@@ -490,8 +490,8 @@ def test_grad_check_suite_rejects_eps_before_drawing(monkeypatch, fork_counter):
 @pytest.mark.parametrize("seed", [0, 12, 2204877786710033])
 @pytest.mark.parametrize("count", [1, 2, 7, 100])
 def test_grad_check_suite_forked_matches_in_process(count, seed, fork_counter):
-    """The parent checks the first (count + 1) // 2 cases while a forked
-    child checks the rest; count 1 leaves the child no case, so it never
+    """The parent checks the even-numbered cases while a forked child
+    checks the odd ones; count 1 leaves the child no case, so it never
     forks."""
     forks = fork_counter(2)
     forked = grad_check_suite(count=count, seed=seed)
@@ -502,9 +502,9 @@ def test_grad_check_suite_forked_matches_in_process(count, seed, fork_counter):
 
 @pytest.mark.parametrize("failing", [5, 2], ids=["child", "parent"])
 def test_grad_check_suite_raises_what_a_case_raises(failing, monkeypatch, fork_counter):
-    """Of 7 cases the parent checks 0 to 3 and the child 4 to 6: either way
-    the call raises the case's exception, as the in-process run does, and
-    leaves no process behind."""
+    """Of 7 cases the parent checks 0, 2, 4 and 6 and the child 1, 3 and 5:
+    either way the call raises the case's exception, as the in-process run
+    does, and leaves no process behind."""
     real_check = gradients.finite_diff_check
 
     def finite_diff_check(net, x, y, kind, eps):
@@ -527,7 +527,7 @@ def test_grad_check_suite_raises_what_a_case_raises(failing, monkeypatch, fork_c
 
 def test_cli_grad_check_child_ending_without_a_reply_is_one_error_line(
         monkeypatch, fork_counter, capsys):
-    """The child checks cases 2 and 3 of 4 and ends at its first case."""
+    """The child checks cases 1 and 3 of 4 and ends at its first case."""
     parent, real_check = os.getpid(), gradients.finite_diff_check
 
     def finite_diff_check(*args):
