@@ -6,15 +6,17 @@ exponents equal to the grading), so its error is limited only by floating
 point; a width-m ReLU net is piecewise linear and has to spend units on
 curvature.  Each cell reports the max absolute error on a held-out grid.
 Every cell keeps the best of several restarts, trained together as one
-stacked run (`train_multiplicative` on the multiplicative kernel of
-`network` for the graded neuron, `mlp_train` for a classical width), with
-the same CSV as one run per restart.  Classical cells train with heavy-ball
-momentum (plain GD stalls at larger widths); each width also considers the
-previous width's row, because that width's best net padded with dead units
-computes the same function.  The row keeps its score instead of a padded
-net being scored again at the wider width, where a different summation
-order could raise the error by an ulp; that makes the error column
-non-increasing.
+stacked run (`train_multiplicative` for the graded neuron, `mlp_train` for
+a classical width), with the same CSV as one run per restart.  The graded
+cell trains and scores the one-output multiplicative `network.Layer` that
+`graded-nn train` uses, through `Layer.forward` and `Layer._backward` on a
+stack of its weights, so this module holds no copy of the neuron.
+Classical cells train with heavy-ball momentum (plain GD stalls at larger
+widths); each width also considers the previous width's row, because that
+width's best net padded with dead units computes the same function.  The
+row keeps its score instead of a padded net being scored again at the wider
+width, where a different summation order could raise the error by an ulp;
+that makes the error column non-increasing.
 
 The cells train and score independently, and only the graded row and the
 widths' (error, mse) pairs reach the rows.  They go through
@@ -46,8 +48,8 @@ from .ioutil import (
     read_object,
     str_value,
 )
-from .network import multiplicative_core, multiplicative_sign, multiplicative_slope
-from .spaces import GradingVector, parse_grading
+from .network import ActivationKind, Layer
+from .spaces import GradingVector, ones_grading, parse_grading
 
 
 @dataclass(frozen=True)
@@ -134,64 +136,55 @@ def _grid(cfg: BenchConfig) -> np.ndarray:
     return np.column_stack([a.ravel(), b.ravel()])
 
 
-def train_multiplicative(
-    x: np.ndarray,
-    y: np.ndarray,
-    k: np.ndarray,
-    q: np.ndarray,
-    w0: np.ndarray,
-    b0: np.ndarray,
-    lr: float,
-    iters: int,
-):
+def train_multiplicative(neuron: Layer, x: np.ndarray, y: np.ndarray, w0: np.ndarray,
+                         b0: np.ndarray, lr: float, iters: int):
     """Full-batch GD on mean squared error with grade-scaled rates, for R
-    neurons as one stack from weights w0 (R, n) and biases b0 (R,); each
-    slice computes exactly what a run of its own does.
+    copies of the one-output multiplicative Layer `neuron` as one stack from
+    base weights w0 (R, 1, n) and biases b0 (R, 1); each slice computes
+    exactly what a run of its own does.  The value and weight gradient are
+    neuron.forward's and neuron._backward's, the ones `graded-nn train`
+    uses for a multiplicative first layer.
 
     Returns (w, b, finite): `finite` (R,) marks the runs whose loss stayed
     finite at every iterate, the final one included, and whose weights are
-    finite; the values of the other runs mean nothing.  The weight gradient
-    is `multiplicative_slope`'s (0 where |w_i| < 1e-12).  Rates follow the
-    usual convention: lr/q_i for the weight tied to coordinate i, lr for the
-    bias (scalar output, grade 1).  `graded-nn train` trains the same neuron
-    as a multiplicative first layer of the shared engine.
+    finite; the values of the other runs mean nothing.  Rates follow the
+    usual convention: lr/q_i for the weight tied to coordinate i of the
+    neuron's input grading, lr for the bias (scalar output, grade 1).
     """
     w = np.array(w0, dtype=float)
     b = np.array(b0, dtype=float)
-    n = len(y)
-    rate_w = lr / q
-    sign = multiplicative_sign(k, x)
-    finite = np.ones(b.shape, dtype=bool)
+    rate_w = lr / neuron.in_grading.floats
+    finite = np.ones(len(b), dtype=bool)
     for t in range(iters + 1):
-        core = multiplicative_core(w, k, x, sign)
-        diff = core + b[..., None] - y
+        rec = neuron.forward(x, w, b)
+        diff = rec.y[..., 0] - y
         finite &= np.isfinite(np.mean(diff * diff, axis=-1))
         if t == iters or not finite.any():
             break
-        g = 2.0 * diff / n
-        w -= rate_w * (g[..., None] * multiplicative_slope(w, k, core)).sum(axis=-2)
-        b -= lr * g.sum(axis=-1)
-    finite &= np.all(np.isfinite(w), axis=-1)
+        dw, db, _ = neuron._backward(rec, 2.0 * diff[..., None] / len(y), False, w)
+        w -= rate_w * dw
+        b -= lr * db
+    finite &= np.all(np.isfinite(w), axis=(-2, -1))
     return w, b, finite
 
 
 def _graded_cell(cfg: BenchConfig, x_train, y_train, grid, y_grid) -> BenchRow:
-    q = cfg.grading.floats
-    k = q.copy()  # the target's own exponents: exact representation exists
+    # the target's own exponents, so the neuron's weights 1 and bias 0 are
+    # an exact representation
+    neuron = Layer(np.ones((1, 2)), np.zeros(1), ActivationKind.IDENTITY,
+                   cfg.grading, ones_grading(1), exponents=cfg.grading.grades)
     rng = _cell_rng(cfg.seed, "graded-1")
     # Training draws nothing from rng, so drawing every init first keeps the
     # draw order of one init-then-train pass per restart.
-    w0 = rng.uniform(0.2, 0.9, size=(cfg.restarts, 2))
+    w0 = rng.uniform(0.2, 0.9, size=(cfg.restarts, 1, 2))
     w, b, finite = train_multiplicative(
-        x_train, y_train, k, q, w0, np.zeros(cfg.restarts),
+        neuron, x_train, y_train, w0, np.zeros((cfg.restarts, 1)),
         cfg.graded_learning_rate, cfg.graded_iters)
-    # the analytic solution w=1, b=0 first, then the finite restarts
-    ws = np.concatenate([np.ones((1, 2)), w[finite]])
-    bs = np.concatenate([[0.0], b[finite]])
-    pred_grid = multiplicative_core(ws, k, grid, multiplicative_sign(k, grid))
-    pred_train = multiplicative_core(ws, k, x_train, multiplicative_sign(k, x_train))
-    errs = np.max(np.abs(pred_grid + bs[:, None] - y_grid), axis=-1)
-    mses = np.mean((pred_train + bs[:, None] - y_train) ** 2, axis=-1)
+    # the analytic solution first, then the finite restarts
+    ws = np.concatenate([neuron.weight_base[np.newaxis], w[finite]])
+    bs = np.concatenate([neuron.bias[np.newaxis], b[finite]])
+    errs = np.max(np.abs(neuron.forward(grid, ws, bs).y[..., 0] - y_grid), axis=-1)
+    mses = np.mean((neuron.forward(x_train, ws, bs).y[..., 0] - y_train) ** 2, axis=-1)
     best = int(np.nanargmin(errs))  # the first smallest error
     return BenchRow("graded", 1, float(errs[best]), float(mses[best]))
 

@@ -168,13 +168,23 @@ def write_dataset_csv(ds: Dataset, path) -> None:
             writer.writerow([fmt17(v) for v in xr] + [fmt17(v) for v in yr])
 
 
+def _csv_rows(reader, path):
+    """The rows of a csv reader; a malformed one, such as a field over
+    csv.field_size_limit(), is a ValueError naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError("dataset file %s line %d: %s" % (path, reader.line_num, exc)) from None
+
+
 def read_dataset_csv(path, in_grading: GradingVector, out_grading: GradingVector) -> Dataset:
     n, m = len(in_grading), len(out_grading)
     expected = ["x%d" % i for i in range(n)] + ["y%d" % j for j in range(m)]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        rows = _csv_rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise ValueError("dataset file %s is empty" % path) from None
         if [h.strip() for h in header] != expected:
@@ -182,7 +192,7 @@ def read_dataset_csv(path, in_grading: GradingVector, out_grading: GradingVector
                 "dataset header %r does not match expected %r" % (header, expected)
             )
         xs, ys = [], []
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             where = "dataset file %s line %d" % (path, reader.line_num)

@@ -9,6 +9,7 @@ read the layer's LayerRecord, so this module knows no layer kind.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List
 
@@ -224,6 +225,8 @@ def grad_check_suite(eps: float = DEFAULT_EPS, count: int = 100, seed: int = 0):
     """
     if count < 1:
         raise ValueError("count must be at least 1, got %d" % count)
+    if count > sys.maxsize:  # the longest list a Python process can hold
+        raise ValueError("count must be at most %d, got %d" % (sys.maxsize, count))
     if seed < 0:
         raise ValueError("seed must be >= 0, got %d" % seed)
     _check_eps(eps)

@@ -5,12 +5,15 @@ An additive neuron computes sum_i sgn(w_i)|w_i|**q_i * x_i + b, so the weight
 exponent follows the grade of the *input* coordinate.  Activations take the
 grade of the coordinate they produce.  A multiplicative neuron computes
 prod_i sgn(x_i)**k_i |w_i x_i|**k_i + b, graded-homogeneous of degree
-sum_i q_i k_i; every caller takes its value and weight gradient from the
-batched multiplicative_sign/_core/_slope kernel.  A Layer with exponents is
-a layer of such neurons, allowed only as a network's first layer.
-Layer.forward evaluates a layer on rows (..., N, n) into a LayerRecord, and
-Layer._backward reads it back: each layer kind's backward sits beside its
-forward, so gradients.network_backward is one loop over the layers.
+sum_i q_i k_i.  A Layer with exponents is a layer of such neurons, allowed
+only as a network's first layer, and its value and weight gradient are
+formed only in Layer.forward and Layer._backward, from the batched
+multiplicative_sign/_core/_slope kernel: `graded-nn train` and
+approx-bench's graded cell both run that Layer.  Layer.forward evaluates a
+layer on rows (..., N, n) into a LayerRecord, and Layer._backward reads it
+back; both take a leading stack of weights.  Each layer kind's backward
+sits beside its forward, so gradients.network_backward is one loop over
+the layers.
 log_domain_forward evaluates a layer as signs and log-magnitudes.
 """
 
@@ -320,22 +323,26 @@ class Layer:
         return LayerRecord(x, w, z, activation_value(self.activation, z,
                                                      self.out_grading.floats))
 
-    def _backward(self, rec: LayerRecord, g: np.ndarray, input_grad: bool):
+    def _backward(self, rec: LayerRecord, g: np.ndarray, input_grad: bool,
+                  weight_base: Optional[np.ndarray] = None):
         """(weight gradient, bias gradient, input gradient) of a loss whose
         gradient at this layer's output rows rec.y is g, with rec the
         LayerRecord that forward formed.  The weight gradient is with respect
         to the base weights and 0 outside the blocks.  The input gradient
         dz @ rec.w is formed when input_grad is set and the layer is
-        additive, else it is None: a multiplicative layer comes first."""
+        additive, else it is None: a multiplicative layer comes first.
+        weight_base is the stack that forward took, if it took one; each
+        slice gives the floats of a Layer built from it."""
+        w = self.weight_base if weight_base is None else weight_base
         dz = g * activation_slope(self.activation, rec.z, self.out_grading.floats)
         if self.exponents is None:
-            dw = (dz.T @ rec.x) * weight_base_slope(self.weight_base, self.in_grading)
+            dw = (dz.swapaxes(-1, -2) @ rec.x) * weight_base_slope(w, self.in_grading)
         else:
-            slope = multiplicative_slope(self.weight_base, self.exponent_floats, rec.w)
-            dw = (dz.T[..., np.newaxis] * slope).sum(axis=-2)
+            slope = multiplicative_slope(w, self.exponent_floats, rec.w)
+            dw = (dz.swapaxes(-1, -2)[..., np.newaxis] * slope).sum(axis=-2)
         if self._mask is not None:
             dw = np.where(self._mask, dw, 0.0)
-        db = dz.sum(axis=0)
+        db = dz.sum(axis=-2)
         return dw, db, dz @ rec.w if input_grad and self.exponents is None else None
 
     def copy(self) -> "Layer":

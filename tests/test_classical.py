@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -358,10 +359,19 @@ def _mult_data(negative):
     return x, y, k, np.array([1.0, 2.0, 3.0])
 
 
+def _neuron(k, q):
+    """The one-output multiplicative Layer that train_multiplicative trains:
+    exponents k on inputs of grading q, floats that Fraction takes exactly."""
+    return Layer(np.ones((1, len(k))), np.zeros(1), ActivationKind.IDENTITY,
+                 GradingVector(map(Fraction, q)), ones_grading(1),
+                 exponents=[Fraction(v) for v in k])
+
+
 def _check_against_per_restart_runs(x, y, k, q, w0, b0, lr, iters):
     """Each slice of one stacked run against its own reference run; returns
     the slices that left the finite range."""
-    w, b, finite = bench.train_multiplicative(x, y, k, q, w0, b0, lr, iters)
+    w, b, finite = bench.train_multiplicative(
+        _neuron(k, q), x, y, w0[:, None], b0[:, None], lr, iters)
     assert finite.shape == b0.shape
     diverged = []
     for r in range(len(b0)):
@@ -370,7 +380,7 @@ def _check_against_per_restart_runs(x, y, k, q, w0, b0, lr, iters):
         if ref is None:
             diverged.append(r)
             continue
-        assert _same(w[r], ref[0]) and b[r] == ref[1]
+        assert _same(w[r, 0], ref[0]) and b[r, 0] == ref[1]
     return diverged
 
 
@@ -421,9 +431,9 @@ def test_weight_gradient_survives_a_large_bias():
     1; a gradient of 0 would leave it at exactly 1."""
     k = np.ones(2)
     w, _, finite = bench.train_multiplicative(
-        _TINY_X, _TINY_Y, k, k, np.ones((1, 2)), np.array([0.25]), 1e3, 1)
-    assert finite[0] and np.array_equal(w[0], np.full(2, 1.0000000000000004))
-    assert _same(w[0], _ref_train_multiplicative(
+        _neuron(k, k), _TINY_X, _TINY_Y, np.ones((1, 1, 2)), np.array([[0.25]]), 1e3, 1)
+    assert finite[0] and np.array_equal(w[0, 0], np.full(2, 1.0000000000000004))
+    assert _same(w[0, 0], _ref_train_multiplicative(
         _TINY_X, _TINY_Y, k, k, np.ones(2), 0.25, 1e3, 1)[0])
 
 
@@ -492,10 +502,14 @@ def _small_bench(**changes):
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "forked"])
-@pytest.mark.parametrize("seed", [0, 4])
-def test_approx_bench_matches_per_restart_reference(seed, cpus, fork_counter):
+@pytest.mark.parametrize("seed, grading", [
+    (0, "2,3"), (4, "2,3"), (0, "3/2,5/2"), (4, "3/2,5/2"),
+], ids=["0", "4", "0-fractional", "4-fractional"])
+def test_approx_bench_matches_per_restart_reference(seed, grading, cpus, fork_counter):
+    """The graded neuron's exponents reach its Layer as the grading's
+    Fractions, so a fractional grading must give the reference's floats."""
     forks = fork_counter(cpus)
-    cfg = _small_bench(seed=seed)
+    cfg = _small_bench(seed=seed, grading=grading)
     assert bench.approx_bench(cfg) == _per_restart_rows(cfg)
     assert len(forks) == (cpus > 1)
 

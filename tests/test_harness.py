@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,10 @@ def test_csv_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="^dataset file %s is empty$" % re.escape(str(path))):
         read_dataset_csv(path, Q23, ones_grading(1))
+    path.write_text("x0,x1,%s\n1,2,3\n" % ("y" * 131073))
+    with pytest.raises(ValueError, match="^dataset file %s line 1: field larger than "
+                                         "field limit" % re.escape(str(path))):
+        read_dataset_csv(path, Q23, ones_grading(1))
 
 
 @pytest.mark.parametrize("body, message", [
@@ -207,7 +212,8 @@ def test_csv_errors(tmp_path):
     ("1,2,3\n\n1,2\n", "line 4 column y0: row has 2 fields, expected 3"),
     ("1,2,3,4\n", "line 2: row has 4 fields, expected 3"),
     ("1,nan,3\n", "line 2 column x1: dataset entries must be finite"),
-], ids=["not_a_number", "short_row", "long_row", "nan"])
+    ("1,%s,3\n" % ("9" * 131073), "line 2: field larger than field limit (131072)"),
+], ids=["not_a_number", "short_row", "long_row", "nan", "field_over_the_csv_limit"])
 def test_cli_train_csv_error_names_the_file_line_and_column(tmp_path, capsys, body, message):
     data = tmp_path / "data.csv"
     data.write_text("x0,x1,y0\n" + body)
@@ -471,7 +477,9 @@ def test_cli_grad_check_rejects_eps(capsys):
     (["--count", "0"], "count must be at least 1, got 0"),
     (["--count", "-3"], "count must be at least 1, got -3"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["0", "-3", "seed"])
+    (["--count", str(sys.maxsize + 1)],
+     "count must be at most %d, got %d" % (sys.maxsize, sys.maxsize + 1)),
+], ids=["0", "-3", "seed", "above_maxsize"])
 def test_cli_grad_check_rejects_count_below_one(capsys, argv, message):
     assert main(["grad-check"] + argv) == 2
     assert capsys.readouterr().err == "error: %s\n" % message

@@ -263,20 +263,28 @@ def test_log_domain_layer_matches_direct_evaluation(kind):
 
 @pytest.mark.parametrize("kind", ["additive", "blocked", "multiplicative"])
 def test_a_weight_stack_gives_each_slice_the_floats_of_its_own_layer(kind):
-    """The contract finite_diff_check's stacked passes rely on, bit for bit."""
+    """The contract that finite_diff_check's stacked passes and approx-bench's
+    graded cell rely on, bit for bit, forward and backward."""
     rng = np.random.default_rng(23)
     layer = _random_layer(rng, kind, 3, 4)
     layer.activation = ActivationKind.SIGNED_GRADED_RELU
     ws = layer.weight_base + rng.uniform(-0.5, 0.5, (5, 3, 4))
     bs = layer.bias + rng.uniform(-0.5, 0.5, (5, 3))
     x = rng.uniform(-2.0, 2.0, (6, 4))
+    g = rng.uniform(-1.0, 1.0, (5, 6, 3))
     stacked = layer.forward(x, ws, bs)
+    grads = layer._backward(stacked, g, True, ws)
     for s in range(5):
         w = ws[s] if layer.mask is None else np.where(layer.mask, ws[s], 0.0)
-        one = Layer(w, bs[s], layer.activation, layer.in_grading, layer.out_grading,
-                    layer.blocks, layer.exponents).forward(x)
+        own = Layer(w, bs[s], layer.activation, layer.in_grading, layer.out_grading,
+                    layer.blocks, layer.exponents)
+        one = own.forward(x)
         for name in ("w", "z", "y"):
             assert np.array_equal(getattr(stacked, name)[s], getattr(one, name)), name
+        # weight, bias and input gradients; a multiplicative layer forms no
+        # input gradient
+        for got, want in zip(grads, own._backward(one, g[s], True)):
+            assert got is want is None or np.array_equal(got[s], want)
 
 
 @pytest.mark.parametrize("exponents", [None, (2, 1)], ids=["additive", "multiplicative"])
