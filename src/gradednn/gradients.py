@@ -4,7 +4,9 @@ loss_grad returns dL/d(yhat) from each loss kind's branch in losses.py;
 network_backward chains it through the layers, differentiating with respect
 to the base weights (the trainable parameters), not the effective ones.
 Each layer's backward sits beside its forward in network.Layer, and both
-read the layer's LayerRecord, so this module knows no layer kind.
+read the layer's LayerRecord, so this module knows no layer kind.  The
+gradient is one vector laid out as Network.theta, which defines the
+parameter order; finite_diff_check perturbs theta in that same order.
 """
 
 from __future__ import annotations
@@ -58,16 +60,24 @@ def _scaled_norm(values: np.ndarray) -> float:
 
 @dataclass
 class GradientBundle:
-    """Per-layer parameter gradients plus the loss they belong to."""
+    """The loss and its gradient grad, a vector laid out as net.theta."""
 
-    weight_grads: List[np.ndarray]
-    bias_grads: List[np.ndarray]
+    net: Network
+    grad: np.ndarray
     loss: float
+
+    @property
+    def weight_grads(self) -> List[np.ndarray]:
+        return [w for w, _ in self.net.split(self.grad)]
+
+    @property
+    def bias_grads(self) -> List[np.ndarray]:
+        return [b for _, b in self.net.split(self.grad)]
 
     def layer_norms(self) -> List[float]:
         """Euclidean norm of each layer's weight and bias gradients."""
-        pairs = zip(self.weight_grads, self.bias_grads)
-        return [_scaled_norm(np.concatenate((w.ravel(), b))) for w, b in pairs]
+        return [_scaled_norm(np.concatenate((w.ravel(), b)))
+                for w, b in self.net.split(self.grad)]
 
     def grad_norm(self) -> float:
         """Euclidean norm over every entry; finite while the entries are."""
@@ -83,12 +93,10 @@ def network_backward(net: Network, x, y, kind: LossKind) -> GradientBundle:
     raise_if_non_finite(trace, out)
     loss = loss_value(kind, y, out, net.out_grading)
     g = loss_grad(kind, y, out, net.out_grading)
-    weight_grads, bias_grads = [], []
-    for l in range(len(net.layers) - 1, -1, -1):
-        dw, db, g = net.layers[l]._backward(trace[l], g, l > 0)
-        weight_grads.insert(0, dw)
-        bias_grads.insert(0, db)
-    return GradientBundle(weight_grads, bias_grads, loss)
+    grad = np.empty_like(net.theta)
+    for l, (gw, gb) in reversed(list(enumerate(net.split(grad)))):
+        gw[...], gb[...], g = net.layers[l]._backward(trace[l], g, l > 0)
+    return GradientBundle(net, grad, loss)
 
 
 def _check_eps(eps: float) -> None:
@@ -106,47 +114,36 @@ def finite_diff_check(
     """Max over parameters of |analytic - central difference| / max(1, |fd|);
     NaN when any of them is NaN.  x (1, n_in) and y (1, n_out) are one sample.
 
-    The perturbed passes run as one stack: the network's parameters, each
-    layer's weights in C order then its bias, layer by layer, form a vector
-    of P entries, and its 2P copies with one entry at keep + eps or keep - eps
-    go through every layer at once, which gives the same floats as one pass
-    each.  A network too large for one stack runs in chunks of entries.
+    The perturbed passes run as one stack: the 2P copies of net.theta with
+    one entry at theta + eps or theta - eps go through forward_trace at
+    once, which gives the same floats as one pass each.  A network too
+    large for one stack runs in chunks of entries.
     """
     _check_eps(eps)
     if net.layers and (np.shape(x) != (1, len(net.in_grading))
                        or np.shape(y) != (1, len(net.out_grading))):
         raise ValueError("need one sample as (1, n_in) and (1, n_out) arrays")
     bundle = network_backward(net, x, y, kind)
-    analytic = np.concatenate([a.ravel() for pair in
-                               zip(bundle.weight_grads, bundle.bias_grads) for a in pair])
-    keep = np.concatenate([a.ravel() for l in net.layers for a in (l.weight_base, l.bias)])
-    step = max(1, _STACK_ENTRIES // (2 * len(keep)))
+    n = len(net.theta)
+    step = max(1, _STACK_ENTRIES // (2 * n))
     errs = []
-    for lo in range(0, len(keep), step):
-        idx = np.arange(lo, min(lo + step, len(keep)))
-        plus, minus = _perturbed_losses(net, keep, idx, x, y, kind, eps)
+    for lo in range(0, n, step):
+        idx = np.arange(lo, min(lo + step, n))
+        plus, minus = _perturbed_losses(net, idx, x, y, kind, eps)
         fd = (plus - minus) / (2.0 * eps)
-        errs.append(np.abs(analytic[idx] - fd) / np.maximum(1.0, np.abs(fd)))
+        errs.append(np.abs(bundle.grad[idx] - fd) / np.maximum(1.0, np.abs(fd)))
     return float(np.max(np.concatenate(errs)))
 
 
-def _perturbed_losses(net, keep, idx, x, y, kind, eps):
-    """Losses with entry idx[j] of the parameter vector keep at keep + eps
-    and at keep - eps, as two (len(idx),) arrays."""
+def _perturbed_losses(net, idx, x, y, kind, eps):
+    """Losses with entry idx[j] of net.theta at theta + eps and at
+    theta - eps, as two (len(idx),) arrays."""
     k = len(idx)
-    stack = np.tile(keep, (2 * k, 1))
+    stack = np.tile(net.theta, (2 * k, 1))
     copies = np.arange(k)
     stack[copies, idx] += eps
     stack[copies + k, idx] -= eps
-    trace, cur, at = [], x, 0
-    for layer in net.layers:
-        n_w = layer.weight_base.size
-        w = stack[:, at:at + n_w].reshape(2 * k, layer.n_out, layer.n_in)
-        at += n_w + layer.n_out
-        rec = layer.forward(cur, w, stack[:, at - layer.n_out:at])
-        # raise_if_non_finite reads z and y alone; the stacked weights go now
-        trace.append(rec._replace(w=None))
-        cur = rec.y
+    trace, cur = forward_trace(net, x, stack)
     raise_if_non_finite(trace, cur)
     out = cur.reshape(2 * k, -1)
     losses = loss_rows(kind, np.broadcast_to(y, out.shape), out, net.out_grading)

@@ -215,9 +215,10 @@ def _split_map(fn: Callable, items: Sequence) -> list:
 
     The child sends its results, or its exception, over a pipe as a pickle
     and always leaves through os._exit.  The parent reads the whole pipe
-    before it waits, since the reply can exceed the pipe buffer, and closes
-    it on failure, so that a child blocked on a write ends too; either way
-    it waits, so no child outlives the call.  A parent killed outright takes
+    before it waits, since the reply can exceed the pipe buffer.  On a
+    failure here it kills the child before it waits, so the failure is
+    raised at once rather than after the child's half; either way it
+    waits, so no child outlives the call.  A parent killed outright takes
     its child with it (_die_with_parent): the signal is tied to the thread
     that forked, which is this process's only one (_can_split).
 
@@ -251,6 +252,9 @@ def _split_map(fn: Callable, items: Sequence) -> list:
             with open(read_fd, "rb") as fh:
                 mine = [fn(x) for x in items[0::2]]
                 payload = fh.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
         finally:
             _, status = os.waitpid(pid, 0)
         if status != 0 or not payload:

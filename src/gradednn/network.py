@@ -13,7 +13,8 @@ approx-bench's graded cell both run that Layer.  Layer.forward evaluates a
 layer on rows (..., N, n) into a LayerRecord, and Layer._backward reads it
 back; both take a leading stack of weights.  Each layer kind's backward
 sits beside its forward, so gradients.network_backward is one loop over
-the layers.
+the layers.  A Network owns its parameters as one vector theta, and
+Network.split is the one place that lays them out.
 log_domain_forward evaluates a layer as signs and log-magnitudes.
 """
 
@@ -345,21 +346,17 @@ class Layer:
         db = dz.sum(axis=-2)
         return dw, db, dz @ rec.w if input_grad and self.exponents is None else None
 
-    def copy(self) -> "Layer":
-        return Layer(
-            self.weight_base.copy(),
-            self.bias.copy(),
-            self.activation,
-            self.in_grading,
-            self.out_grading,
-            self.blocks,
-            self.exponents,
-        )
-
 
 class Network:
     """A chain of graded layers; adjacent gradings must match exactly, and
-    only the first layer may be multiplicative (see Layer)."""
+    only the first layer may be multiplicative (see Layer).
+
+    The network owns its parameters as one float vector theta of P entries:
+    each layer's weights in C order, then its bias, layer by layer.  Each
+    layer's weight_base and bias are views into theta, so an update of
+    theta is an update of the layers; a layer follows the last network
+    built from it.  split maps any vector laid out this way to the layers.
+    """
 
     def __init__(self, layers: Sequence[Layer]):
         self.layers = tuple(layers)
@@ -372,6 +369,21 @@ class Network:
             if nxt.exponents is not None:
                 raise GradedDomainError(
                     "layer %d is multiplicative; only the first layer may be" % l)
+        self.theta = np.empty(sum(l.weight_base.size + l.bias.size for l in self.layers))
+        for layer, (w, b) in zip(self.layers, self.split(self.theta)):
+            w[...], b[...] = layer.weight_base, layer.bias
+            layer.weight_base, layer.bias = w, b
+
+    def split(self, v: np.ndarray) -> list:
+        """Each layer's (weights (..., n_out, n_in), bias (..., n_out)) as
+        views into v (..., P), an array laid out as theta."""
+        views, at = [], 0
+        for layer in self.layers:
+            n_out, n_in = shape = layer.weight_base.shape
+            w = v[..., at:at + n_out * n_in].reshape(v.shape[:-1] + shape)
+            at += n_out * (n_in + 1)
+            views.append((w, v[..., at - n_out:at]))
+        return views
 
     @property
     def in_grading(self) -> Optional[GradingVector]:
@@ -380,9 +392,6 @@ class Network:
     @property
     def out_grading(self) -> Optional[GradingVector]:
         return self.layers[-1].out_grading if self.layers else None
-
-    def copy(self) -> "Network":
-        return Network([l.copy() for l in self.layers])
 
 
 def _rows(x, n: int) -> np.ndarray:
@@ -393,13 +402,20 @@ def _rows(x, n: int) -> np.ndarray:
     return x
 
 
-def forward_trace(net: Network, x: np.ndarray):
+def forward_trace(net: Network, x: np.ndarray, theta: Optional[np.ndarray] = None):
     """Per-layer LayerRecords and the output, not checked for finiteness, for
-    rows x (N, n), one sample per row, or a stack (..., N, n) of them."""
+    rows x (N, n), one sample per row, or a stack (..., N, n) of them.  A
+    stack theta (S, P) of parameter vectors laid out as net.theta adds a
+    leading axis S; each slice gives the floats of the network holding it.
+    Nothing differentiates such a trace, so its records drop their stacked
+    weights (w None), which are as large as theta, as soon as each layer
+    has run."""
+    params = net.split(theta) if theta is not None else [(None, None)] * len(net.layers)
     trace, cur = [], x
-    for layer in net.layers:
-        trace.append(layer.forward(cur))
-        cur = trace[-1].y
+    for layer, (w, b) in zip(net.layers, params):
+        rec = layer.forward(cur, w, b)
+        trace.append(rec if theta is None else rec._replace(w=None))
+        cur = rec.y
     return trace, cur
 
 

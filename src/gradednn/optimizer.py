@@ -2,8 +2,10 @@
 
 Every parameter gets the per-coordinate rate eta_i = eta / q_i: weights use
 the grade of the input coordinate they multiply, biases the grade of the
-output coordinate they shift.  Training is full batch and deterministic for
-a fixed seed and configuration.
+output coordinate they shift.  The rates, the velocity and the gradient are
+vectors laid out as Network.theta, which defines the parameter order, so a
+step is three whole-vector operations on theta.  Training is full batch and
+deterministic for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -50,30 +52,25 @@ def sgd_step(
     net: Network,
     bundle: GradientBundle,
     cfg: OptimizerConfig,
-    velocity: Optional[list] = None,
-) -> list:
-    """One in-place update; returns the velocity state for the next call.
+    velocity: Optional[tuple] = None,
+) -> tuple:
+    """One in-place update of net.theta; returns the state for the next call.
 
-    The state holds each layer's velocities and its eta/q rates.  The first
-    call (velocity None) builds them from cfg.learning_rate; every later
-    call reads the rates from the state it is handed, so a run builds them
-    once."""
+    The state is (velocity, rate), two vectors laid out as net.theta: rate
+    holds each weight's eta/q of its input coordinate and each bias's eta/q
+    of its output coordinate.  The first call (velocity None) builds them
+    from cfg.learning_rate; every later call reads the rates from the state
+    it is handed, so a run builds them once."""
     if velocity is None:
-        eta = cfg.learning_rate
-        velocity = [
-            (np.zeros_like(l.weight_base), np.zeros_like(l.bias),
-             eta / l.in_grading.floats[np.newaxis, :], eta / l.out_grading.floats)
-            for l in net.layers
-        ]
-    for layer, gw, gb, (vw, vb, rw, rb) in zip(
-        net.layers, bundle.weight_grads, bundle.bias_grads, velocity
-    ):
-        vw *= cfg.momentum
-        vw -= rw * gw
-        vb *= cfg.momentum
-        vb -= rb * gb
-        layer.weight_base += vw
-        layer.bias += vb
+        rate = np.empty_like(net.theta)
+        for layer, (rw, rb) in zip(net.layers, net.split(rate)):
+            rw[...] = cfg.learning_rate / layer.in_grading.floats
+            rb[...] = cfg.learning_rate / layer.out_grading.floats
+        velocity = (np.zeros_like(net.theta), rate)
+    v, rate = velocity
+    v *= cfg.momentum
+    v -= rate * bundle.grad
+    net.theta += v
     return velocity
 
 

@@ -654,6 +654,25 @@ def test_split_map_is_the_map_of_its_items(n, cpus, fork_counter):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_split_map_raises_a_failure_here_without_waiting_for_the_child(fork_counter):
+    """A failure in this process kills the child at once: the error arrives
+    long before the child's half would end, and no child is left."""
+    forks = fork_counter(2)
+
+    def fn(i):
+        if i == 0:
+            raise ValueError("parent item")
+        time.sleep(3.0)
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="parent item"):
+        ioutil._split_map(fn, [0, 1])
+    assert time.monotonic() - start < 1.0
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _time_out(signum, frame):
     raise TimeoutError("_split_map did not return")
 

@@ -264,7 +264,9 @@ def test_log_domain_layer_matches_direct_evaluation(kind):
 @pytest.mark.parametrize("kind", ["additive", "blocked", "multiplicative"])
 def test_a_weight_stack_gives_each_slice_the_floats_of_its_own_layer(kind):
     """The contract that finite_diff_check's stacked passes and approx-bench's
-    graded cell rely on, bit for bit, forward and backward."""
+    graded cell rely on, bit for bit, forward and backward; and through
+    forward_trace, a stack of parameter vectors laid out as Network.theta
+    gives each slice the floats of the network that holds it."""
     rng = np.random.default_rng(23)
     layer = _random_layer(rng, kind, 3, 4)
     layer.activation = ActivationKind.SIGNED_GRADED_RELU
@@ -285,6 +287,19 @@ def test_a_weight_stack_gives_each_slice_the_floats_of_its_own_layer(kind):
         # input gradient
         for got, want in zip(grads, own._backward(one, g[s], True)):
             assert got is want is None or np.array_equal(got[s], want)
+    after = Layer(rng.uniform(-1.0, 1.0, (2, 3)), rng.uniform(-1.0, 1.0, 2),
+                  ActivationKind.GRADED_EXP, layer.out_grading, ones_grading(2))
+    net = Network([layer, after])
+    thetas = net.theta + rng.uniform(-0.5, 0.5, (5, len(net.theta)))
+    trace, out = forward_trace(net, x, thetas)
+    for s in range(5):
+        net.theta[:] = thetas[s]
+        one_trace, one_out = forward_trace(net, x)
+        assert np.array_equal(out[s], one_out)
+        for got, want in zip(trace, one_trace):
+            assert got.w is None
+            for name in ("z", "y"):
+                assert np.array_equal(getattr(got, name)[s], getattr(want, name)), name
 
 
 @pytest.mark.parametrize("exponents", [None, (2, 1)], ids=["additive", "multiplicative"])

@@ -6,7 +6,7 @@ import pytest
 from gradednn.classical import mlp_train
 from gradednn.gradients import GradientBundle
 from gradednn.losses import LossKind
-from gradednn.network import ActivationKind, Layer, Network, random_network
+from gradednn.network import ActivationKind, Layer, Network, network_to_dict, random_network
 from gradednn.optimizer import (
     OptimizerConfig,
     TrainingDivergenceError,
@@ -39,14 +39,14 @@ def test_config_validation():
 def test_sgd_step_rate_scaled_by_grade():
     # q=2, eta=0.1, gradient 4 -> step eta/q * 4 = 0.2
     net = _single_weight_net(1.0, 2)
-    bundle = GradientBundle([np.array([[4.0]])], [np.array([0.0])], 0.0)
+    bundle = GradientBundle(net, np.array([4.0, 0.0]), 0.0)
     sgd_step(net, bundle, OptimizerConfig(learning_rate=0.1))
     assert net.layers[0].weight_base[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
 def test_sgd_step_reduces_to_classical_at_q1():
     net = _single_weight_net(1.0, 1)
-    bundle = GradientBundle([np.array([[4.0]])], [np.array([2.0])], 0.0)
+    bundle = GradientBundle(net, np.array([4.0, 2.0]), 0.0)
     sgd_step(net, bundle, OptimizerConfig(learning_rate=0.1))
     assert net.layers[0].weight_base[0, 0] == pytest.approx(0.6, abs=1e-15)
     assert net.layers[0].bias[0] == pytest.approx(-0.2, abs=1e-15)
@@ -56,7 +56,7 @@ def test_bias_rate_uses_output_grade():
     g_in, g_out = GradingVector([1]), GradingVector([4])
     net = Network([Layer(np.array([[1.0]]), np.zeros(1),
                          ActivationKind.IDENTITY, g_in, g_out)])
-    bundle = GradientBundle([np.array([[0.0]])], [np.array([4.0])], 0.0)
+    bundle = GradientBundle(net, np.array([0.0, 4.0]), 0.0)
     sgd_step(net, bundle, OptimizerConfig(learning_rate=0.1))
     assert net.layers[0].bias[0] == pytest.approx(-0.1, abs=1e-15)
 
@@ -64,7 +64,7 @@ def test_bias_rate_uses_output_grade():
 def test_momentum_accumulates():
     net = _single_weight_net(0.0, 1)
     cfg = OptimizerConfig(learning_rate=0.1, momentum=0.5)
-    bundle = GradientBundle([np.array([[1.0]])], [np.array([0.0])], 0.0)
+    bundle = GradientBundle(net, np.array([1.0, 0.0]), 0.0)
     v = sgd_step(net, bundle, cfg)
     assert net.layers[0].weight_base[0, 0] == pytest.approx(-0.1)
     sgd_step(net, bundle, cfg, v)
@@ -72,18 +72,37 @@ def test_momentum_accumulates():
     assert net.layers[0].weight_base[0, 0] == pytest.approx(-0.25)
 
 
+def test_sgd_step_updates_theta_and_the_layers_viewing_it():
+    """A step is one update of net.theta; each layer's weight_base and bias
+    are views into it, so the layers and the saved network show it too."""
+    gradings = [GradingVector([1, 2]), GradingVector([2, 1]), GradingVector([3])]
+    net = random_network(gradings, [ActivationKind.IDENTITY] * 2, np.random.default_rng(2))
+    before = net.theta.copy()
+    grad = np.arange(1.0, 10.0)
+    sgd_step(net, GradientBundle(net, grad, 0.0), OptimizerConfig(learning_rate=0.1))
+    # the weights of layer 0 step at 0.1/q of their input coordinate, its
+    # biases at 0.1/q of their output coordinate; then layer 1 likewise
+    rate = 0.1 / np.array([1, 2, 1, 2, 2, 1, 2, 1, 3])
+    assert np.array_equal(net.theta, before - rate * grad)
+    doc = network_to_dict(net)
+    for (w, b), layer, saved in zip(net.split(net.theta), net.layers, doc["layers"]):
+        assert np.shares_memory(layer.weight_base, net.theta)
+        assert np.array_equal(layer.weight_base, w) and np.array_equal(layer.bias, b)
+        assert saved["weight_base"] == w.ravel().tolist() and saved["bias"] == b.tolist()
+
+
 def test_train_equals_a_hand_loop_that_threads_the_velocity():
     """train builds the eta/q rates once, in the first sgd_step's state;
     a loop that hands each step the state the last one returned takes the
     same steps, bit for bit."""
     gradings = [GradingVector([1, 2, "1/2"]), GradingVector([3, 1, 2, 2]), GradingVector([2])]
-    net = random_network(gradings, [ActivationKind.SIGNED_GRADED_RELU,
-                                    ActivationKind.IDENTITY], np.random.default_rng(5))
+    acts = [ActivationKind.SIGNED_GRADED_RELU, ActivationKind.IDENTITY]
+    net = random_network(gradings, acts, np.random.default_rng(5))
     rng = np.random.default_rng(6)
     x, y = rng.uniform(0.5, 1.5, (32, 3)), rng.uniform(0.0, 1.0, (32, 1))
     kind = LossKind.graded_mse()
     cfg = OptimizerConfig(learning_rate=0.05, momentum=0.8, max_iters=8)
-    ref = net.copy()
+    ref = random_network(gradings, acts, np.random.default_rng(5))
     result = train(net, x, y, kind, cfg)
     losses, grad_norms, velocity = [], [], None
     for t in range(cfg.max_iters + 1):
@@ -237,10 +256,12 @@ def test_deterministic_histories():
 
 def test_grad_norm_does_not_overflow_on_large_entries():
     # squaring 1e200 overflows; the norm itself is representable
-    bundle = GradientBundle([np.array([[1e200, 0.0]])], [np.array([1e200])], 0.0)
+    g2, g1 = ones_grading(2), ones_grading(1)
+    net = Network([Layer(np.zeros((1, 2)), np.zeros(1), ActivationKind.IDENTITY, g2, g1)])
+    bundle = GradientBundle(net, np.array([1e200, 0.0, 1e200]), 0.0)
     assert bundle.grad_norm() == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
     assert bundle.layer_norms() == [bundle.grad_norm()]
-    tiny = GradientBundle([np.array([[3e-200]])], [np.array([4e-200])], 0.0)
+    tiny = GradientBundle(_single_weight_net(1.0, 1), np.array([3e-200, 4e-200]), 0.0)
     assert tiny.grad_norm() == pytest.approx(5e-200, rel=1e-15)
 
 
