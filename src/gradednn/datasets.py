@@ -2,7 +2,10 @@
 
 CSV layout is a header row x0..x{n-1},y0..y{m-1} followed by one row per
 sample; floats are written with 17 significant digits so that reading the
-file back reproduces the doubles exactly.
+file back reproduces the doubles exactly.  monomial_value, the target of
+the monomial datasets and of approx-bench, takes its sign and fractional
+domain from network.multiplicative_sign, the rule the multiplicative
+neuron follows.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .ioutil import fmt17
+from .network import multiplicative_sign
 from .spaces import (
     GradedDomainError,
     GradedVector,
@@ -55,22 +59,13 @@ class Dataset:
 
 
 def monomial_value(x: np.ndarray, exponents: Sequence[Fraction], coefficient: float) -> np.ndarray:
-    """c * prod_i |x_i|**k_i * sgn(x_i**k_i), rows of x handled in batch."""
+    """c * prod_i sgn(x_i)**k_i |x_i|**k_i for each row of x, the sign and
+    the fractional domain by network.multiplicative_sign."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.full(x.shape[0], float(coefficient))
+    out = float(coefficient) * multiplicative_sign(exponents, x)
     for i, k in enumerate(exponents):
-        if k == 0:
-            continue
-        col = x[:, i]
-        if k.denominator == 1:
-            sign = np.where((col < 0) & (int(k) % 2 == 1), -1.0, 1.0)
-        else:
-            if np.any(col <= 0):
-                raise GradedDomainError(
-                    "fractional exponent %s needs positive inputs" % k
-                )
-            sign = 1.0
-        out = out * np.abs(col) ** float(k) * sign
+        if k != 0:
+            out = out * np.abs(x[:, i]) ** float(k)
     return out
 
 

@@ -10,6 +10,11 @@ graded_norm sum_i q_i d_i**2, huber sum_i q_i rho_delta(d_i), homogeneous
 (sum_j n_j**e_j)**(2/E) over the euclidean norms n_j of d's grade groups,
 cross_entropy -sum_i q_i y_i log(max(yhat_i, 1e-12)), max_graded
 max_i q_i d_i**2.
+
+cross_entropy is bounded below only while every output stays at most 1, and
+no activation here caps the outputs at 1: a model whose outputs grow past 1
+drives it below 0 and on down, and train reports that descent as progress
+(the train-cross_entropy golden run reaches -0.615 in 6 iterations).
 """
 
 from __future__ import annotations
@@ -47,11 +52,9 @@ class LossKind:
         if self.name not in _NAMES:
             raise ValueError("unknown loss kind %r" % (self.name,))
         if self.name == "huber":
-            if self.delta is None or not float(self.delta) > 0:
-                raise ValueError("huber threshold must be positive")
+            if self.delta is None or not 0.0 < float(self.delta) < math.inf:
+                raise ValueError("huber threshold must be a positive finite number")
             object.__setattr__(self, "delta", float(self.delta))
-            if not math.isfinite(self.delta):
-                raise ValueError("huber threshold must be finite")
         if self.name == "homogeneous" and not isinstance(self.scheme, ExponentScheme):
             raise ValueError("homogeneous loss needs an exponent scheme")
         for field, owner in (("delta", "huber"), ("scheme", "homogeneous")):
@@ -100,8 +103,6 @@ def parse_loss(text: str) -> LossKind:
             delta = float(arg)
         except ValueError:
             delta = math.nan
-        if not 0.0 < delta < math.inf:
-            raise ValueError("huber threshold must be a positive finite number")
         return LossKind.huber(delta)
     if colon and name == "homogeneous":
         return LossKind.homogeneous(parse_scheme(arg))

@@ -9,13 +9,18 @@ sum_i q_i k_i.  A Layer with exponents is a layer of such neurons, allowed
 only as a network's first layer, and its value and weight gradient are
 formed only in Layer.forward and Layer._backward, from the batched
 multiplicative_sign/_core/_slope kernel: `graded-nn train` and
-approx-bench's graded cell both run that Layer.  Layer.forward evaluates a
-layer on rows (..., N, n) into a LayerRecord, and Layer._backward reads it
-back; both take a leading stack of weights.  Each layer kind's backward
-sits beside its forward, so gradients.network_backward is one loop over
-the layers.  A Network owns its parameters as one vector theta, and
-Network.split is the one place that lays them out.
-log_domain_forward evaluates a layer as signs and log-magnitudes.
+approx-bench's graded cell both run that Layer.  multiplicative_sign(k, x)
+is the one statement of the sign rule and of the fractional domain, read
+from the exact rationals k; multiplicative_core(w, k, x) multiplies the
+product of the magnitudes |w x|**k by its row sign, and log_domain_forward
+and datasets.monomial_value take their signs from it too.  Layer.forward
+evaluates a layer on rows (..., N, n) into a LayerRecord, and
+Layer._backward reads it back; both take a leading stack of weights.
+Each layer kind's backward sits beside its forward, so
+gradients.network_backward is one loop over the layers.  A Network owns
+its parameters as one vector theta, and Network.split is the one place
+that lays them out.  log_domain_forward evaluates a layer as signs and
+log-magnitudes.
 """
 
 from __future__ import annotations
@@ -161,32 +166,43 @@ def parse_exponents(value, n: int, where: str) -> tuple:
                           % (where, n, ",".join(["2"] * n))) from None
 
 
-def multiplicative_sign(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sgn(x_i)**k_i for each entry of the input rows x (..., N, n): -1 where
-    an odd integer k_i meets a negative x_i, else 1.  A fractional k_i needs
-    every x_i > 0 and otherwise raises GradedDomainError naming the first
-    non-positive entry; k_i = 0 accepts any x_i."""
-    fractional = k != np.round(k)
-    if np.any(fractional & np.any(x <= 0.0, axis=0)):
-        at = tuple(np.argwhere(fractional & (x <= 0.0))[0])
+def multiplicative_sign(k: Sequence, x: np.ndarray) -> np.ndarray:
+    """prod_i sgn(x_i)**k_i of each input row x (..., N, n), shape (..., N):
+    -1 where an odd number of odd integers k_i meet a negative x_i, else 1.
+    A fractional k_i needs every x_i > 0 and otherwise raises
+    GradedDomainError naming the first non-positive entry; k_i = 0 accepts
+    any x_i.  Parity and integrality are read from the exact rationals
+    Fraction(k_i), a float counting as the rational it holds, so an
+    exponent whose float64 rounds to an integer keeps its own rule."""
+    ks = [Fraction(e) for e in k]
+    bad = np.array([e.denominator != 1 for e in ks]) & (x <= 0.0)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
         raise GradedDomainError(
             "fractional exponent %g of input %d needs positive inputs, got %g in row %d"
             % (k[at[-1]], at[-1], x[at], at[-2]))
-    return np.where((x < 0.0) & (np.mod(k, 2.0) == 1.0), -1.0, 1.0)
+    negative = np.zeros(x.shape[:-1], dtype=bool)
+    for i, e in enumerate(ks):
+        if e.denominator == 1 and e.numerator % 2:  # an odd integer
+            negative ^= x[..., i] < 0.0
+    return np.where(negative, -1.0, 1.0)
 
 
-def multiplicative_core(w: np.ndarray, k: np.ndarray, x: np.ndarray,
-                        sign: np.ndarray) -> np.ndarray:
-    """The neuron without its bias, prod_i sign_i |w_i x_i|**k_i, for each
-    row of x (N, n) with sign = multiplicative_sign(k, x): weights (n,) give
-    (N,), a stack of R neurons (R, n) gives (R, N).  An overflow gives inf
-    or nan without a warning: every caller checks the result for finiteness."""
+def multiplicative_core(w: np.ndarray, k: Sequence, x: np.ndarray) -> np.ndarray:
+    """The neuron without its bias, prod_i sgn(x_i)**k_i |w_i x_i|**k_i, for
+    each row of x (N, n): weights (n,) give (N,), a stack of R neurons
+    (R, n) gives (R, N).  The product of the magnitudes takes the row sign
+    of multiplicative_sign(k, x) at the end, which gives the floats of a
+    product of signed terms, signed zeros included, because rounding is
+    symmetric in sign.  An overflow gives inf or nan without a warning:
+    every caller checks the result for finiteness."""
     terms = w[..., None, :] * x
     np.abs(terms, out=terms)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms **= k
-        terms *= sign
-        return np.prod(terms, axis=-1)
+        terms **= np.asarray(k, dtype=float)
+        core = np.prod(terms, axis=-1)
+    core *= multiplicative_sign(k, x)  # in place: no second array of the core's size
+    return core
 
 
 def multiplicative_slope(w: np.ndarray, k: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -317,9 +333,7 @@ class Layer:
                 w = np.where(self._mask, w, 0.0)
             z = x @ w.swapaxes(-1, -2) + b
         else:
-            k = self.exponent_floats
-            rows = x[..., np.newaxis, :, :]
-            w = multiplicative_core(w, k, rows, multiplicative_sign(k, rows))
+            w = multiplicative_core(w, self.exponents, x[..., np.newaxis, :, :])
             z = w.swapaxes(-1, -2) + b
         return LayerRecord(x, w, z, activation_value(self.activation, z,
                                                      self.out_grading.floats))
@@ -479,7 +493,7 @@ def log_domain_forward(layer: Layer, x: np.ndarray):
         k = layer.exponent_floats
         on = k != 0.0
         log = np.sum(k[on] * (log_w[:, on] + log_x[..., on]), axis=-1, keepdims=True)
-        core_sign = np.prod(multiplicative_sign(k, rows[..., 0, :]), axis=-1)
+        core_sign = multiplicative_sign(layer.exponents, rows[..., 0, :])
         sign = np.where(log > -np.inf, core_sign[..., np.newaxis, np.newaxis], 0.0)
     shape = sign.shape[:-1] + (1,)
     sign = np.concatenate([sign, np.broadcast_to(np.sign(bias), shape)], axis=-1)

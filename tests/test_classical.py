@@ -410,7 +410,7 @@ def test_stacked_kernel_matches_one_neuron_at_a_time():
     x, _, k, _ = _mult_data(True)
     w = np.array([[0.5, 0.7, 0.4], [1.0, -2.0, 0.3]])
     b = np.array([0.0, 0.25])
-    pred = multiplicative_core(w, k, x, multiplicative_sign(k, x)) + b[:, None]
+    pred = multiplicative_core(w, k, x) + b[:, None]
     assert pred.shape == (2, 30)
     for r in range(2):
         assert _same(pred[r], _ref_mult_predict(w[r], b[r], k, x))

@@ -29,7 +29,6 @@ from gradednn.network import (
     NonFiniteForwardError,
     forward_trace,
     multiplicative_core,
-    multiplicative_sign,
     multiplicative_slope,
     random_network,
 )
@@ -208,7 +207,7 @@ def _value(n: Layer, x: GradedVector) -> float:
 
 def _core_and_slope(n: Layer, x: GradedVector):
     k, w, xs = n.exponent_floats, n.weight_base[0], x.values[np.newaxis]
-    core = multiplicative_core(w, k, xs, multiplicative_sign(k, xs))
+    core = multiplicative_core(w, k, xs)
     return core, multiplicative_slope(w, k, core)[0]
 
 
@@ -288,12 +287,11 @@ def test_multiplicative_kernel_stack_equals_single_neuron_calls(negative):
         k = np.array([0.5, 2.0, 0.0, 1.5])
     w = rng.uniform(-1.2, 1.2, size=(6, 4))
     w[2, 1] = 0.0  # one slice on the |w| < 1e-12 convention
-    sign = multiplicative_sign(k, x)
-    core = multiplicative_core(w, k, x, sign)
+    core = multiplicative_core(w, k, x)
     slope = multiplicative_slope(w, k, core)
     assert core.shape == (6, 25) and slope.shape == (6, 25, 4)
     for r in range(6):
-        one = multiplicative_core(w[r], k, x, sign)
+        one = multiplicative_core(w[r], k, x)
         assert np.array_equal(core[r], one)
         assert np.array_equal(slope[r], multiplicative_slope(w[r], k, one))
 

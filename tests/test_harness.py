@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradednn import bench
+from gradednn import bench, ioutil
 from gradednn.cli import main
 from gradednn.config import (
     ConfigError,
@@ -677,9 +677,13 @@ def test_cli_train_multiplicative_model_round_trips(tmp_path):
 
 
 def _strict_lines(path):
+    """Each line of a .jsonl file, or the one document of any other file,
+    as JSON that holds no NaN or Infinity."""
     def reject(token):
         raise ValueError("non-finite %s in %s" % (token, path))
-    return [json.loads(l, parse_constant=reject) for l in path.read_text().splitlines()]
+    text = path.read_text()
+    lines = text.splitlines() if path.suffix == ".jsonl" else [text]
+    return [json.loads(l, parse_constant=reject) for l in lines]
 
 
 def test_cli_train_multiplicative_gradient_norm_stays_finite(tmp_path):
@@ -1095,6 +1099,19 @@ def test_cli_train_fractional_exponent_on_a_negative_input_names_the_entry(tmp_p
                                        "positive inputs, got -1 in row 1\n")
 
 
+def test_cli_train_fractional_exponent_with_an_integer_float_is_refused(tmp_path, capsys):
+    """The exponent (2**53 + 1)/2 is fractional although its float64 is the
+    integer 2**52, so the sign patterns of linear_map are out of its domain."""
+    doc = _mult_doc("run")
+    doc.update(grading="1,1", dataset={"source": "linear_map", "count": 8})
+    doc["model"]["exponents"] = "9007199254740993/2,1"
+    assert main(["train", "--config", _write_config(tmp_path / "exp.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fractional exponent 4.5036e+15 of input 0 needs "
+                          "positive inputs, got -") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command, doc", [
     ("train", dict(_base_train_doc(), dataset={"source": "monomial", "exponents": [2, 3],
                                                 "count": 10 ** 17})),
@@ -1205,3 +1222,101 @@ def test_json_readers_survive_each_fuzz_string_at_each_path(reader):
                 read(doc)
             except (ValueError, GradedError):
                 pass
+
+
+# the documents that test_cli_survives_config_mutations mutates: every key
+# is given, so a deleted key falls back to its default, and each accepted
+# mutation runs in milliseconds
+_MUTATION_BASES = {
+    "feedforward": {
+        "grading": "1,2",
+        "model": {"type": "feedforward",
+                  "layers": [{"grading": "1,2", "activation": "graded_relu"},
+                             {"grading": "1", "activation": "identity"}]},
+        "loss": "huber:0.5",
+        "optimizer": {"learning_rate": 0.05, "momentum": 0.5, "max_iters": 3,
+                      "stop_threshold": 0.0, "stop_window": 2, "seed": 1},
+        "dataset": {"source": "monomial", "exponents": [2, 3], "count": 8, "seed": 2,
+                    "low": 0.5, "high": 1.5, "coefficient": 1.0},
+        "out_dir": "run",
+        "seed": 3,
+    },
+    "multiplicative": {
+        "grading": "1,2",
+        "model": {"type": "multiplicative", "exponents": "1/2,3"},
+        "loss": "graded_mse",
+        "optimizer": {"learning_rate": 0.02, "max_iters": 3},
+        "dataset": {"source": "monomial", "exponents": ["1/2", 3], "count": 8,
+                    "box": [[0.5, 1.5], [-1.0, 1.0]]},
+        "out_dir": "run",
+    },
+    "approx-bench": {
+        "grading": "2,3", "hidden_sizes": [1, 2], "train_count": 8, "sample_low": 0.1,
+        "sample_high": 1.0, "grid_points": 4, "grid_low": 0.1, "grid_high": 1.0,
+        "restarts": 2, "classical_iters": 5, "classical_learning_rate": 0.01,
+        "classical_momentum": 0.9, "graded_iters": 5, "graded_learning_rate": 0.05,
+        "seed": 0,
+    },
+}
+# the replacement values by the JSON type they share with the value they
+# replace.  No integer here is large: a size or an iteration count of 2**70
+# would be accepted by its reader and then allocate or run for as long as
+# it asks.
+_MUTATION_VALUES = {
+    int: (-1, 0, 1, 2, 3),
+    float: (0.0, 0.5, 0.9, -2.5, 1e-300, 1e300),
+    str: ("", "x", "1/2", "1,1", "2,3", "identity", "graded_exp", "cross_entropy",
+          "homogeneous:by_max_grade"),
+    "other": (None, True, [], [0, 1], {}, {"x": 1}),
+}
+_ANY_VALUE = tuple(v for values in _MUTATION_VALUES.values() for v in values)
+
+
+def test_cli_survives_config_mutations(tmp_path, capsys, monkeypatch):
+    """100 fixed-seed mutations of one or two leaf values of a valid train or
+    approx-bench config, each value set to one of _MUTATION_VALUES or
+    deleted: the command exits 0 with no error line, or 2 or 3 with exactly
+    one, and every JSON artifact it leaves parses without NaN or Infinity.
+    The forked child is switched off, so that every run is timed here."""
+    monkeypatch.setattr(ioutil, "_usable_cpus", lambda: 1)
+    rng = np.random.default_rng(12)
+    names, seen = sorted(_MUTATION_BASES), set()
+    for i in range(100):
+        name = names[i % len(names)]
+        doc, changes = copy.deepcopy(_MUTATION_BASES[name]), []
+        for _ in range(int(rng.integers(1, 3))):
+            leaves = [p for p in _json_paths(doc) if not isinstance(
+                functools.reduce(operator.getitem, p, doc), (dict, list))]
+            *head, key = leaves[rng.integers(len(leaves))]
+            parent = functools.reduce(operator.getitem, head, doc)
+            where = ".".join(map(str, (*head, key)))
+            # three draws in four keep the JSON type, so that more configs are accepted
+            values = _MUTATION_VALUES.get(type(parent[key])) if rng.random() < 0.75 else None
+            pick = int(rng.integers(len(values or _ANY_VALUE) + (values is None)))
+            if values is None and pick == len(_ANY_VALUE):
+                del parent[key]
+                changes.append("del " + where)
+            else:
+                parent[key] = copy.deepcopy((values or _ANY_VALUE)[pick])
+                changes.append("%s=%r" % (where, parent[key]))
+        run = tmp_path / ("m%03d" % i)
+        run.mkdir()
+        argv = [name if name == "approx-bench" else "train",
+                "--config", _write_config(run / "config.json", doc)]
+        if name == "approx-bench":
+            argv += ["--out", str(run / "bench.csv")]
+        label = "%s: %s" % (name, ", ".join(changes))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), label
+        seen.add(code)
+        if code == 0:
+            assert err == "", label
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, label
+        artifacts = [*run.rglob("*.json"), *run.rglob("*.jsonl")]
+        for artifact in artifacts:
+            _strict_lines(artifact)
+        if code == 0:  # the config, then metrics.jsonl and model.json or the csv
+            assert len(artifacts) == 3 or (run / "bench.csv").exists(), label
+    assert seen == {0, 2, 3}  # the draws reach every exit status

@@ -85,10 +85,10 @@ def test_loss_name_round_trip():
 
 @pytest.mark.parametrize("name, params, message", [
     ("bogus", {}, "unknown loss kind 'bogus'"),
-    ("huber", {}, "huber threshold must be positive"),
-    ("huber", {"delta": 0.0}, "huber threshold must be positive"),
-    ("huber", {"delta": float("nan")}, "huber threshold must be positive"),
-    ("huber", {"delta": float("inf")}, "huber threshold must be finite"),
+    ("huber", {}, "huber threshold must be a positive finite number"),
+    ("huber", {"delta": 0.0}, "huber threshold must be a positive finite number"),
+    ("huber", {"delta": float("nan")}, "huber threshold must be a positive finite number"),
+    ("huber", {"delta": float("inf")}, "huber threshold must be a positive finite number"),
     ("homogeneous", {}, "homogeneous loss needs an exponent scheme"),
     ("homogeneous", {"scheme": "by_max_grade"}, "homogeneous loss needs an exponent scheme"),
     ("graded_mse", {"delta": 3.0}, "loss graded_mse takes no delta"),

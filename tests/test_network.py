@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradednn.datasets import monomial_value
 from gradednn.ioutil import ConfigError
 from gradednn.network import (
     CLAMP,
@@ -157,7 +158,7 @@ def test_multiplicative_kernel_follows_the_sign_rule():
     n = _neuron(np.ones(2), 0.0, g, exponents=(1, 2))
     k = np.array([1.0, 2.0])
     x = np.array([[-2.0, 1.0]])
-    pred = multiplicative_core(np.ones(2), k, x, multiplicative_sign(k, x))
+    pred = multiplicative_core(np.ones(2), k, x)
     assert pred[0] == -2.0 == _value(n, [-2.0, 1.0])
     with pytest.raises(GradedDomainError, match="^fractional exponent 0.5 of input 0 "
                                                 "needs positive inputs, got 0 in row 1$"):
@@ -167,6 +168,60 @@ def test_multiplicative_kernel_follows_the_sign_rule():
     with pytest.raises(GradedDomainError, match="^fractional exponent 0.25 of input 2 "
                                                 "needs positive inputs, got -2.5 in row 1$"):
         multiplicative_sign(np.array([0.5, 1.0, 0.25]), rows)
+
+
+def _signed_product(w, k, x):
+    """prod_i s_i |w_i x_i|**k_i with every term signed before the product,
+    s_i = -1 where an odd integer k_i meets a negative x_i: the sign rule
+    applied entry by entry."""
+    terms = np.abs(w[..., np.newaxis, :] * x) ** k
+    return np.prod(np.where((x < 0.0) & (k % 2.0 == 1.0), -terms, terms), axis=-1)
+
+
+def test_multiplicative_core_gives_the_floats_of_a_signed_product():
+    """The core multiplies the product of the magnitudes by the row sign;
+    rounding is symmetric in sign, so every float and every signed zero is
+    that of the product of signed terms."""
+    rng = np.random.default_rng(11)
+    choices = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    negative_zeros = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        k = rng.choice(choices, size=n)
+        w = rng.choice([0.0, -0.0, 0.25, -0.75, 1.5, rng.uniform(-2.0, 2.0)], size=(3, n))
+        x = rng.choice([0.0, -0.0, -1.5, -0.5, 0.5, 2.0, rng.uniform(-2.0, 2.0)], size=(20, n))
+        x = np.where(k != np.round(k), np.abs(x) + 0.25, x)  # fractional: positive inputs
+        for weights in (w, w[0]):
+            core, ref = multiplicative_core(weights, k, x), _signed_product(weights, k, x)
+            assert np.array_equal(core, ref)
+            assert np.array_equal(np.signbit(core), np.signbit(ref))
+            negative_zeros += np.count_nonzero((core == 0.0) & np.signbit(core))
+    assert negative_zeros > 0
+
+
+def test_an_exponent_whose_float_is_an_integer_keeps_its_fractional_domain():
+    """(2**53 + 1)/2 rounds to the even float 2**52, but it is fractional:
+    the layer refuses a negative input as the monomial target does."""
+    k = (Fraction(2 ** 53 + 1, 2), Fraction(1))
+    assert float(k[0]) == 2.0 ** 52
+    n = _neuron([1.0, 1.0], 0.0, GradingVector([1, 1]), exponents=k)
+    x = np.array([[0.5, 1.0], [-1.0, 1.0]])
+    for evaluate in (n.forward, lambda rows: log_domain_forward(n, rows),
+                     lambda rows: monomial_value(rows, k, 1.0)):
+        with pytest.raises(GradedDomainError, match="^fractional exponent 4.5036e"):
+            evaluate(x)
+
+
+def test_an_odd_exponent_beyond_the_float_integers_keeps_its_sign():
+    """2**53 + 1 is odd, but its float 2**53 is even: at x = -1 the layer,
+    its log-domain sign and the monomial target all give -1.  A float
+    exponent is the rational it holds, so the float 2**53 gives +1."""
+    k = (Fraction(2 ** 53 + 1),)
+    n = _neuron([1.0], 0.0, GradingVector([1]), exponents=k)
+    assert _value(n, [-1.0]) == -1.0
+    assert _log_form(n, [-1.0]) == (-1.0, 0.0)
+    assert monomial_value([[-1.0]], k, 1.0)[0] == -1.0
+    assert multiplicative_sign(np.array([float(2 ** 53 + 1)]), np.array([[-1.0]]))[0] == 1.0
 
 
 def test_log_domain_cancellation_is_sign_zero():
