@@ -72,6 +72,5 @@ from .config import (
 )
 from .bench import BenchConfig, approx_bench, bench_config_from_dict, write_bench_csv
 from .verify import verify_examples
-from .classical import classical_mlp_forward
 
 __version__ = "0.1.0"

@@ -85,18 +85,6 @@ def _check_layers(weights, biases, activations) -> None:
         raise ValueError("need one activation per layer")
 
 
-def classical_mlp_forward(
-    widths: Sequence[int],
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
-    x: np.ndarray,
-    activations: Sequence[str],
-) -> np.ndarray:
-    """Forward pass for a single input vector, one activation name per layer."""
-    check_shapes(widths, weights, biases)
-    return mlp_batch_forward(weights, biases, np.atleast_2d(x), activations)[..., 0, :]
-
-
 def mlp_init(widths: Sequence[int], rng: np.random.Generator, scale: float = 1.0):
     """He-style initialization for the ReLU baseline."""
     weights, biases = [], []

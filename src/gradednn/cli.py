@@ -89,12 +89,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     metrics_path = cfg.out_dir / "metrics.jsonl"
     model_path = cfg.out_dir / "model.json"
     _write_metrics(metrics_path, result.losses, result.grad_norms)
-    save_network(result.network, model_path)
+    save_network(net, model_path)
     print(
         "train: %d iterations recorded, initial_loss=%s final_loss=%s "
         "stop=%s metrics=%s model=%s"
-        % (len(result.losses) - 1, fmt17(result.initial_loss),
-           fmt17(result.final_loss), result.stop_reason, metrics_path, model_path)
+        % (len(result.losses) - 1, fmt17(result.losses[0]),
+           fmt17(result.losses[-1]), result.stop_reason, metrics_path, model_path)
     )
     return 0
 

@@ -98,7 +98,6 @@ _DATASET_KEYS = {
     "monomial": {**_SAMPLES, "exponents": (True, None),
                  "box": (False, lambda v, path: list_value(
                      v, path, lambda pair, p: list_value(pair, p, number_value, 2))),
-                 "low": (False, number_value), "high": (False, number_value),
                  "coefficient": (False, number_value)},
     "linear_map": _SAMPLES,
     "invariant_proxy": _SAMPLES,
@@ -134,26 +133,18 @@ def _dataset_spec(params: dict, grading: GradingVector, model: ModelSpec, seed: 
         raise ConfigError("%s: invariant_proxy targets are scalar" % out_key)
     if source != "monomial":
         return DatasetSpec(source, resolved)
-    if "box" in params:
-        if "low" in params or "high" in params:
-            raise ConfigError("dataset.box cannot be given with dataset.low or dataset.high")
-        if len(params["box"]) != n:
-            raise ConfigError("dataset.box must hold %d [low, high] pairs, one per "
-                              "coordinate" % n)
-        box, keys = params["box"], ["dataset.box[%d]" % i for i in range(n)]
-        for key, (lo, hi) in zip(keys, box):
-            if lo >= hi:
-                raise ConfigError("%s must have low < high" % key)
-    else:
-        lo, hi = params.get("low", 0.1), params.get("high", 2.0)
+    box = params.get("box", [[0.1, 2.0]] * n)
+    if len(box) != n:
+        raise ConfigError("dataset.box must hold %d [low, high] pairs, one per "
+                          "coordinate" % n)
+    for i, (lo, hi) in enumerate(box):
         if lo >= hi:
-            raise ConfigError("dataset.low must be below dataset.high")
-        box, keys = [[lo, hi]] * n, ["dataset.low"] * n
+            raise ConfigError("dataset.box[%d] must have low < high" % i)
     exponents = tuple(list_value(params["exponents"], "dataset.exponents", _rational, n))
-    for k, (lo, _), key in zip(exponents, box, keys):
+    for i, (k, (lo, _)) in enumerate(zip(exponents, box)):
         if k.denominator != 1 and lo <= 0:
-            raise ConfigError("%s: fractional exponent %s needs a positive sampling box"
-                              % (key, k))
+            raise ConfigError("dataset.box[%d]: fractional exponent %s needs a positive "
+                              "sampling box" % (i, k))
     if not scalar:
         raise ConfigError("%s: monomial targets are scalar; model output must be "
                           "1-dim" % out_key)

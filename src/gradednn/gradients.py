@@ -66,14 +66,6 @@ class GradientBundle:
     grad: np.ndarray
     loss: float
 
-    @property
-    def weight_grads(self) -> List[np.ndarray]:
-        return [w for w, _ in self.net.split(self.grad)]
-
-    @property
-    def bias_grads(self) -> List[np.ndarray]:
-        return [b for _, b in self.net.split(self.grad)]
-
     def layer_norms(self) -> List[float]:
         """Euclidean norm of each layer's weight and bias gradients."""
         return [_scaled_norm(np.concatenate((w.ravel(), b)))

@@ -170,17 +170,18 @@ def multiplicative_sign(k: Sequence, x: np.ndarray) -> np.ndarray:
     """prod_i sgn(x_i)**k_i of each input row x (..., N, n), shape (..., N):
     -1 where an odd number of odd integers k_i meet a negative x_i, else 1.
     A fractional k_i needs every x_i > 0 and otherwise raises
-    GradedDomainError naming the first non-positive entry; k_i = 0 accepts
-    any x_i.  Parity and integrality are read from the exact rationals
-    Fraction(k_i), a float counting as the rational it holds, so an
-    exponent whose float64 rounds to an integer keeps its own rule."""
+    GradedDomainError naming the first non-positive entry and the exact
+    rational k_i it read; k_i = 0 accepts any x_i.  Parity and
+    integrality are read from the exact rationals Fraction(k_i), a float
+    counting as the rational it holds, so an exponent whose float64 rounds
+    to an integer keeps its own rule."""
     ks = [Fraction(e) for e in k]
     bad = np.array([e.denominator != 1 for e in ks]) & (x <= 0.0)
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
         raise GradedDomainError(
-            "fractional exponent %g of input %d needs positive inputs, got %g in row %d"
-            % (k[at[-1]], at[-1], x[at], at[-2]))
+            "fractional exponent %s of input %d needs positive inputs, got %g in row %d"
+            % (ks[at[-1]], at[-1], x[at], at[-2]))
     negative = np.zeros(x.shape[:-1], dtype=bool)
     for i, e in enumerate(ks):
         if e.denominator == 1 and e.numerator % 2:  # an odd integer

@@ -98,18 +98,9 @@ def batch_gradient(net: Network, inputs, targets, kind: LossKind) -> GradientBun
 
 @dataclass
 class TrainResult:
-    network: Network
     losses: List[float] = field(default_factory=list)
     grad_norms: List[float] = field(default_factory=list)
     stop_reason: str = ""
-
-    @property
-    def initial_loss(self) -> float:
-        return self.losses[0]
-
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1]
 
 
 def train(
@@ -119,7 +110,8 @@ def train(
     kind: LossKind,
     cfg: OptimizerConfig,
 ) -> TrainResult:
-    """Full-batch grade-adaptive descent on the mean loss.
+    """Full-batch grade-adaptive descent on the mean loss, updating net in
+    place.
 
     losses[t] is the mean loss at the parameters of iteration t, so the
     history has max_iters + 1 entries unless the plateau rule stops earlier:
@@ -128,7 +120,7 @@ def train(
     checked and stacked into arrays once, before the first iteration.
     """
     inputs, targets = _stack(net, inputs, targets)
-    result = TrainResult(network=net)
+    result = TrainResult()
     velocity = None
     # an overflow or invalid operation inside an iteration shows as a
     # non-finite value that the checks below or the next forward pass

@@ -81,7 +81,7 @@ _TRAIN = {
     "multiplicative_fractional": ("1,2", {"type": "multiplicative", "exponents": "1/2,3/2"},
                                   "graded_mse", {"learning_rate": 0.01, "max_iters": 8},
                                   {"source": "monomial", "exponents": ["1/2", "3/2"],
-                                   "count": 16, "low": 0.5, "high": 1.5}),
+                                   "count": 16, "box": [[0.5, 1.5], [0.5, 1.5]]}),
     "csv": ("1,2", _layers(("1,1", "classical_relu"), ("1", "identity")), "graded_mse",
             {"learning_rate": 0.05, "momentum": 0.9, "max_iters": 6},
             {"source": "csv", "path": "data.csv"}),
@@ -135,7 +135,8 @@ def _masked_network() -> bytes:
     bundle = network_backward(net, x, y, kind)
     values = [v for row in x for v in network_forward(net, GradedVector(row, g_in)).values]
     values.append(bundle.loss)
-    values.extend(v for a in bundle.weight_grads + bundle.bias_grads for v in a.ravel())
+    weights, biases = zip(*net.split(bundle.grad))
+    values.extend(v for a in weights + biases for v in a.ravel())
     values.extend(bundle.layer_norms())
     values.append(bundle.grad_norm())
     values.append(finite_diff_check(net, x[:1], y[:1], kind))

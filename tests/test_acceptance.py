@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gradednn.bench import approx_bench, bench_config_from_dict
-from gradednn.classical import classical_mlp_forward, mlp_train
+from gradednn.classical import mlp_batch_forward, mlp_train
 from gradednn.datasets import gen_linear_map_dataset
 from gradednn.gradients import grad_check_suite
 from gradednn.losses import LossKind, loss_value
@@ -230,13 +230,12 @@ def test_07_unit_grades_reduce_to_a_classical_mlp():
             layer.bias[:] = rng.uniform(-0.5, 0.5, size=len(layer.bias))
         x = rng.uniform(-1.0, 1.0, size=widths[0])
         mine = network_forward(net, GradedVector(x, gradings[0])).values
-        ref = classical_mlp_forward(
-            widths,
+        ref = mlp_batch_forward(
             [l.weight_base for l in net.layers],
             [l.bias for l in net.layers],
-            x,
+            x[np.newaxis],
             [act_map[a] for a in acts],
-        )
+        )[0]
         worst = max(worst, np.max(np.abs(mine - ref) / np.maximum(1.0, np.abs(ref))))
     assert worst < 1e-10, worst
 
@@ -289,8 +288,8 @@ def test_08_convex_objective_descends_at_the_expected_rate():
 
     diffs = np.diff(res.losses)
     assert np.all(diffs <= 1e-15 * np.maximum(1.0, np.abs(res.losses[:-1])))
-    assert res.final_loss / res.initial_loss < 1e-3
-    assert res.final_loss <= 1e-12, res.final_loss
+    assert res.losses[-1] / res.losses[0] < 1e-3
+    assert res.losses[-1] <= 1e-12, res.losses[-1]
 
     # distance to the optimum in the step-rate metric bounds t * loss_t
     d2 = float(np.sum((w0 - w_true) ** 2) / eta)

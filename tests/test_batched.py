@@ -35,23 +35,19 @@ def _per_sample_backward(net, xs, ys, kind):
         for x, y in zip(xs, ys)
     ]
     n = len(bundles)
-    layers = range(len(net.layers))
-    weights = [sum(b.weight_grads[l] for b in bundles) / n for l in layers]
-    biases = [sum(b.bias_grads[l] for b in bundles) / n for l in layers]
+    grad = sum(b.grad for b in bundles) / n
     loss = sum(b.loss for b in bundles) / n
     scale = max([1.0] + [abs(b.loss) for b in bundles] + [
-        float(np.max(np.abs(g))) for b in bundles
-        for g in b.weight_grads + b.bias_grads])
-    return loss, weights, biases, scale
+        float(np.max(np.abs(b.grad))) for b in bundles])
+    return loss, grad, scale
 
 
 def _assert_matches_per_sample(net, xs, ys, kind):
-    loss, weights, biases, scale = _per_sample_backward(net, xs, ys, kind)
+    loss, grad, scale = _per_sample_backward(net, xs, ys, kind)
     bundle = network_backward(net, xs, ys, kind)
     assert abs(bundle.loss - loss) <= TOL * scale
-    for got, want in zip(bundle.weight_grads + bundle.bias_grads, weights + biases):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= TOL * scale
+    assert bundle.grad.shape == grad.shape
+    assert np.max(np.abs(bundle.grad - grad)) <= TOL * scale
     assert batch_gradient(net, xs, ys, kind).loss == bundle.loss
 
 
@@ -97,7 +93,7 @@ def test_backward_matches_per_sample_with_block_masks(n):
                          g_in, g_out, blocks)])
     xs, ys = _samples(rng, net, n)
     _assert_matches_per_sample(net, xs, ys, _CHECK_KINDS[1])
-    grads = network_backward(net, xs, ys, _CHECK_KINDS[1]).weight_grads[0]
+    grads = net.split(network_backward(net, xs, ys, _CHECK_KINDS[1]).grad)[0][0]
     assert np.all(grads[~net.layers[0].mask] == 0.0)
 
 

@@ -131,8 +131,9 @@ def test_backward_single_weight_worked_value():
     bundle = network_backward(net, _row(GradedVector([2.0], g)),
                               _row(GradedVector([0.0], g)), LossKind.graded_norm())
     assert bundle.loss == pytest.approx(8.0, abs=1e-12)
-    assert bundle.weight_grads[0][0, 0] == pytest.approx(32.0, abs=1e-10)
-    assert bundle.bias_grads[0][0] == pytest.approx(8.0, abs=1e-10)
+    [(gw, gb)] = net.split(bundle.grad)
+    assert gw[0, 0] == pytest.approx(32.0, abs=1e-10)
+    assert gb[0] == pytest.approx(8.0, abs=1e-10)
 
 
 def test_backward_respects_block_mask():
@@ -148,7 +149,7 @@ def test_backward_respects_block_mask():
     y = GradedVector([0.0, 0.0], gio)
     bundle = network_backward(net, _row(x), _row(y), LossKind.graded_norm())
     off = ~np.eye(2, dtype=bool)
-    assert np.all(bundle.weight_grads[0][off] == 0.0)
+    assert np.all(net.split(bundle.grad)[0][0][off] == 0.0)
 
 
 def test_finite_diff_check_eps_validated():
@@ -312,7 +313,7 @@ def _reference_fd_check(net, x, y, kind, eps=1e-5):
     place: the loop the stacked finite_diff_check replaces.  x and y are
     (N, n) arrays of N samples whose mean loss counts."""
     bundle = network_backward(net, x, y, kind)
-    analytic = [g for pair in zip(bundle.weight_grads, bundle.bias_grads) for g in pair]
+    analytic = [g for pair in net.split(bundle.grad) for g in pair]
 
     def current_loss():
         return loss_value(kind, y, forward_trace(net, x)[1], net.out_grading)

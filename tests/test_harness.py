@@ -8,6 +8,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +266,8 @@ def test_config_rejects_bad_documents(mutate):
     (lambda d: d.update(dataset={"source": "csv", "path": "d.csv", "count": 4}),
      "dataset.count"),
     (lambda d: d.update(dataset={"source": "linear_map", "low": 0.1}), "dataset.low"),
+    # the monomial box is given only as dataset.box
+    (lambda d: d["dataset"].update(low=0.5, high=1.5), "dataset.high, dataset.low"),
     (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,3",
                                "layers": []}), "model.layers"),
 ])
@@ -290,7 +293,6 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     (lambda d: d["optimizer"].update(momentum=True), "optimizer.momentum must be a number"),
     (lambda d: d["dataset"].update(count=16.9), "dataset.count must be an integer"),
     (lambda d: d["dataset"].update(seed=True), "dataset.seed must be an integer"),
-    (lambda d: d["dataset"].update(low="0.1"), "dataset.low must be a number"),
     (lambda d: d["dataset"].update(box=[[0.1, True], [0.1, 1.0]]),
      "dataset.box[0][1] must be a number"),
     (lambda d: d["dataset"].update(box=[[0.1], [0.1, 1.0]]),
@@ -333,17 +335,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
      "optimizer.stop_threshold must be a number"),
     (lambda d: d["optimizer"].update(learning_rate=math.inf),
      "optimizer.learning_rate must be a number"),
-    (lambda d: d["dataset"].update(low=-math.inf), "dataset.low must be a number"),
     (lambda d: d["optimizer"].update(learning_rate=10 ** 400),
      "optimizer.learning_rate must be a number"),
     # dataset rules checked at load, before any file is read or sample drawn
-    (lambda d: d["dataset"].update(box=[[0.5, 1.5], [0.5, 1.5]], low=7.0, high=3.0),
-     "dataset.box cannot be given with dataset.low or dataset.high"),
-    (lambda d: d["dataset"].update(box=[[0.5, 1.5], [0.5, 1.5]], high=3.0),
-     "dataset.box cannot be given with dataset.low or dataset.high"),
-    (lambda d: d["dataset"].update(low=7.0, high=3.0), "dataset.low must be below dataset.high"),
-    (lambda d: d["dataset"].update(low=1.0, high=1.0), "dataset.low must be below dataset.high"),
-    (lambda d: d["dataset"].update(high=0.05), "dataset.low must be below dataset.high"),
     (lambda d: d["dataset"].update(box=[[0.5, 1.5], [1.5, 0.5]]),
      "dataset.box[1] must have low < high"),
     (lambda d: d["dataset"].update(count=0), "dataset.count must be >= 1"),
@@ -351,8 +345,8 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
      "dataset.count must be >= 1"),
     (lambda d: d.update(dataset={"source": "invariant_proxy", "count": 0}),
      "dataset.count must be >= 1"),
-    (lambda d: d["dataset"].update(exponents=[2, "1/2"], low=0.0, high=1.0),
-     "dataset.low: fractional exponent 1/2 needs a positive sampling box"),
+    (lambda d: d["dataset"].update(exponents=[2, "1/2"], box=[[-1.0, 1.0], [0.0, 1.0]]),
+     "dataset.box[1]: fractional exponent 1/2 needs a positive sampling box"),
     (lambda d: d["dataset"].update(exponents=["3/2", 3], box=[[-1.0, 1.0], [0.5, 1.5]]),
      "dataset.box[0]: fractional exponent 3/2 needs a positive sampling box"),
 ])
@@ -370,15 +364,11 @@ def test_config_rejects_wrong_value_types(tmp_path, capsys, mutate, message):
 def test_config_numbers_accept_integers():
     doc = _base_train_doc()
     doc["optimizer"].update(learning_rate=1, momentum=0, stop_threshold=0)
-    doc["dataset"].update(low=1, high=2, coefficient=3)
+    doc["dataset"].update(box=[[1, 2], [1, 2.5]], coefficient=3)
     cfg = experiment_config_from_dict(doc)
     assert cfg.optimizer.learning_rate == 1.0
-    assert cfg.dataset.params["box"] == [[1.0, 2.0], [1.0, 2.0]]
-    assert cfg.dataset.params["coefficient"] == 3.0
-    doc = _base_train_doc()
-    doc["dataset"].update(box=[[1, 2], [1, 2.5]])
-    cfg = experiment_config_from_dict(doc)
     assert cfg.dataset.params["box"] == [[1.0, 2.0], [1.0, 2.5]]
+    assert cfg.dataset.params["coefficient"] == 3.0
 
 
 def test_config_resolves_dataset_defaults_at_load():
@@ -390,6 +380,27 @@ def test_config_resolves_dataset_defaults_at_load():
     assert experiment_config_from_dict(doc).dataset.params == {
         "exponents": (2, Fraction(1, 2)), "coefficient": 1.0,
         "box": [[0.1, 2.0], [0.1, 2.0]], "count": 256, "seed": 4}
+
+
+def test_readme_configs_load():
+    """Every config that README shows (a json block, a heredoc or an echo)
+    loads as a train or an approx-bench config, so no removed key lingers
+    in the docs."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    docs = (re.findall(r"```json\n(.*?)```", text, re.S)
+            + re.findall(r"<<'EOF'\n(.*?)^EOF$", text, re.S | re.M)
+            + re.findall(r"echo '(.*?)' >", text))
+    assert len(docs) >= 3  # the train example, the demo.json heredoc and {}
+    for doc in map(json.loads, docs):
+        errors = []
+        for load in (experiment_config_from_dict, bench.bench_config_from_dict):
+            try:
+                load(doc)
+                break
+            except ConfigError as exc:
+                errors.append(str(exc))
+        else:
+            pytest.fail("README config %s loads as neither: %s" % (doc, errors))
 
 
 def test_config_sub_documents_must_be_objects():
@@ -1095,7 +1106,7 @@ def test_cli_train_fractional_exponent_on_a_negative_input_names_the_entry(tmp_p
     doc.update(grading="1,2", dataset={"source": "csv", "path": "data.csv"})
     doc["model"]["exponents"] = "1/2,1"
     assert main(["train", "--config", _write_config(tmp_path / "exp.json", doc)]) == 2
-    assert capsys.readouterr().err == ("error: fractional exponent 0.5 of input 0 needs "
+    assert capsys.readouterr().err == ("error: fractional exponent 1/2 of input 0 needs "
                                        "positive inputs, got -1 in row 1\n")
 
 
@@ -1107,8 +1118,8 @@ def test_cli_train_fractional_exponent_with_an_integer_float_is_refused(tmp_path
     doc["model"]["exponents"] = "9007199254740993/2,1"
     assert main(["train", "--config", _write_config(tmp_path / "exp.json", doc)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: fractional exponent 4.5036e+15 of input 0 needs "
-                          "positive inputs, got -") and err.count("\n") == 1
+    assert err.startswith("error: fractional exponent 9007199254740993/2 of input 0 "
+                          "needs positive inputs, got -") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 
@@ -1237,7 +1248,7 @@ _MUTATION_BASES = {
         "optimizer": {"learning_rate": 0.05, "momentum": 0.5, "max_iters": 3,
                       "stop_threshold": 0.0, "stop_window": 2, "seed": 1},
         "dataset": {"source": "monomial", "exponents": [2, 3], "count": 8, "seed": 2,
-                    "low": 0.5, "high": 1.5, "coefficient": 1.0},
+                    "box": [[0.5, 1.5], [0.5, 1.5]], "coefficient": 1.0},
         "out_dir": "run",
         "seed": 3,
     },
