@@ -268,6 +268,7 @@ def test_config_rejects_bad_documents(mutate):
     (lambda d: d.update(dataset={"source": "linear_map", "low": 0.1}), "dataset.low"),
     # the monomial box is given only as dataset.box
     (lambda d: d["dataset"].update(low=0.5, high=1.5), "dataset.high, dataset.low"),
+    (lambda d: d["dataset"].update(box=[[0.5, 1.5], [0.5, 1.5]], high=3.0), "dataset.high"),
     (lambda d: d.update(model={"type": "multiplicative", "exponents": "2,3",
                                "layers": []}), "model.layers"),
 ])
@@ -295,6 +296,8 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
     (lambda d: d["dataset"].update(seed=True), "dataset.seed must be an integer"),
     (lambda d: d["dataset"].update(box=[[0.1, True], [0.1, 1.0]]),
      "dataset.box[0][1] must be a number"),
+    (lambda d: d["dataset"].update(box=[["0.1", 1.0], [0.1, 1.0]]),
+     "dataset.box[0][0] must be a number"),
     (lambda d: d["dataset"].update(box=[[0.1], [0.1, 1.0]]),
      "dataset.box[0] must be a list of 2 entries"),
     (lambda d: d["dataset"].update(box={"0": [0.1, 1.0]}), "dataset.box must be a list"),
@@ -337,9 +340,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, mutate, path):
      "optimizer.learning_rate must be a number"),
     (lambda d: d["optimizer"].update(learning_rate=10 ** 400),
      "optimizer.learning_rate must be a number"),
+    (lambda d: d["dataset"].update(box=[[0.1, 1.0], [-math.inf, 1.0]]),
+     "dataset.box[1][0] must be a number"),
+    (lambda d: d["dataset"].update(box=[[0.1, 1.0], [0.1, math.inf]]),
+     "dataset.box[1][1] must be a number"),
     # dataset rules checked at load, before any file is read or sample drawn
     (lambda d: d["dataset"].update(box=[[0.5, 1.5], [1.5, 0.5]]),
      "dataset.box[1] must have low < high"),
+    (lambda d: d["dataset"].update(box=[[1.0, 1.0], [0.5, 1.5]]),
+     "dataset.box[0] must have low < high"),
+    (lambda d: d["dataset"].update(box=[[0.1, 0.05], [0.5, 1.5]]),
+     "dataset.box[0] must have low < high"),
     (lambda d: d["dataset"].update(count=0), "dataset.count must be >= 1"),
     (lambda d: d.update(grading="1,1", dataset={"source": "linear_map", "count": 0}),
      "dataset.count must be >= 1"),
